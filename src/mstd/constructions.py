@@ -4,7 +4,7 @@ k_set(m) is the workhorse family
 
     K(m) = {0,1,2,4} u {7,...,m} u {m+4, m+6, m+7},   m >= 9
 
-with |K+K| - |K-K| = 1 for every m: the sumset misses only 2m+11 out of
+with |K+K| - |K-K| = 1 for every m: the sumset misses only 2m+9 out of
 {0..2m+14} while the difference magnitudes miss only m+1. nathanson_set(k)
 is the classic three-progression family
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IntSet
+from .core import IntSet, elements_of
 from .errors import ConstraintViolationError, InvalidParameterError
 from .lemmas import ArithProg, is_arithmetic_progression
 
@@ -94,8 +94,10 @@ def union_two_aps(p1: ArithProg, p2: ArithProg) -> IntSet:
     a = p1.expand()
     b = p2.expand()
     out = a | b
-    if p1.diff == p2.diff and not a.isdisjoint(b):
-        assert is_arithmetic_progression(out) is not None
+    if p1.diff == p2.diff and not a.isdisjoint(b) \
+            and is_arithmetic_progression(out) is None:
+        raise InvalidParameterError(
+            f"overlapping progressions {p1} and {p2} do not unite into one")
     return out
 
 
@@ -136,18 +138,13 @@ def middle_window(m: int) -> IntSet:
     return IntSet(range(66, 60 + m)) - CENTER_SET
 
 
-def _run_starts(s: IntSet, width: int) -> list[int]:
+def _run_starts(s: IntSet, width: int) -> tuple[int, ...]:
     # x such that x, x+1, ..., x+width-1 all lie in s
     bits = s.bits
     run = bits
     for i in range(1, width):
         run &= bits >> i
-    out = []
-    while run:
-        low = run & -run
-        out.append(low.bit_length() - 1)
-        run ^= low
-    return out
+    return elements_of(run)
 
 
 def _chain_exists(s: IntSet, width: int, max_gap: int,
@@ -158,13 +155,18 @@ def _chain_exists(s: IntSet, width: int, max_gap: int,
     A chain is a sequence of disjoint runs with consecutive start
     positions at most max_gap apart, whose first run fits in
     [first_lo, first_hi] and whose last fits in [last_lo, last_hi].
-    Starts ascend, so one left-to-right sweep settles reachability.
+    Starts ascend, so one left-to-right sweep settles reachability: a
+    run at x continues a chain iff some reachable start lies in
+    [x - max_gap, x - width], and the least reachable start not below
+    x - max_gap only moves right as x does.
     """
     reach: list[int] = []
+    lo = 0  # reach[:lo] are too far behind every start still to come
     for x in _run_starts(s, width):
-        ok = first_lo <= x and x + width - 1 <= first_hi
-        if not ok:
-            ok = any(y + width <= x <= y + max_gap for y in reach)
+        while lo < len(reach) and reach[lo] < x - max_gap:
+            lo += 1
+        ok = (first_lo <= x and x + width - 1 <= first_hi) \
+            or (lo < len(reach) and reach[lo] <= x - width)
         if ok:
             if last_lo <= x and x + width - 1 <= last_hi:
                 return True
@@ -196,14 +198,14 @@ def validate_partition_spec(spec: Partition3Spec) -> list[SpecViolation]:
 
     if not _chain_exists(spec.m1, 2, 39, 66, 101, 24 + m, 59 + m):
         out.append(SpecViolation(
-            "m1-pair-chain", tuple(_run_starts(spec.m1, 2)),
+            "m1-pair-chain", _run_starts(spec.m1, 2),
             "no chain of consecutive-element pairs spans the window "
             "(starts <= 39 apart, first pair in {66..101}, "
             f"last pair in {{{24 + m}..{59 + m}}})"))
 
     if not _chain_exists(spec.m2, 3, 40, 66, 105, 20 + m, 59 + m):
         out.append(SpecViolation(
-            "m2-triplet-chain", tuple(_run_starts(spec.m2, 3)),
+            "m2-triplet-chain", _run_starts(spec.m2, 3),
             "no chain of consecutive-element triplets spans the window "
             "(starts <= 40 apart, first triplet in {66..105}, "
             f"last triplet in {{{20 + m}..{59 + m}}})"))
@@ -242,9 +244,16 @@ def partition3(spec: Partition3Spec) -> Partition3Result:
 
     span = 124 + m
     # forced by construction; cheap to confirm
-    assert a1.isdisjoint(a2) and a1.isdisjoint(CENTER_SET) \
-        and a2.isdisjoint(CENTER_SET)
-    assert (a1 | a2 | CENTER_SET) == IntSet(range(1, span + 1))
+    shared = (a1 & a2) | (a1 & CENTER_SET) | (a2 & CENTER_SET)
+    if len(shared):
+        raise ConstraintViolationError([SpecViolation(
+            "disjointness", shared.elements,
+            "the assembled parts share these positions")])
+    mismatch = (a1 | a2 | CENTER_SET) ^ IntSet(range(1, span + 1))
+    if len(mismatch):
+        raise ConstraintViolationError([SpecViolation(
+            "coverage", mismatch.elements,
+            f"the assembled parts differ from {{1..{span}}} at these positions")])
     return Partition3Result(a1, a2, CENTER_SET, span)
 
 

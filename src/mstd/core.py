@@ -31,6 +31,34 @@ popcounts give the cardinalities. This does |A| big-integer operations on
 ~2M-bit words instead of |A|^2 Python-level pair loops, which is what
 makes the exhaustive searches in mstd.search feasible in pure Python.
 
+Shift-OR costs |A| passes over M bits, which is quadratic for dense sets.
+Large sets go through a second kernel, Kronecker substitution: write A
+as the polynomial A(x) = sum of x**a, evaluate it at x = 10**w, and the
+exact decimal product A(x)*A(x) (or A(x)*x**M*A(1/x) for differences)
+carries the coefficient of x**s, the number of ways to write s, in its
+w-digit block s. With 10**w > |A| no block overflows into the next, and
+the nonzero blocks are the support. libmpdec multiplies numbers this
+long with a number-theoretic transform, so one product costs about
+M*w*log(M) instead of |A|*M. The decimal context traps Inexact and
+Rounded, so a product can never round silently, and the decimal module
+is imported only when the first product runs.
+
+Which kernel runs is decided per set from |A| and M: the product runs
+when |A| >= weight * w * (bit length of M), with weights fitted from measurements
+(_SUM_WEIGHT, _DIFF_WEIGHT). Parity sits near |A| ~ 5000-10000 for sums
+and ~25000-40000 for differences at M from 2**14 to 2**22, so wide
+sparse sets stay on shift-OR. The product's memory is the operands and
+the transform buffers, about 3 bytes per decimal digit for a sumset and
+5 for a difference set (the result's digits are read a million blocks
+at a time). A dense set at M = 2**22 (w = 7) peaks ~22 and ~35 bytes
+per universe position above its baseline, so near 2**24 (w = 8) a
+sumset takes about 400 MB and a difference set about 650 MB.
+
+Packing and unpacking are linear in M as well: elements_of reads the
+binary digit string of the mask, and bits_of fills a digit buffer and
+parses it, once the set has enough elements for that to beat OR-ing
+single bits.
+
 Elements must lie in [0, UNIVERSE_CAP); beyond that the dense masks stop
 being a sensible encoding and construction raises UniverseOverflowError.
 
@@ -45,7 +73,9 @@ from __future__ import annotations
 import enum
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -63,43 +93,113 @@ UNIVERSE_CAP = 1 << 24
 # bitmask kernel
 
 
+# Fitted on a 2-core x86-64 host, Python 3.11, for M from 2**10 to 2**22:
+# the product beats |A| shift-ORs once |A| >= weight * w * (bit length of
+# M), w the digits of |A|. Right shifts are cheaper than left ones, hence
+# the larger weight for differences.
+_SUM_WEIGHT = 100
+_DIFF_WEIGHT = 330
+# below this many elements the product never pays, whatever M is
+_SMALL_CARD = 1024
+# below this many elements OR-ing single bits beats the digit buffer
+_PACK_MIN_CARD = 512
+# product blocks turned into bits per step, which bounds the digit string
+_CHUNK_BLOCKS = 1 << 20
+
+_UNPACK = bytes.maketrans(b"01", b"\x00\x01")
+_NONZERO = bytes.maketrans(b"23456789", b"11111111")
+
+
 def bits_of(elements: Iterable[int]) -> int:
     """Pack an iterable of nonnegative ints into a dense bitmask."""
-    bits = 0
+    try:
+        small = len(elements) < _PACK_MIN_CARD
+    except TypeError:  # a one-shot iterable
+        elements = tuple(elements)
+        small = len(elements) < _PACK_MIN_CARD
+    if small:
+        bits = 0
+        for e in elements:
+            bits |= 1 << e
+        return bits
+    if min(elements) < 0:
+        raise ValueError("negative element")
+    digits = bytearray(b"0") * (max(elements) + 1)
     for e in elements:
-        bits |= 1 << e
-    return bits
+        digits[e] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
 
 
 def elements_of(bits: int) -> tuple[int, ...]:
     """Unpack a bitmask into a sorted tuple of elements."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
+    # through a list: tuple(compress(...)) itself left ~4 MB more peak RSS
+    # behind after the pair scans
+    return tuple([*compress(count(), bin(bits)[:1:-1].encode().translate(_UNPACK))])
+
+
+def _product_pays(bits: int, weight: int) -> bool:
+    card = bits.bit_count()
+    return card >= weight * len(str(card)) * bits.bit_length().bit_length()
+
+
+def _kronecker(bits: int, reflect: bool) -> int:
+    """Support of A(x)**2, or of A(x)*x**M*A(1/x) at x**M and above.
+
+    The first is bits(A+A) and the second bits(D), computed by one exact
+    decimal product in w-digit blocks (see the module docstring).
+    """
+    import decimal
+
+    n = bits.bit_length()
+    w = len(str(bits.bit_count()))  # 10**w > |A| >= every coefficient
+    traps = [decimal.Inexact, decimal.Rounded,
+             decimal.InvalidOperation, decimal.Overflow]
+    ctx = decimal.Context(prec=2 * n * w, Emax=decimal.MAX_EMAX, traps=traps)
+    # shifting by 0 in this context keeps the lowest _CHUNK_BLOCKS blocks
+    cut = decimal.Context(prec=_CHUNK_BLOCKS * w, Emax=decimal.MAX_EMAX, traps=traps)
+
+    def operand(binary: str) -> "decimal.Decimal":
+        # the 0/1 digits, most significant first, each padded to a w-digit block
+        blocks = bytearray(b"0") * (n * w)
+        blocks[w - 1::w] = binary.encode()
+        text = blocks.decode()
+        del blocks
+        return decimal.Decimal(text)
+
+    p = operand(bin(bits)[2:])
+    q = operand(bin(bits)[:1:-1]) if reflect else p
+    prod = ctx.multiply(p, q)
+    del p, q
+    low = n - 1 if reflect else 0  # magnitudes 0..n-1 sit in blocks n-1 and up
+    out = 0
+    for at in range(low, 2 * n - 1, _CHUNK_BLOCKS):
+        # the digit string ends on a block boundary, so the i-th digit of
+        # every block, read with stride w, is a binary numeral over blocks;
+        # zfill gives every stride a digit when the chunk is one short block
+        digits = str(cut.shift(ctx.shift(prod, -at * w), 0)).zfill(w)
+        for i in range(w):
+            out |= int(digits[i::w].encode().translate(_NONZERO), 2) << (at - low)
+    return out
 
 
 def sumset_bits(bits: int) -> int:
     """Bitmask of A+A from the bitmask of A."""
+    if _product_pays(bits, _SUM_WEIGHT):
+        return _kronecker(bits, reflect=False)
     s = 0
-    b = bits
-    while b:
-        low = b & -b
-        s |= bits << (low.bit_length() - 1)
-        b ^= low
+    for e in elements_of(bits):
+        s |= bits << e
     return s
 
 
 def diff_bits(bits: int) -> int:
     """Bitmask of the nonnegative difference magnitudes of A."""
+    if _product_pays(bits, _DIFF_WEIGHT):
+        return _kronecker(bits, reflect=True)
     d = 0
-    b = bits
-    while b:
-        low = b & -b
-        d |= bits >> (low.bit_length() - 1)
-        b ^= low
+    for e in elements_of(bits):
+        d |= bits >> e
     return d
 
 
@@ -121,6 +221,8 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
     """
     if elements is None:
         elements = elements_of(bits)
+    if len(elements) >= _SMALL_CARD:
+        return sumset_bits(bits).bit_count(), 2 * diff_bits(bits).bit_count() - 1
     s = 0
     d = 0
     for e in elements:
@@ -144,20 +246,20 @@ class IntSet:
     __slots__ = ("_elements", "_bits")
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = sorted(set(elements))
-        bits = 0
-        for e in elems:
+        items = list(elements)
+        for e in items:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InvalidParameterError(f"set element {e!r} is not an int")
-            if e < 0:
-                raise InvalidParameterError(f"set element {e} is negative")
-            if e >= UNIVERSE_CAP:
-                raise UniverseOverflowError(
-                    f"element {e} is at or beyond the universe cap {UNIVERSE_CAP}"
-                )
-            bits |= 1 << e
+        elems = sorted(set(items))
+        if elems and elems[0] < 0:
+            raise InvalidParameterError(f"set element {elems[0]} is negative")
+        if elems and elems[-1] >= UNIVERSE_CAP:
+            e = elems[bisect_left(elems, UNIVERSE_CAP)]
+            raise UniverseOverflowError(
+                f"element {e} is at or beyond the universe cap {UNIVERSE_CAP}"
+            )
         self._elements = tuple(elems)
-        self._bits = bits
+        self._bits = bits_of(self._elements)
 
     @classmethod
     def from_bits(cls, bits: int) -> "IntSet":

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IntSet, UNIVERSE_CAP, gaps_of
+from .core import IntSet, UNIVERSE_CAP, gaps_of, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 
 NOT_SUM_DOMINANT = "not-sum-dominant"
@@ -153,9 +153,9 @@ def new_sums_on_extend(base: IntSet, x: int) -> int:
     """Count sums gained when x joins base.
 
     Returns |B+B| - |A+A| for B = A u {x}. The new sums are exactly
-    {x + b : b in B} minus the old sumset, computed with one extra
-    shift on the bitmask. x must be a fresh nonnegative element below
-    the universe cap.
+    {x + b : b in B} minus the old sumset, so one extra shift on top of
+    sumset_bits counts them. x must be a fresh nonnegative element
+    below the universe cap.
     """
     if len(base) == 0:
         raise EmptySetError("cannot extend the empty set")
@@ -165,10 +165,6 @@ def new_sums_on_extend(base: IntSet, x: int) -> int:
         raise UniverseOverflowError(f"extension point {x} is beyond the cap")
     if x in base:
         raise InvalidParameterError(f"extension point {x} is already in the set")
-    bits = base.bits
-    old = 0
-    for e in base.elements:
-        old |= bits << e
-    bits2 = bits | (1 << x)
-    new = old | (bits2 << x)
+    old = sumset_bits(base.bits)
+    new = old | ((base.bits | (1 << x)) << x)
     return new.bit_count() - old.bit_count()

@@ -124,16 +124,12 @@ def _largest_worker(task):
     # all kept middles starting at `first`, in lexicographic order
     n, d, first = task
     kept = (n - 2) - d
-    base = 1 | (1 << (n - 1)) | (1 << first)
     found = []
     count = 0
     for rest in combinations(range(first + 1, n - 1), kept - 1):
-        bits = base
-        for e in rest:
-            bits |= 1 << e
         elems = (0, first) + rest + (n - 1,)
         count += 1
-        if _is_sum_dominant(bits, elems):
+        if _is_sum_dominant(bits_of(elems), elems):
             found.append(elems)
     return count, found
 
@@ -212,16 +208,12 @@ def largest_subset(n: int, max_discard: int = 8,
 
 def _minsize_worker(task):
     diameter, j = task
-    base = 1 | (1 << diameter)
     found = []
     count = 0
     for mid in combinations(range(1, diameter), j):
-        bits = base
-        for e in mid:
-            bits |= 1 << e
         elems = (0,) + mid + (diameter,)
         count += 1
-        if _is_sum_dominant(bits, elems):
+        if _is_sum_dominant(bits_of(elems), elems):
             found.append(elems)
     return count, found
 
@@ -270,10 +262,7 @@ def _aps_within(span: int, diff: int) -> list[tuple[int, int]]:
 
 
 def _ap_mask(start: int, diff: int, length: int) -> int:
-    bits = 0
-    for i in range(length):
-        bits |= 1 << (start + i * diff)
-    return bits
+    return bits_of(range(start, start + length * diff, diff))
 
 
 def _pair_block_worker(task):

@@ -1,7 +1,9 @@
 """Slow reference implementations used to cross-check the fast kernel.
 
-Everything here works on plain Python sets with explicit double loops,
-deliberately sharing no code with the package's bitmask arithmetic.
+The naive functions work on plain Python sets with explicit double
+loops. The ref_ functions are the original shift-OR kernel, one shifted
+copy of the mask per element. Neither shares code with the package's
+bitmask arithmetic.
 """
 
 
@@ -26,3 +28,38 @@ def naive_excess(elements):
 def naive_is_sum_dominant(elements):
     sc, dc = naive_cards(elements)
     return sc > dc
+
+
+# ---------------------------------------------------------------------------
+# shift-OR reference: the bitmask kernel as it stood before the linear
+# pack/unpack and the decimal product path, kept to cross-check them
+
+
+def ref_bits_of(elements):
+    bits = 0
+    for e in elements:
+        bits |= 1 << e
+    return bits
+
+
+def ref_elements_of(bits):
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def ref_sumset_bits(bits):
+    s = 0
+    for e in ref_elements_of(bits):
+        s |= bits << e
+    return s
+
+
+def ref_diff_bits(bits):
+    d = 0
+    for e in ref_elements_of(bits):
+        d |= bits >> e
+    return d

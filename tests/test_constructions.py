@@ -23,6 +23,8 @@ from mstd import (
     union_two_aps,
     validate_partition_spec,
 )
+from mstd import constructions
+from mstd.constructions import HIGH_BLOCK_2, LOW_BLOCK_2, _chain_exists
 from tests._oracles import naive_cards, naive_is_sum_dominant
 
 # the canonical worked split at m=21, element by element
@@ -120,6 +122,12 @@ class TestUnionTwoAps:
             u = union_two_aps(p1, p2)
             assert is_arithmetic_progression(u) is not None
 
+    def test_failed_merge_raises(self, monkeypatch):
+        monkeypatch.setattr(constructions, "is_arithmetic_progression",
+                            lambda a: None)
+        with pytest.raises(InvalidParameterError):
+            union_two_aps(ArithProg(0, 1, 3), ArithProg(2, 1, 3))
+
     def test_same_diff_union_never_sum_dominant(self):
         rng = random.Random(53)
         for _ in range(200):
@@ -189,6 +197,43 @@ class TestValidateSpec:
         assert [v.constraint for v in out] == ["m-range"]
 
 
+def quadratic_chain_exists(s, width, max_gap, first_lo, first_hi, last_lo, last_hi):
+    # the original sweep: each start is checked against every earlier
+    # reachable start; run starts found element by element
+    starts = [x for x in s.elements if all(x + i in s for i in range(width))]
+    reach = []
+    for x in starts:
+        ok = first_lo <= x and x + width - 1 <= first_hi
+        if not ok:
+            ok = any(y + width <= x <= y + max_gap for y in reach)
+        if ok:
+            if last_lo <= x and x + width - 1 <= last_hi:
+                return True
+            reach.append(x)
+    return False
+
+
+class TestChainExists:
+    def test_matches_quadratic_sweep(self):
+        rng = random.Random(59)
+        hits = 0
+        for _ in range(3000):
+            span = rng.randint(1, 200)
+            density = rng.random()
+            s = IntSet(x for x in range(60, 60 + span) if rng.random() < density)
+            width = rng.randint(1, 3)
+            max_gap = rng.randint(1, 40)
+            first_lo = rng.randint(50, 100)
+            first_hi = first_lo + rng.randint(0, 40)
+            last_lo = rng.randint(60, 60 + span)
+            last_hi = last_lo + rng.randint(0, 40)
+            args = (width, max_gap, first_lo, first_hi, last_lo, last_hi)
+            want = quadratic_chain_exists(s, *args)
+            assert _chain_exists(s, *args) == want, (s, args)
+            hits += want
+        assert 300 < hits < 2700  # both outcomes well represented
+
+
 class TestPartition3:
     def worked_spec(self):
         return Partition3Spec(21, IntSet([71, 72]),
@@ -228,6 +273,22 @@ class TestPartition3:
             partition3(bad)
         assert any(v.constraint == "disjointness"
                    for v in info.value.violations)
+
+    def test_overlapping_assembly_raises(self, monkeypatch):
+        # both parts take the same high block: a valid spec, broken assembly
+        monkeypatch.setattr(constructions, "HIGH_BLOCK_1", HIGH_BLOCK_2)
+        with pytest.raises(ConstraintViolationError) as info:
+            partition3(self.worked_spec())
+        (v,) = info.value.violations
+        assert v.constraint == "disjointness"
+        assert v.positions == tuple(e + 21 + 84 for e in HIGH_BLOCK_2)
+
+    def test_uncovered_assembly_raises(self, monkeypatch):
+        monkeypatch.setattr(constructions, "LOW_BLOCK_2", LOW_BLOCK_2 - IntSet([5]))
+        with pytest.raises(ConstraintViolationError) as info:
+            partition3(self.worked_spec())
+        (v,) = info.value.violations
+        assert (v.constraint, v.positions) == ("coverage", (5,))
 
 
 class TestDefaultBlocks:

@@ -1,6 +1,8 @@
 """Set carrier, bitmask kernel, classification, notation round trips."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,19 +19,38 @@ from mstd import (
     UniverseOverflowError,
     bits_of,
     classify,
+    diff_bits,
     diffset,
     elements_of,
     format_gap_notation,
     format_set_literal,
     gaps_of,
+    k_set,
     normalize_affine,
     parse_gap_notation,
     parse_set_literal,
     sum_diff_cards,
     sumset,
+    sumset_bits,
     symmetry_center,
 )
-from tests._oracles import naive_cards, naive_diffset, naive_sumset
+from mstd import core
+from mstd.core import (
+    _DIFF_WEIGHT,
+    _PACK_MIN_CARD,
+    _SUM_WEIGHT,
+    _kronecker,
+    _product_pays,
+)
+from tests._oracles import (
+    naive_cards,
+    naive_diffset,
+    naive_sumset,
+    ref_bits_of,
+    ref_diff_bits,
+    ref_elements_of,
+    ref_sumset_bits,
+)
 
 
 class TestIntSet:
@@ -92,11 +113,15 @@ class TestIntSet:
             IntSet([1.5])
         with pytest.raises(InvalidParameterError):
             IntSet([True])
+        with pytest.raises(InvalidParameterError):
+            IntSet([1, "a"])
 
     def test_universe_cap(self):
         IntSet([UNIVERSE_CAP - 1])
         with pytest.raises(UniverseOverflowError):
             IntSet([UNIVERSE_CAP])
+        with pytest.raises(UniverseOverflowError, match=f"element {UNIVERSE_CAP} "):
+            IntSet([UNIVERSE_CAP + 9, 1, UNIVERSE_CAP])
 
 
 class TestArithmetic:
@@ -306,3 +331,97 @@ class TestSetLiteral:
         for _ in range(200):
             a = IntSet(rng.sample(range(80), rng.randint(0, 12)))
             assert parse_set_literal(format_set_literal(a)) == a
+
+
+class TestLargeSetKernel:
+    """Linear pack/unpack and the decimal product against the shift-OR reference."""
+
+    def test_round_trips_at_the_edges(self):
+        for elems in ((), (0,), (UNIVERSE_CAP - 1,), (0, UNIVERSE_CAP - 1)):
+            bits = ref_bits_of(elems)
+            assert elements_of(bits) == elems
+            assert bits_of(elems) == bits
+        # enough elements for the digit-buffer pack, up to the cap
+        elems = tuple(range(0, UNIVERSE_CAP, UNIVERSE_CAP // 600)) + (UNIVERSE_CAP - 1,)
+        assert len(elems) >= _PACK_MIN_CARD
+        bits = bits_of(elems)
+        assert bits == ref_bits_of(elems)
+        assert elements_of(bits) == elems
+
+    def test_pack_matches_reference(self):
+        rng = random.Random(61)
+        for size in (1, 7, _PACK_MIN_CARD - 1, _PACK_MIN_CARD, 3000):
+            for top in (size, 4 * size, 200_000):
+                # duplicates and any order, from a list or a one-shot iterator
+                elems = [rng.randrange(top) for _ in range(size)]
+                want = ref_bits_of(elems)
+                assert bits_of(elems) == want
+                assert bits_of(iter(elems)) == want
+
+    def test_unpack_matches_reference(self):
+        rng = random.Random(67)
+        for width in (1, 9, 64, 1000, 50_000):
+            for size in (1, width // 8 + 1, width // 2 + 1, width):
+                bits = ref_bits_of(rng.sample(range(width), size))
+                assert elements_of(bits) == ref_elements_of(bits)
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_product_matches_reference_on_small_sets(self, chunk, monkeypatch):
+        # the product path forced on sets of every size class, 1 to 4 digit
+        # blocks, also with its digit string read a few blocks at a time
+        if chunk:
+            monkeypatch.setattr(core, "_CHUNK_BLOCKS", chunk)
+        rng = random.Random(71)
+        for _ in range(300):
+            top = rng.choice((1, 12, 150, 3000))
+            bits = ref_bits_of(rng.sample(range(top), rng.randint(1, top)))
+            assert _kronecker(bits, reflect=False) == ref_sumset_bits(bits)
+            assert _kronecker(bits, reflect=True) == ref_diff_bits(bits)
+
+    @pytest.mark.parametrize("top,size,on_product", [
+        (8191, 4000, (False, False)),     # dense, below both crossovers
+        (8191, 8000, (True, False)),      # dense, sums above the crossover
+        (32767, 32000, (True, True)),     # dense, both above
+        (1_000_000, 1000, (False, False)),  # wide and sparse
+    ])
+    def test_public_kernel_on_both_sides_of_the_crossover(self, top, size, on_product):
+        rng = random.Random(top + size)
+        bits = ref_bits_of(rng.sample(range(top), size - 1) + [top])
+        assert (_product_pays(bits, _SUM_WEIGHT), _product_pays(bits, _DIFF_WEIGHT)) \
+            == on_product
+        sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+        assert sumset_bits(bits) == sums
+        assert diff_bits(bits) == mags
+        assert sum_diff_cards(bits) == (sums.bit_count(), 2 * mags.bit_count() - 1)
+        if top > 100_000:  # the product stays exact where it is not chosen
+            assert _kronecker(bits, reflect=False) == sums
+            assert _kronecker(bits, reflect=True) == mags
+
+    def test_dispatch_keeps_wide_sparse_sets_on_shift_or(self):
+        rng = random.Random(73)
+        sparse = ref_bits_of(rng.sample(range(2_000_000), 1000))
+        assert not _product_pays(sparse, _SUM_WEIGHT)
+        assert not _product_pays(sparse, _DIFF_WEIGHT)
+        dense = k_set(100_000).bits
+        assert _product_pays(dense, _SUM_WEIGHT) and _product_pays(dense, _DIFF_WEIGHT)
+
+    @pytest.mark.parametrize("m", [9, 1000, 20_000, 400_000])
+    def test_k_set_closed_forms(self, m):
+        # K(m)+K(m) is {0..2m+14} less 2m+9; the magnitudes are {0..m+7} less m+1
+        kset = k_set(m)
+        sums = sumset_bits(kset.bits)
+        mags = diff_bits(kset.bits)
+        assert sums == ((1 << (2 * m + 15)) - 1) ^ (1 << (2 * m + 9))
+        assert mags == ((1 << (m + 8)) - 1) ^ (1 << (m + 1))
+        assert sum_diff_cards(kset.bits, kset.elements) == (2 * m + 14, 2 * m + 13)
+        if m <= 20_000:
+            assert sums == ref_sumset_bits(kset.bits)
+            assert mags == ref_diff_bits(kset.bits)
+
+    def test_decimal_is_imported_only_by_a_product(self):
+        code = ("import sys, mstd.cli; before = 'decimal' in sys.modules; "
+                "mstd.sumset_bits(mstd.k_set(100_000).bits); "
+                "print(before, 'decimal' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "True"]
