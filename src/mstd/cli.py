@@ -16,8 +16,9 @@ Exit codes follow a pipeline-friendly convention:
     65  data error (unparseable set text, empty-set operand, parameter
         outside its domain, invalid partition spec)
 
-Worker processes for the search subcommands come from --threads, or
-the MSTD_THREADS environment variable when the flag is absent.
+Flags sit where they are read: --format on the top parser and every
+subcommand, --max-discard on `search largest`, and --threads on the five
+`search` subcommands, which alone read the MSTD_THREADS fallback.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .constructions import (
     Partition3Spec,
@@ -44,7 +46,7 @@ from .core import (
     parse_set_literal,
     sumset,
 )
-from .errors import BudgetExceededError, Error, ParseError
+from .errors import BudgetExceededError, Error
 from .lemmas import ms_condition1, ms_condition2, new_sums_on_extend
 from .search import (
     ap_pair_scan,
@@ -71,17 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _add_global_flags(p):
-    p.add_argument("--format", choices=("plain", "json", "spohn"),
-                   default=argparse.SUPPRESS,
-                   help="output format (default: plain)")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   metavar="T", help="worker processes for searches")
-    p.add_argument("--max-discard", type=int, dest="max_discard",
-                   default=argparse.SUPPRESS, metavar="D",
-                   help="discard-level budget for `search largest` (default 8)")
-
-
 def _parse_set_arg(text: str):
     s = text.strip()
     if s.startswith("("):
@@ -89,315 +80,200 @@ def _parse_set_arg(text: str):
     return parse_set_literal(s)
 
 
-def _fmt_set(a, fmt: str) -> str:
-    if fmt == "spohn":
-        return format_gap_notation(a)
-    return format_set_literal(a)
+# ---------------------------------------------------------------------------
+# renderers: (result, namespace, set formatter) -> (JSON document, plain text)
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc))
+def _set_doc(a, ns, show):
+    return list(a.elements), show(a)
+
+
+def _scalar_doc(x, ns, show):
+    return x, str(x)
+
+
+def _verdict_doc(v, ns, show):
+    text = f"applies=yes guarantee={v.guarantee}" if v.applies else "applies=no"
+    return {"applies": v.applies, "guarantee": v.guarantee}, text
+
+
+def _classify_doc(c, ns, show):
+    return ({"kind": c.kind.value, "sum_card": c.sum_card,
+             "diff_card": c.diff_card, "excess": c.excess},
+            f"{c.kind.value} excess={c.excess}")
+
+
+def _diffset_doc(res, ns, show):
+    mags, card = res
+    return ({"magnitudes": list(mags.elements), "cardinality": card},
+            f"{show(mags)} cardinality={card}")
+
+
+def _partition3_doc(res, ns, show):
+    parts = {"a1": res.a1, "a2": res.a2, "s": res.s}
+    doc = {"m": ns.m, "span": res.span}
+    doc.update((name, list(p.elements)) for name, p in parts.items())
+    return doc, "\n".join(f"{name}={show(p)}" for name, p in parts.items())
+
+
+def _report_doc(report, ns, show):
+    lines = [f"search={report.search} examined={report.examined} "
+             f"witnesses={len(report.witnesses)}"]
+    lines += [f"witness={show(w)}" for w in report.witnesses]
+    return report.as_dict(elapsed_s=0.0), "\n".join(lines)
+
+
+def _largest_doc(res, ns, show):
+    # a BudgetExceededError renders its partial report
+    result, report = ((None, res.report) if isinstance(res, BudgetExceededError)
+                      else res)
+    doc = report.as_dict(elapsed_s=0.0)
+    doc["n_value"] = result.n_value if result else None
+    if result is None:
+        text = f"n={ns.n} N=unresolved examined={report.examined}"
+    elif result.n_value is None:
+        text = f"n={ns.n} N=absent"
+    else:
+        text = f"n={ns.n} N={result.n_value} witness={show(result.witness)}"
+    return doc, text
+
+
+def _feasibility_doc(feas, ns, show):
+    parts = feas.witness or ()
+    doc = {"search": "partition3", "params": {"r": ns.r},
+           "examined": feas.examined,
+           "witnesses": [list(p.elements) for p in parts],
+           "elapsed_s": 0.0, "status": feas.status, "reason": feas.reason}
+    reason = f" reason={feas.reason}" if feas.reason else ""
+    lines = [f"r={ns.r} status={feas.status}{reason}"]
+    lines += [f"{name}={show(p)}" for name, p in zip(("a1", "a2", "s"), parts)]
+    return doc, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns an exit code
+# run callables and exit rules; names resolve at call time, so tests can patch
 
 
-def _cmd_classify(ns, fmt, threads, max_discard):
-    c = classify(_parse_set_arg(ns.set))
-    if fmt == "json":
-        _emit_json({"kind": c.kind.value, "sum_card": c.sum_card,
-                    "diff_card": c.diff_card, "excess": c.excess})
-    else:
-        print(f"{c.kind.value} excess={c.excess}")
-    return EX_OK
-
-
-def _cmd_sumset(ns, fmt, threads, max_discard):
-    s = sumset(_parse_set_arg(ns.set))
-    if fmt == "json":
-        _emit_json(list(s.elements))
-    else:
-        print(_fmt_set(s, fmt))
-    return EX_OK
-
-
-def _cmd_diffset(ns, fmt, threads, max_discard):
-    mags, card = diffset(_parse_set_arg(ns.set))
-    if fmt == "json":
-        _emit_json({"magnitudes": list(mags.elements), "cardinality": card})
-    else:
-        print(f"{_fmt_set(mags, fmt)} cardinality={card}")
-    return EX_OK
-
-
-def _cmd_spohn_parse(ns, fmt, threads, max_discard):
-    a = parse_gap_notation(ns.text).to_intset()
-    if fmt == "json":
-        _emit_json(list(a.elements))
-    else:
-        print(_fmt_set(a, fmt))
-    return EX_OK
-
-
-def _cmd_spohn_format(ns, fmt, threads, max_discard):
-    text = format_gap_notation(_parse_set_arg(ns.set))
-    if fmt == "json":
-        _emit_json(text)
-    else:
-        print(text)
-    return EX_OK
-
-
-def _cmd_lemma_ms1(ns, fmt, threads, max_discard):
-    v = ms_condition1(_parse_set_arg(ns.set))
-    return _emit_verdict(v, fmt)
-
-
-def _cmd_lemma_ms2(ns, fmt, threads, max_discard):
-    v = ms_condition2(_parse_set_arg(ns.set), ns.m)
-    return _emit_verdict(v, fmt)
-
-
-def _emit_verdict(v, fmt):
-    if fmt == "json":
-        _emit_json({"applies": v.applies, "guarantee": v.guarantee})
-    elif v.applies:
-        print(f"applies=yes guarantee={v.guarantee}")
-    else:
-        print("applies=no")
-    return EX_OK
-
-
-def _cmd_lemma_extend(ns, fmt, threads, max_discard):
-    n = new_sums_on_extend(_parse_set_arg(ns.set), ns.point)
-    if fmt == "json":
-        _emit_json(n)
-    else:
-        print(n)
-    return EX_OK
-
-
-def _cmd_construct_kset(ns, fmt, threads, max_discard):
-    return _emit_set(k_set(ns.m), fmt)
-
-
-def _cmd_construct_nathanson(ns, fmt, threads, max_discard):
-    return _emit_set(nathanson_set(ns.k), fmt)
-
-
-def _cmd_construct_ap(ns, fmt, threads, max_discard):
-    return _emit_set(ap(ns.a, ns.d, ns.len), fmt)
-
-
-def _emit_set(a, fmt):
-    if fmt == "json":
-        _emit_json(list(a.elements))
-    else:
-        print(_fmt_set(a, fmt))
-    return EX_OK
-
-
-def _cmd_construct_partition3(ns, fmt, threads, max_discard):
+def _partition3(ns):
     if (ns.m1 is None) != (ns.m2 is None):
         print("error: --m1 and --m2 must be given together", file=sys.stderr)
-        return EX_USAGE
-    if ns.m1 is not None:
-        spec = Partition3Spec(ns.m, _parse_set_arg(ns.m1), _parse_set_arg(ns.m2))
-    else:
-        spec = default_blocks(ns.m)
-    res = partition3(spec)
-    if fmt == "json":
-        _emit_json({"m": ns.m, "span": res.span,
-                    "a1": list(res.a1.elements),
-                    "a2": list(res.a2.elements),
-                    "s": list(res.s.elements)})
-    else:
-        print(f"a1={_fmt_set(res.a1, fmt)}")
-        print(f"a2={_fmt_set(res.a2, fmt)}")
-        print(f"s={_fmt_set(res.s, fmt)}")
-    return EX_OK
+        raise SystemExit(EX_USAGE)
+    spec = default_blocks(ns.m) if ns.m1 is None else Partition3Spec(
+        ns.m, _parse_set_arg(ns.m1), _parse_set_arg(ns.m2))
+    return partition3(spec)
 
 
-def _cmd_search_largest(ns, fmt, threads, max_discard):
-    try:
-        result, report = largest_subset_scan(ns.n, max_discard, threads)
-    except BudgetExceededError as exc:
-        if fmt == "json":
-            doc = exc.report.as_dict(elapsed_s=0.0)
-            doc["n_value"] = None
-            _emit_json(doc)
-        else:
-            print(f"n={ns.n} N=unresolved examined={exc.report.examined}")
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_BUDGET
-    if fmt == "json":
-        doc = report.as_dict(elapsed_s=0.0)
-        doc["n_value"] = result.n_value
-        _emit_json(doc)
-    elif result.n_value is None:
-        print(f"n={ns.n} N=absent")
-    else:
-        print(f"n={ns.n} N={result.n_value} "
-              f"witness={_fmt_set(result.witness, fmt)}")
-    return EX_OK
-
-
-def _emit_report(report, fmt):
-    if fmt == "json":
-        _emit_json(report.as_dict(elapsed_s=0.0))
-    else:
-        print(f"search={report.search} examined={report.examined} "
-              f"witnesses={len(report.witnesses)}")
-        for w in report.witnesses:
-            print(f"witness={_fmt_set(w, fmt)}")
-
-
-def _cmd_search_minsize(ns, fmt, threads, max_discard):
-    report = min_size_scan(ns.diameter, workers=threads)
-    _emit_report(report, fmt)
-    refuting = any(len(w) <= 7 for w in report.witnesses)
-    return EX_WITNESS if refuting else EX_OK
-
-
-def _cmd_search_appairs(ns, fmt, threads, max_discard):
-    report = ap_pair_scan(ns.span, ns.diff, workers=threads)
-    _emit_report(report, fmt)
+def _any_witness(report):
     return EX_WITNESS if report.witnesses else EX_OK
 
 
-def _cmd_search_twoap(ns, fmt, threads, max_discard):
-    report = two_ap_general_scan(ns.span, ns.diff, workers=threads)
-    _emit_report(report, fmt)
-    return EX_WITNESS if report.witnesses else EX_OK
-
-
-def _cmd_search_partition3(ns, fmt, threads, max_discard):
-    feas = partition3_feasible(ns.r, exhaustive_small=ns.exhaustive,
-                               workers=threads)
-    parts = list(feas.witness) if feas.witness else []
-    if fmt == "json":
-        _emit_json({"search": "partition3", "params": {"r": ns.r},
-                    "examined": 0,
-                    "witnesses": [list(p.elements) for p in parts],
-                    "elapsed_s": 0.0,
-                    "status": feas.status, "reason": feas.reason})
-    else:
-        line = f"r={ns.r} status={feas.status}"
-        if feas.reason:
-            line += f" reason={feas.reason}"
-        print(line)
-        for name, p in zip(("a1", "a2", "s"), parts):
-            print(f"{name}={_fmt_set(p, fmt)}")
-    return EX_OK
+def _small_witness(report):
+    return EX_WITNESS if any(len(w) <= 7 for w in report.witnesses) else EX_OK
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table: one row per subcommand
+
+
+class _Command(NamedTuple):
+    words: str
+    help: str
+    args: str  # positionals: `set` and `text` stay strings, the rest are ints
+    run: Callable
+    render: Callable
+    exit: Callable = lambda result: EX_OK
+    flags: tuple = ()
+
+
+_GROUPS = {"spohn": "gap-notation conversions", "lemma": "structural checks",
+           "construct": "explicit set families", "search": "exhaustive scans"}
+
+_FLAGS = {
+    "--format": dict(choices=("plain", "json", "spohn"),
+                     default=argparse.SUPPRESS,
+                     help="output format (default: plain)"),
+    "--threads": dict(type=int, metavar="T",
+                      help="worker processes for searches"),
+    "--max-discard": dict(type=int, default=8, metavar="D", help=(
+        "discard-level budget for `search largest` (default 8)")),
+    "--m1": dict(metavar="SET"),
+    "--m2": dict(metavar="SET"),
+    "--exhaustive": dict(action="store_true",
+                         help="run the complete search for r <= 26"),
+}
+
+_COMMANDS = (
+    _Command("classify", "sum-dominant / balanced / difference-dominant",
+             "set", lambda ns: classify(ns.set), _classify_doc),
+    _Command("sumset", "compute A+A", "set",
+             lambda ns: sumset(ns.set), _set_doc),
+    _Command("diffset", "difference magnitudes and |A-A|", "set",
+             lambda ns: diffset(ns.set), _diffset_doc),
+    _Command("spohn parse", "gap notation to set", "text",
+             lambda ns: parse_gap_notation(ns.text).to_intset(), _set_doc),
+    _Command("spohn format", "set to gap notation", "set",
+             lambda ns: format_gap_notation(ns.set), _scalar_doc),
+    _Command("lemma ms1", "all gaps at most 2 implies not sum-dominant", "set",
+             lambda ns: ms_condition1(ns.set), _verdict_doc),
+    _Command("lemma ms2", "gaps in {1,m} with long outer unit runs", "set m",
+             lambda ns: ms_condition2(ns.set, ns.m), _verdict_doc),
+    _Command("lemma extend", "new sums when a point joins the set",
+             "set point", lambda ns: new_sums_on_extend(ns.set, ns.point),
+             _scalar_doc),
+    _Command("construct kset", "{0,1,2,4} u {7..m} u {m+4,m+6,m+7}", "m",
+             lambda ns: k_set(ns.m), _set_doc),
+    _Command("construct nathanson", "three-progression family at parameter k",
+             "k", lambda ns: nathanson_set(ns.k), _set_doc),
+    _Command("construct ap", "arithmetic progression start/diff/length",
+             "a d len", lambda ns: ap(ns.a, ns.d, ns.len), _set_doc),
+    _Command("construct partition3",
+             "three-part sum-dominant split of {1..124+m}", "m",
+             _partition3, _partition3_doc, flags=("--m1", "--m2")),
+    _Command("search largest", "largest sum-dominant subset of {0..n-1}", "n",
+             lambda ns: largest_subset_scan(ns.n, ns.max_discard, ns.threads),
+             _largest_doc, flags=("--threads", "--max-discard")),
+    _Command("search minsize",
+             "sum-dominant sets of size <= 8 up to a diameter", "diameter",
+             lambda ns: min_size_scan(ns.diameter, ns.threads), _report_doc,
+             _small_witness, ("--threads",)),
+    _Command("search appairs", "same-difference progression pairs", "span diff",
+             lambda ns: ap_pair_scan(ns.span, ns.diff, ns.threads),
+             _report_doc, _any_witness, ("--threads",)),
+    _Command("search twoap", "independent-difference progression pairs",
+             "span diff", lambda ns: two_ap_general_scan(ns.span, ns.diff,
+                                                         ns.threads),
+             _report_doc, _any_witness, ("--threads",)),
+    _Command("search partition3", "feasibility of a three-part split of {1..r}",
+             "r", lambda ns: partition3_feasible(ns.r, ns.exhaustive, ns.threads),
+             _feasibility_doc, flags=("--threads", "--exhaustive")),
+)
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="mstd",
                   description="sum-dominant set arithmetic, constructions, "
                               "and exhaustive searches")
-    _add_global_flags(top)
-    subs = top.add_subparsers(dest="command", metavar="COMMAND",
-                              parser_class=_Parser, required=True)
-
-    def leaf(parent, name, handler, **kwargs):
-        p = parent.add_parser(name, **kwargs)
-        _add_global_flags(p)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = leaf(subs, "classify", _cmd_classify,
-             help="sum-dominant / balanced / difference-dominant")
-    p.add_argument("set")
-
-    p = leaf(subs, "sumset", _cmd_sumset, help="compute A+A")
-    p.add_argument("set")
-
-    p = leaf(subs, "diffset", _cmd_diffset,
-             help="difference magnitudes and |A-A|")
-    p.add_argument("set")
-
-    spohn = subs.add_parser("spohn", help="gap-notation conversions")
-    spohn_subs = spohn.add_subparsers(dest="subcommand", metavar="SUB",
-                                      parser_class=_Parser, required=True)
-    p = leaf(spohn_subs, "parse", _cmd_spohn_parse,
-             help="gap notation to set")
-    p.add_argument("text")
-    p = leaf(spohn_subs, "format", _cmd_spohn_format,
-             help="set to gap notation")
-    p.add_argument("set")
-
-    lemma = subs.add_parser("lemma", help="structural checks")
-    lemma_subs = lemma.add_subparsers(dest="subcommand", metavar="SUB",
-                                      parser_class=_Parser, required=True)
-    p = leaf(lemma_subs, "ms1", _cmd_lemma_ms1,
-             help="all gaps at most 2 implies not sum-dominant")
-    p.add_argument("set")
-    p = leaf(lemma_subs, "ms2", _cmd_lemma_ms2,
-             help="gaps in {1,m} with long outer unit runs")
-    p.add_argument("set")
-    p.add_argument("m", type=int)
-    p = leaf(lemma_subs, "extend", _cmd_lemma_extend,
-             help="new sums when a point joins the set")
-    p.add_argument("set")
-    p.add_argument("point", type=int)
-
-    cons = subs.add_parser("construct", help="explicit set families")
-    cons_subs = cons.add_subparsers(dest="subcommand", metavar="SUB",
-                                    parser_class=_Parser, required=True)
-    p = leaf(cons_subs, "kset", _cmd_construct_kset,
-             help="{0,1,2,4} u {7..m} u {m+4,m+6,m+7}")
-    p.add_argument("m", type=int)
-    p = leaf(cons_subs, "nathanson", _cmd_construct_nathanson,
-             help="three-progression family at parameter k")
-    p.add_argument("k", type=int)
-    p = leaf(cons_subs, "ap", _cmd_construct_ap,
-             help="arithmetic progression start/diff/length")
-    p.add_argument("a", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("len", type=int)
-    p = leaf(cons_subs, "partition3", _cmd_construct_partition3,
-             help="three-part sum-dominant split of {1..124+m}")
-    p.add_argument("m", type=int)
-    p.add_argument("--m1", default=None, metavar="SET")
-    p.add_argument("--m2", default=None, metavar="SET")
-
-    search = subs.add_parser("search", help="exhaustive scans")
-    search_subs = search.add_subparsers(dest="subcommand", metavar="SUB",
-                                        parser_class=_Parser, required=True)
-    p = leaf(search_subs, "largest", _cmd_search_largest,
-             help="largest sum-dominant subset of {0..n-1}")
-    p.add_argument("n", type=int)
-    p = leaf(search_subs, "minsize", _cmd_search_minsize,
-             help="sum-dominant sets of size <= 8 up to a diameter")
-    p.add_argument("diameter", type=int)
-    p = leaf(search_subs, "appairs", _cmd_search_appairs,
-             help="same-difference progression pairs")
-    p.add_argument("span", type=int)
-    p.add_argument("diff", type=int)
-    p = leaf(search_subs, "twoap", _cmd_search_twoap,
-             help="independent-difference progression pairs")
-    p.add_argument("span", type=int)
-    p.add_argument("diff", type=int)
-    p = leaf(search_subs, "partition3", _cmd_search_partition3,
-             help="feasibility of a three-part split of {1..r}")
-    p.add_argument("r", type=int)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="run the complete search for r <= 26")
-
+    top.add_argument("--format", **_FLAGS["--format"])
+    subs = {"": top.add_subparsers(dest="command", metavar="COMMAND",
+                                   parser_class=_Parser, required=True)}
+    for cmd in _COMMANDS:
+        group, _, name = cmd.words.rpartition(" ")
+        if group not in subs:
+            g = subs[""].add_parser(group, help=_GROUPS[group])
+            subs[group] = g.add_subparsers(dest="subcommand", metavar="SUB",
+                                           parser_class=_Parser, required=True)
+        p = subs[group].add_parser(name, help=cmd.help)
+        for arg in cmd.args.split():
+            p.add_argument(arg, type=str if arg in ("set", "text") else int)
+        for flag in ("--format",) + cmd.flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(cmd=cmd)
     return top
 
 
-def _thread_count(ns, parser) -> int:
-    value = getattr(ns, "threads", None)
+def _thread_count(value, parser) -> int:
     if value is None:
-        raw = os.environ.get(ENV_THREADS)
-        if raw is None:
-            return 1
+        raw = os.environ.get(ENV_THREADS, "1")
         try:
             value = int(raw)
         except ValueError:
@@ -408,25 +284,32 @@ def _thread_count(ns, parser) -> int:
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv, execute the subcommand, return the exit code."""
+    """Parse argv, run the subcommand, print its output; return the exit code."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
+    if "threads" in ns:
+        ns.threads = _thread_count(ns.threads, parser)
+    if getattr(ns, "max_discard", 0) < 0:
+        parser.error(f"--max-discard must be nonnegative, got {ns.max_discard}")
     fmt = getattr(ns, "format", "plain")
-    threads = _thread_count(ns, parser)
-    max_discard = getattr(ns, "max_discard", 8)
-    if max_discard < 0:
-        parser.error(f"--max-discard must be nonnegative, got {max_discard}")
+    show = {"plain": format_set_literal, "spohn": format_gap_notation,
+            "json": lambda a: ""}[fmt]  # JSON output prints no set as text
     try:
-        return ns.handler(ns, fmt, threads, max_discard)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_BUDGET
+        if "set" in ns:
+            ns.set = _parse_set_arg(ns.set)
+        try:
+            result = ns.cmd.run(ns)
+        except BudgetExceededError as exc:
+            result = exc
+        doc, text = ns.cmd.render(result, ns, show)
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
+    print(json.dumps(doc) if fmt == "json" else text)
+    if isinstance(result, BudgetExceededError):
+        print(f"error: {result}", file=sys.stderr)
+        return EX_BUDGET
+    return ns.cmd.exit(result)
 
 
 def main() -> None:

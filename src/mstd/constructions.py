@@ -28,9 +28,9 @@ ends so the assembled parts stay sum-dominant for every m >= 21.
 default_blocks(m) picks a canonical (M1, M2): pair starts on the grid
 66 + 30t, each shifted right off the center set, clipped to the window;
 everything else goes to M2. The grid spacing (30 <= 39, and <= 40 for
-the complementary triplet runs) keeps both chains valid; a slide-left
-repair loop backs it up in case a future block change ever invalidates
-a clipped tail. At m=21 this yields M1 = {71,72}, M2 = {67,74,75,76,79}.
+the complementary triplet runs) keeps both chains valid, which the tests
+confirm for every m in 21..1199; the spec is still validated before it is
+returned. At m=21 this yields M1 = {71,72}, M2 = {67,74,75,76,79}.
 """
 
 from __future__ import annotations
@@ -261,9 +261,8 @@ def default_blocks(m: int) -> Partition3Spec:
     """Canonical valid window division for any m >= 21.
 
     Pair starts sit on the grid 66 + 30t, shifted right past the center
-    set, clipped to the window; M2 takes the rest. If validation ever
-    failed, pair starts would slide left one step at a time until it
-    passes; the grid never actually needs the repair.
+    set, clipped to the window; M2 takes the rest. Raises
+    ConstraintViolationError if the result fails validation.
     """
     if m < MIN_WINDOW_M:
         raise InvalidParameterError(f"default_blocks needs m >= 21, got {m}")
@@ -281,27 +280,8 @@ def default_blocks(m: int) -> Partition3Spec:
         starts.append(p)
         t += 1
 
-    def build(pair_starts):
-        m1 = IntSet([x for p in pair_starts for x in (p, p + 1)])
-        return Partition3Spec(m, m1, middle_window(m) - m1)
-
-    spec = build(starts)
-    for _ in range(len(starts) * 40):
-        if not validate_partition_spec(spec):
-            return spec
-        moved = False
-        for i in reversed(range(len(starts))):
-            q = starts[i] - 1
-            floor = 66 if i == 0 else starts[i - 1] + 2
-            while q >= floor and (center >> q) & 3:
-                q -= 1
-            if q >= floor:
-                starts[i] = q
-                moved = True
-                break
-        if not moved:
-            break
-        spec = build(starts)
+    m1 = IntSet([x for p in starts for x in (p, p + 1)])
+    spec = Partition3Spec(m, m1, middle_window(m) - m1)
     violations = validate_partition_spec(spec)
     if violations:
         raise ConstraintViolationError(violations)

@@ -311,7 +311,10 @@ class IntSet:
         return iter(self._elements)
 
     def __contains__(self, x: object) -> bool:
-        return isinstance(x, int) and 0 <= x and (self._bits >> x) & 1 == 1
+        if not isinstance(x, int):
+            return False
+        i = bisect_left(self._elements, x)
+        return i < len(self._elements) and self._elements[i] == x
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntSet):
@@ -406,11 +409,9 @@ def symmetry_center(a: IntSet) -> int | None:
     """
     if len(a) == 0:
         raise EmptySetError("empty set has no symmetry center")
-    c = a.min + a.max
-    for e in a.elements:
-        if (c - e) not in a:
-            return None
-    return c
+    # A = c - A iff the mask shifted down to bit 0 reads the same reversed
+    digits = bin(a.bits >> a.min)
+    return a.min + a.max if digits[2:] == digits[:1:-1] else None
 
 
 def normalize_affine(a: IntSet) -> IntSet:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from multiprocessing import get_context
 
 from .constructions import default_blocks, partition3
 from .core import IntSet, bits_of, elements_of, sum_diff_cards
@@ -93,6 +92,7 @@ class Partition3Feasibility:
     status: str  # "infeasible" | "feasible" | "unknown"
     reason: str | None = None
     witness: tuple[IntSet, IntSet, IntSet] | None = None
+    examined: int = 0  # first parts classified by the exhaustive search
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,7 @@ def _run_tasks(fn, tasks, workers):
     # contiguous blocks, order-free merge; pool only when it can pay off
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from multiprocessing import get_context  # only a pool pays its import
     try:
         ctx = get_context("fork")
     except ValueError:
@@ -351,8 +352,10 @@ def _split_worker(task):
     # try every B owning the least remaining element; C is forced
     r, size_a, second = task
     found = []
+    count = 0
     for rest_a in combinations(range(second + 1, r + 1), size_a - 2):
         a = (1, second) + rest_a
+        count += 1
         if not _is_sum_dominant(bits_of(a), a):
             continue
         in_a = set(a)
@@ -368,7 +371,7 @@ def _split_worker(task):
                 c = tuple(x for x in rest if x not in in_b)
                 if _is_sum_dominant(bits_of(c), c):
                     found.append((a, b, c))
-    return found
+    return count, found
 
 
 SMALL_SEARCH_MAX_R = 26
@@ -384,7 +387,8 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     exhaustive_small=True runs a complete search for r <= 26 (the flag
     is ignored above that bound). The search canonicalizes by giving
     element 1 to the first part and the least leftover element to the
-    second, and returns the lexicographically least witness.
+    second, and returns the lexicographically least witness; its
+    `examined` counts the first parts classified (0 on the other paths).
     """
     if r < 1:
         raise InvalidParameterError(f"r={r} must be at least 1")
@@ -395,18 +399,21 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
         return Partition3Feasibility(r, "feasible",
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:
+        examined = 0
         for size_a in range(MIN_SD_CARD, r - 2 * MIN_SD_CARD + 1):
             tasks = [(r, size_a, second)
                      for second in range(2, r - size_a + 3)]
             level = []
-            for found in _run_tasks(_split_worker, tasks, workers):
+            for count, found in _run_tasks(_split_worker, tasks, workers):
+                examined += count
                 level.extend(found)
             if level:
                 a, b, c = min(level)
                 return Partition3Feasibility(
-                    r, "feasible", witness=(IntSet(a), IntSet(b), IntSet(c)))
+                    r, "feasible", witness=(IntSet(a), IntSet(b), IntSet(c)),
+                    examined=examined)
         return Partition3Feasibility(
             r, "infeasible",
             reason=f"exhaustive: no split of {{1..{r}}} into three "
-                   "sum-dominant parts")
+                   "sum-dominant parts", examined=examined)
     return Partition3Feasibility(r, "unknown")

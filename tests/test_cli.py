@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,28 @@ def run_cli(argv):
         return cli.run(argv)
     except SystemExit as exc:
         return exc.code
+
+
+# stdout, exit code and last stderr line of every leaf in each --format,
+# plus the usage (64), data (65) and budget (2) error paths
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def golden_id(case):
+    env = [f"{name}={value}" for name, value in case["env"].items()]
+    return " ".join(env + case["argv"])
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=golden_id)
+def test_golden(case, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+    for name, value in case["env"].items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(case["argv"]) == case["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == case["stdout"]
+    lines = captured.err.splitlines()
+    assert (lines[-1] if lines else "") == case["stderr_tail"]
 
 
 class TestClassify:
@@ -271,6 +294,7 @@ class TestSearchScans:
         assert doc["status"] == "infeasible"
         assert "exhaustive" in doc["reason"]
         assert doc["witnesses"] == []
+        assert doc["examined"] == 245157
 
 
 class TestRefutingWitnessExit:
@@ -326,6 +350,20 @@ class TestUsageErrors:
         assert run_cli([]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{0,1,3}", "--threads", "2"],
+        ["construct", "kset", "9", "--threads", "2"],
+        ["--threads", "2", "search", "minsize", "5"],
+        ["construct", "kset", "9", "--max-discard", "3"],
+        ["search", "minsize", "5", "--max-discard", "3"],
+        ["search", "partition3", "24", "--max-discard", "3"],
+    ])
+    def test_flag_outside_its_commands(self, capsys, argv):
+        # --threads belongs to the search commands, --max-discard to
+        # `search largest`; elsewhere they are unrecognized
+        assert run_cli(argv) == 64
+        assert "error:" in capsys.readouterr().err
+
 
 class TestThreads:
     def test_zero_threads_is_usage_error(self, capsys):
@@ -377,6 +415,11 @@ class TestThreads:
         monkeypatch.setenv(cli.ENV_THREADS, "many")
         assert run_cli(["search", "minsize", "5"]) == 64
         capsys.readouterr()
+
+    def test_env_is_not_read_outside_searches(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_THREADS, "abc")
+        assert run_cli(["classify", "{0,1,3}"]) == 0
+        assert capsys.readouterr().out == "difference-dominant excess=-1\n"
 
     def test_output_identical_across_worker_counts(self, capsys):
         outs = []

@@ -3,9 +3,11 @@
 import random
 import subprocess
 import sys
+from types import ModuleType
 
 import pytest
 
+import mstd
 from mstd import (
     Classification,
     DegenerateSetError,
@@ -66,6 +68,7 @@ class TestIntSet:
         assert 1 not in a
         assert -3 not in a
         assert "2" not in a
+        assert 10 not in a and 10 ** 30 not in a
 
     def test_bits_round_trip(self):
         a = IntSet([0, 4, 7])
@@ -205,6 +208,14 @@ class TestSymmetry:
             if all((c - e) in set(elems) for e in elems):
                 assert symmetry_center(IntSet(elems)) == c
                 assert classify(IntSet(elems)).kind is Kind.BALANCED
+            else:
+                assert symmetry_center(IntSet(elems)) is None
+
+    def test_million_elements(self):
+        # linear in the mask; a membership test per element made this quadratic
+        n = 10 ** 6
+        assert symmetry_center(IntSet(range(5, n + 5))) == n + 9
+        assert symmetry_center(IntSet([*range(n), n + 1])) is None
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySetError):
@@ -425,3 +436,11 @@ class TestLargeSetKernel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == ["False", "True"]
+
+
+def test_public_names_resolve():
+    # __all__ is derived from the package's imports, submodules left out
+    assert len(mstd.__all__) == len(set(mstd.__all__)) == 58
+    assert "__version__" in mstd.__all__
+    for name in mstd.__all__:
+        assert not isinstance(getattr(mstd, name), ModuleType), name

@@ -1,6 +1,8 @@
 """Exhaustive search engines: frozen outcomes, closed-form counts, invariants."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -194,12 +196,12 @@ class TestPartition3Feasible:
         out = partition3_feasible(r)
         assert out.status == "infeasible"
         assert out.reason == f"3x8 > {r}"
-        assert out.witness is None
+        assert out.witness is None and out.examined == 0
 
     @pytest.mark.parametrize("r", [145, 146, 200])
     def test_constructive(self, r):
         out = partition3_feasible(r)
-        assert out.status == "feasible"
+        assert out.status == "feasible" and out.examined == 0
         a1, a2, s = out.witness
         assert (a1 | a2 | s) == IntSet(range(1, r + 1))
         assert a1.isdisjoint(a2) and a1.isdisjoint(s) and a2.isdisjoint(s)
@@ -219,6 +221,8 @@ class TestPartition3Feasible:
         out = partition3_feasible(24, exhaustive_small=True)
         assert out.status == "infeasible"
         assert "exhaustive" in out.reason
+        # every first part {1, ...} of the one size scanned, 8, is classified
+        assert out.examined == math.comb(23, 7) == 245157
 
     def test_exhaustive_flag_ignored_above_bound(self):
         out = partition3_feasible(40, exhaustive_small=True)
@@ -245,6 +249,14 @@ class TestParallelDeterminism:
         outs = [partition3_feasible(24, exhaustive_small=True, workers=w)
                 for w in (1, 4)]
         assert outs[0] == outs[1]
+
+    def test_multiprocessing_is_imported_only_by_a_pool(self):
+        code = ("import sys, mstd.cli; before = 'multiprocessing' in sys.modules; "
+                "mstd.min_size_scan(9, workers=2); "
+                "print(before, 'multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestReportSerialization:
