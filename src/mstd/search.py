@@ -1,11 +1,11 @@
 """Exhaustive searches over bounded families of candidate sets.
 
 Four engines, all built on the same pattern: enumerate a finite,
-combinatorially counted candidate space, classify every candidate with
-the bitmask kernel, and report the witnesses that satisfy the target
-predicate. Nothing is sampled and nothing exits early inside an
-enumeration level, so `examined` always equals the closed-form count
-implied by the bounds and re-runs are exactly reproducible.
+combinatorially counted candidate space, classify it, and report the
+witnesses that satisfy the target predicate. Nothing is sampled and
+nothing exits early inside an enumeration level, so `examined` always
+equals the closed-form count implied by the bounds and re-runs are
+exactly reproducible.
 
 largest_subset(n):   largest sum-dominant subset of {0..n-1} containing
                      both endpoints, found by discarding d = 0, 1, 2, ...
@@ -26,19 +26,34 @@ partition3_feasible: can {1..r} split into three sum-dominant parts;
                      construction, and a caller-enabled exhaustive search
                      settles r <= 26.
 
+Combination scans (largest, minsize, both parts of the partition
+search) share one depth-first walk over ascending elements that visits
+the candidates in lexicographic order. A node holds the mask P of its
+elements, P reflected about the top element K as R, the sum mask S and
+the magnitude mask D, and adding x costs O(1) big-integer operations:
+P |= 1<<x; R |= 1<<(K-x); S |= P<<x; D |= R>>(K-x), since R>>(K-x)
+holds x-a for every a below x. A leaf is sum-dominant iff
+popcount(S) > 2*popcount(D) - 1. Pair scans union row i with rows j >= i
+only, as the union does not depend on the order. `examined` stays the
+closed-form count (rows**2 ordered pairs per difference group), while
+SearchReport.classified counts the candidates actually classified.
+
 Parallelism: each engine splits its candidate space into contiguous
-lexicographic blocks and farms them to a process pool. Blocks return
-(count, witness list); merging sums the counts and sorts the witness
-union, both order-free, so reports are byte-identical for any worker
-count. Workers receive plain tuples and rebuild their local state, so
-no shared mutable anything.
+lexicographic blocks (pair blocks of equal triangle area, since row i
+costs rows - i unions) and farms them to one process pool per scan.
+Blocks return (count, witness list); merging sums the counts and sorts
+the witness union, both order-free, so reports are byte-identical for
+any worker count. Workers receive plain tuples and rebuild their local
+state, so no shared mutable anything.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, pairwise
 
 from .constructions import default_blocks, partition3
 from .core import IntSet, bits_of, elements_of, sum_diff_cards
@@ -52,8 +67,10 @@ class SearchReport:
     """Outcome of one exhaustive scan.
 
     witnesses hold IntSets (or IntSet triples for the partition search),
-    sorted lexicographically by elements; examined counts classified
-    candidates; params echoes the search bounds.
+    sorted lexicographically by elements; examined is the closed-form
+    candidate count; classified counts the candidates actually classified
+    (fewer in the pair scans, which classify each unordered pair once)
+    and stays out of as_dict; params echoes the search bounds.
     """
 
     search: str
@@ -61,6 +78,7 @@ class SearchReport:
     examined: int
     witnesses: list
     elapsed: float
+    classified: int = 0
 
     def as_dict(self, elapsed_s: float | None = None) -> dict:
         """Schema form: {"search", "params", "examined", "witnesses", "elapsed_s"}."""
@@ -99,40 +117,97 @@ class Partition3Feasibility:
 # worker plumbing
 
 
-def _run_tasks(fn, tasks, workers):
-    # contiguous blocks, order-free merge; pool only when it can pay off
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    from multiprocessing import get_context  # only a pool pays its import
-    try:
-        ctx = get_context("fork")
-    except ValueError:
-        ctx = get_context()
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+@contextmanager
+def _task_runner(workers):
+    # yields run(fn, tasks) for one scan: contiguous blocks, order-free
+    # merge; a pool only when it can pay off, opened once and reused by
+    # every later task list of the scan
+    pool = None
+
+    def run(fn, tasks):
+        nonlocal pool
+        if workers <= 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        if pool is None:
+            from multiprocessing import get_context  # only a pool pays its import
+            try:
+                ctx = get_context("fork")
+            except ValueError:
+                ctx = get_context()
+            pool = ctx.Pool(processes=workers)
         return pool.map(fn, tasks)
 
+    try:
+        yield run
+    finally:
+        if pool is not None:
+            pool.terminate()
 
-def _is_sum_dominant(bits, elems):
-    sc, dc = sum_diff_cards(bits, elems)
-    return sc > dc
+
+def _sum_dominant(prefix, pool, k, tail=()):
+    """Bitmasks of the sum-dominant sets prefix + c + tail, c in combinations(pool, k).
+
+    The same sets in the same order as that loop. Each of prefix, pool
+    and tail ascends, and every pool element lies above the prefix and
+    below the tail. This is the walk of the module docstring with K the
+    top element; its last level is a flat loop, and a node that must
+    take the rest of the pool takes it without branching.
+    """
+    top = max(chain(prefix[-1:], pool[-1:], tail[-1:]), default=0)
+
+    def grow(p, r, s, d, xs):
+        for x in xs:
+            p |= 1 << x
+            r |= 1 << (top - x)
+            s |= p << x
+            d |= r >> (top - x)
+        return p, r, s, d
+
+    tp, _, ts, td = grow(0, 0, 0, 0, tail)
+
+    def close(p, r, s, d):  # S and D once the tail is appended
+        for t in tail:
+            s |= p << t
+            d |= r >> (top - t)
+        return s | ts, d | td
+
+    items = [(x, 1 << x, 1 << (top - x), top - x) for x in pool]
+    m = len(items)
+    found = []
+
+    def walk(i, k, p, r, s, d):
+        if k == 1:
+            for x, bx, rx, kx in items[i:]:
+                q = p | bx
+                u = r | rx
+                sq, dq = close(q, u, s | q << x, d | u >> kx)
+                if sq.bit_count() > 2 * dq.bit_count() - 1:
+                    found.append(q | tp)
+        elif k == 0 or i + k == m:  # no choice left
+            p, r, s, d = grow(p, r, s, d, pool[i:i + k])
+            s, d = close(p, r, s, d)
+            if s.bit_count() > 2 * d.bit_count() - 1:
+                found.append(p | tp)
+        else:
+            for j in range(i, m - k + 1):
+                x, bx, rx, kx = items[j]
+                q = p | bx
+                u = r | rx
+                walk(j + 1, k - 1, q, u, s | q << x, d | u >> kx)
+
+    walk(0, k, *grow(0, 0, 0, 0, prefix))
+    return found
+
+
+def _subset_worker(task):
+    # one block (prefix, pool, k, tail) of a combination scan
+    prefix, pool, k, tail = task
+    found = _sum_dominant(prefix, pool, k, tail)
+    return math.comb(len(pool), k), [elements_of(w) for w in found]
 
 
 # ---------------------------------------------------------------------------
 # largest sum-dominant subset of {0..n-1}
-
-
-def _largest_worker(task):
-    # all kept middles starting at `first`, in lexicographic order
-    n, d, first = task
-    kept = (n - 2) - d
-    found = []
-    count = 0
-    for rest in combinations(range(first + 1, n - 1), kept - 1):
-        elems = (0, first) + rest + (n - 1,)
-        count += 1
-        if _is_sum_dominant(bits_of(elems), elems):
-            found.append(elems)
-    return count, found
 
 
 def largest_subset_scan(n: int, max_discard: int = 8,
@@ -159,28 +234,28 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     examined = 0
     hits: list[tuple[int, ...]] = []
     hit_d = None
-    for d in range(limit + 1):
-        kept = (n - 2) - d
-        if kept == 0:
-            elems = (0, n - 1)
-            examined += 1
-            if _is_sum_dominant(bits_of(elems), elems):
-                hits = [elems]
-        else:
-            tasks = [(n, d, first) for first in range(1, (n - 1) - (kept - 1))]
+    with _task_runner(workers) as run:
+        for d in range(limit + 1):
+            kept = (n - 2) - d
+            if kept:  # kept middles, one block per least element
+                tasks = [((0, first), range(first + 1, n - 1), kept - 1, (n - 1,))
+                         for first in range(1, n - kept)]
+            else:
+                tasks = [((0,), (), 0, (n - 1,))]
             level = []
-            for count, found in _run_tasks(_largest_worker, tasks, workers):
+            for count, found in run(_subset_worker, tasks):
                 examined += count
                 level.extend(found)
             hits = sorted(level)
-        if hits:
-            hit_d = d
-            break
+            if hits:
+                hit_d = d
+                break
 
     elapsed = time.perf_counter() - t0
     params = {"n": n, "max_discard": max_discard}
     witnesses = [IntSet(w) for w in hits]
-    report = SearchReport("largest", params, examined, witnesses, elapsed)
+    report = SearchReport("largest", params, examined, witnesses, elapsed,
+                          classified=examined)
     if hit_d is not None:
         result = LargestSubsetResult(n, n - hit_d, witnesses[0])
         return result, report
@@ -207,18 +282,6 @@ def largest_subset(n: int, max_discard: int = 8,
 # minimal cardinality at bounded diameter
 
 
-def _minsize_worker(task):
-    diameter, j = task
-    found = []
-    count = 0
-    for mid in combinations(range(1, diameter), j):
-        elems = (0,) + mid + (diameter,)
-        count += 1
-        if _is_sum_dominant(bits_of(elems), elems):
-            found.append(elems)
-    return count, found
-
-
 def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     """All normalized sets of cardinality <= 8 and diameter <= max_diameter.
 
@@ -230,19 +293,19 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     if max_diameter < 1:
         raise InvalidParameterError("max_diameter must be at least 1")
     t0 = time.perf_counter()
-    tasks = []
-    for diameter in range(1, max_diameter + 1):
-        for j in range(0, min(MIN_SD_CARD - 2, diameter - 1) + 1):
-            tasks.append((diameter, j))
+    tasks = [((0,), range(1, diameter), j, (diameter,))
+             for diameter in range(1, max_diameter + 1)
+             for j in range(min(MIN_SD_CARD - 2, diameter - 1) + 1)]
     examined = 0
     hits = []
-    for count, found in _run_tasks(_minsize_worker, tasks, workers):
-        examined += count
-        hits.extend(found)
+    with _task_runner(workers) as run:
+        for count, found in run(_subset_worker, tasks):
+            examined += count
+            hits.extend(found)
     witnesses = [IntSet(w) for w in sorted(hits)]
     elapsed = time.perf_counter() - t0
     return SearchReport("minsize", {"max_diameter": max_diameter},
-                        examined, witnesses, elapsed)
+                        examined, witnesses, elapsed, classified=examined)
 
 
 # ---------------------------------------------------------------------------
@@ -267,50 +330,54 @@ def _ap_mask(start: int, diff: int, length: int) -> int:
 
 
 def _pair_block_worker(task):
-    # rows lo..hi of the first progression against every second one
+    # rows lo..hi of the first progression against every row from itself
+    # on: the union is symmetric, so (j, i) would repeat (i, j). Returns the
+    # ordered-pair count, the unions classified and the witnesses.
     span, diffs, lo, hi = task
     rows = []
     for d in diffs:
         for start, length in _aps_within(span, d):
             rows.append(_ap_mask(start, d, length))
     found = set()
+    unions = 0
     for i in range(lo, hi):
         m1 = rows[i]
-        for m2 in rows:
+        partners = rows[i:]
+        unions += len(partners)
+        for m2 in partners:
             u = m1 | m2
             sc, dc = sum_diff_cards(u)
             if sc > dc:
                 found.add(elements_of(u))
-    return (hi - lo) * len(rows), sorted(found)
+    return (hi - lo) * len(rows), unions, sorted(found)
 
 
-def _block_ranges(total, blocks):
-    blocks = max(1, min(blocks, total))
-    step, extra = divmod(total, blocks)
-    lo = 0
-    for i in range(blocks):
-        hi = lo + step + (1 if i < extra else 0)
-        yield lo, hi
-        lo = hi
+def _triangle_blocks(total, blocks):
+    # contiguous row ranges of about equal work: row i costs total - i, so
+    # the rows from i on hold a (total - i)**2 / total**2 share of it
+    cuts = {total - math.isqrt(total * total * b // blocks) for b in range(blocks + 1)}
+    return list(pairwise(sorted(cuts)))
 
 
 def _scan_pairs(name, span, max_diff, diff_groups, workers):
     # diff_groups: list of diff-tuples; progressions within one group are
     # paired with each other only
     t0 = time.perf_counter()
-    examined = 0
+    examined = classified = 0
     hits = set()
-    for diffs in diff_groups:
-        total = sum(len(_aps_within(span, d)) for d in diffs)
-        tasks = [(span, diffs, lo, hi)
-                 for lo, hi in _block_ranges(total, workers * 4)]
-        for count, found in _run_tasks(_pair_block_worker, tasks, workers):
-            examined += count
-            hits.update(found)
+    with _task_runner(workers) as run:
+        for diffs in diff_groups:
+            total = sum(len(_aps_within(span, d)) for d in diffs)
+            tasks = [(span, diffs, lo, hi)
+                     for lo, hi in _triangle_blocks(total, workers * 4)]
+            for count, unions, found in run(_pair_block_worker, tasks):
+                examined += count
+                classified += unions
+                hits.update(found)
     witnesses = [IntSet(w) for w in sorted(hits)]
     elapsed = time.perf_counter() - t0
     return SearchReport(name, {"max_span": span, "max_diff": max_diff},
-                        examined, witnesses, elapsed)
+                        examined, witnesses, elapsed, classified=classified)
 
 
 def ap_pair_scan(max_span: int, max_diff: int, workers: int = 1) -> SearchReport:
@@ -351,27 +418,19 @@ def _split_worker(task):
     # completions of A = {1, second, ...} at this size; for sum-dominant A,
     # try every B owning the least remaining element; C is forced
     r, size_a, second = task
+    whole = (1 << (r + 1)) - 2  # {1..r}
+    pool_a = range(second + 1, r + 1)
     found = []
-    count = 0
-    for rest_a in combinations(range(second + 1, r + 1), size_a - 2):
-        a = (1, second) + rest_a
-        count += 1
-        if not _is_sum_dominant(bits_of(a), a):
-            continue
-        in_a = set(a)
-        rest = [x for x in range(1, r + 1) if x not in in_a]
-        b0 = rest[0]
-        pool = rest[1:]
-        for size_b in range(MIN_SD_CARD, len(rest) - MIN_SD_CARD + 1):
-            for comb in combinations(pool, size_b - 1):
-                b = (b0,) + comb
-                if not _is_sum_dominant(bits_of(b), b):
-                    continue
-                in_b = set(b)
-                c = tuple(x for x in rest if x not in in_b)
-                if _is_sum_dominant(bits_of(c), c):
-                    found.append((a, b, c))
-    return count, found
+    for a in _sum_dominant((1, second), pool_a, size_a - 2):
+        rest = whole ^ a
+        left = elements_of(rest)
+        for size_b in range(MIN_SD_CARD, len(left) - MIN_SD_CARD + 1):
+            for b in _sum_dominant(left[:1], left[1:], size_b - 1):
+                c = rest ^ b
+                sc, dc = sum_diff_cards(c)
+                if sc > dc:
+                    found.append((elements_of(a), elements_of(b), elements_of(c)))
+    return math.comb(len(pool_a), size_a - 2), found
 
 
 SMALL_SEARCH_MAX_R = 26
@@ -400,18 +459,19 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:
         examined = 0
-        for size_a in range(MIN_SD_CARD, r - 2 * MIN_SD_CARD + 1):
-            tasks = [(r, size_a, second)
-                     for second in range(2, r - size_a + 3)]
-            level = []
-            for count, found in _run_tasks(_split_worker, tasks, workers):
-                examined += count
-                level.extend(found)
-            if level:
-                a, b, c = min(level)
-                return Partition3Feasibility(
-                    r, "feasible", witness=(IntSet(a), IntSet(b), IntSet(c)),
-                    examined=examined)
+        with _task_runner(workers) as run:
+            for size_a in range(MIN_SD_CARD, r - 2 * MIN_SD_CARD + 1):
+                tasks = [(r, size_a, second)
+                         for second in range(2, r - size_a + 3)]
+                level = []
+                for count, found in run(_split_worker, tasks):
+                    examined += count
+                    level.extend(found)
+                if level:
+                    a, b, c = min(level)
+                    return Partition3Feasibility(
+                        r, "feasible", witness=(IntSet(a), IntSet(b), IntSet(c)),
+                        examined=examined)
         return Partition3Feasibility(
             r, "infeasible",
             reason=f"exhaustive: no split of {{1..{r}}} into three "

@@ -3,8 +3,12 @@
 The naive functions work on plain Python sets with explicit double
 loops. The ref_ functions are the original shift-OR kernel, one shifted
 copy of the mask per element. Neither shares code with the package's
-bitmask arithmetic.
+bitmask arithmetic. The ref_*_worker and ref_*_scan functions are the
+search engines' candidate loops as plain combinations loops over the
+shift-OR reference.
 """
+
+from itertools import combinations
 
 
 def naive_sumset(elements):
@@ -63,3 +67,131 @@ def ref_diff_bits(bits):
     for e in ref_elements_of(bits):
         d |= bits >> e
     return d
+
+
+def ref_is_sum_dominant(elements):
+    bits = ref_bits_of(elements)
+    return ref_sumset_bits(bits).bit_count() > 2 * ref_diff_bits(bits).bit_count() - 1
+
+
+# ---------------------------------------------------------------------------
+# combination scans as they stood before the prefix-sharing walk: one
+# itertools.combinations loop per block, each candidate classified from
+# scratch by the shift-OR reference above
+
+
+def ref_largest_worker(n, d, first):
+    kept = (n - 2) - d
+    found = []
+    count = 0
+    for rest in combinations(range(first + 1, n - 1), kept - 1):
+        elems = (0, first) + rest + (n - 1,)
+        count += 1
+        if ref_is_sum_dominant(elems):
+            found.append(elems)
+    return count, found
+
+
+def ref_largest_scan(n, max_discard=8):
+    """(examined, sorted witnesses) of the first productive discard level."""
+    limit = min(max_discard, n - 2, max(0, n - 8))
+    examined = 0
+    hits = []
+    for d in range(limit + 1):
+        kept = (n - 2) - d
+        if kept == 0:
+            examined += 1
+            hits = [(0, n - 1)] if ref_is_sum_dominant((0, n - 1)) else []
+        else:
+            level = []
+            for first in range(1, (n - 1) - (kept - 1)):
+                count, found = ref_largest_worker(n, d, first)
+                examined += count
+                level.extend(found)
+            hits = sorted(level)
+        if hits:
+            break
+    return examined, hits
+
+
+def ref_minsize_worker(diameter, j):
+    found = []
+    count = 0
+    for mid in combinations(range(1, diameter), j):
+        elems = (0,) + mid + (diameter,)
+        count += 1
+        if ref_is_sum_dominant(elems):
+            found.append(elems)
+    return count, found
+
+
+def ref_minsize_scan(max_diameter):
+    examined = 0
+    hits = []
+    for diameter in range(1, max_diameter + 1):
+        for j in range(min(6, diameter - 1) + 1):
+            count, found = ref_minsize_worker(diameter, j)
+            examined += count
+            hits.extend(found)
+    return examined, sorted(hits)
+
+
+def ref_ap_rows(span, diffs):
+    # masks of every progression inside {0..span} with a difference in diffs
+    rows = []
+    for d in diffs:
+        length = 1
+        while (length - 1) * d <= span:
+            for start in range(span - (length - 1) * d + 1):
+                rows.append(ref_bits_of(range(start, start + length * d, d)))
+            length += 1
+    return rows
+
+
+def ref_pair_scan(span, diff_groups, is_dominant=ref_is_sum_dominant):
+    """(examined, sorted witnesses) over every ordered pair of rows per group."""
+    examined = 0
+    hits = set()
+    for diffs in diff_groups:
+        rows = ref_ap_rows(span, diffs)
+        for m1 in rows:
+            for m2 in rows:
+                examined += 1
+                union = ref_elements_of(m1 | m2)
+                if is_dominant(union):
+                    hits.add(union)
+    return examined, sorted(hits)
+
+
+def ref_split_worker(r, size_a, second, c_ok=ref_is_sum_dominant):
+    found = []
+    count = 0
+    for rest_a in combinations(range(second + 1, r + 1), size_a - 2):
+        a = (1, second) + rest_a
+        count += 1
+        if not ref_is_sum_dominant(a):
+            continue
+        rest = [x for x in range(1, r + 1) if x not in a]
+        for size_b in range(8, len(rest) - 8 + 1):
+            for comb in combinations(rest[1:], size_b - 1):
+                b = (rest[0],) + comb
+                if not ref_is_sum_dominant(b):
+                    continue
+                c = tuple(x for x in rest if x not in b)
+                if c_ok(c):
+                    found.append((a, b, c))
+    return count, found
+
+
+def ref_partition3_search(r):
+    """(examined, least witness or None) of the exhaustive three-part search."""
+    examined = 0
+    for size_a in range(8, r - 16 + 1):
+        level = []
+        for second in range(2, r - size_a + 3):
+            count, found = ref_split_worker(r, size_a, second)
+            examined += count
+            level.extend(found)
+        if level:
+            return examined, min(level)
+    return examined, None

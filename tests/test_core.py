@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import timeit
 from types import ModuleType
 
 import pytest
@@ -40,6 +41,7 @@ from mstd import core
 from mstd.core import (
     _DIFF_WEIGHT,
     _PACK_MIN_CARD,
+    _SPARSE_RATIO,
     _SUM_WEIGHT,
     _kronecker,
     _product_pays,
@@ -375,6 +377,38 @@ class TestLargeSetKernel:
             for size in (1, width // 8 + 1, width // 2 + 1, width):
                 bits = ref_bits_of(rng.sample(range(width), size))
                 assert elements_of(bits) == ref_elements_of(bits)
+
+    def test_sparse_unpack_matches_reference(self):
+        rng = random.Random(79)
+        cases = [(0, UNIVERSE_CAP - 1), (801, 802, 804, 805, 807), tuple(range(8000, 8008))]
+        for width in (100, 5000, 1 << 16, 1 << 20, UNIVERSE_CAP):
+            for size in (2, width // 200 + 1, width // _SPARSE_RATIO):
+                cases.append(tuple(sorted(rng.sample(range(width), size))))
+        # on both sides of the switch: popcount * ratio against bit length
+        for card in (_SPARSE_RATIO - 1, _SPARSE_RATIO, _SPARSE_RATIO + 1):
+            cases.append(tuple(range(0, card * _SPARSE_RATIO, _SPARSE_RATIO)))
+        # every byte value once, bytes far enough apart for the sparse path
+        cases.append(tuple(64 * 8 * v + i for v in range(256) for i in range(8) if v >> i & 1))
+        for elems in cases:
+            bits = bits_of(elems)
+            assert elements_of(bits) == elems
+            if bits.bit_length() <= 1 << 16:  # the peel is quadratic beyond
+                assert elements_of(bits) == ref_elements_of(bits)
+
+    def test_dense_masks_keep_the_digit_path(self):
+        rng = random.Random(83)
+        for bits in (k_set(100_000).bits, sumset_bits(k_set(20_000).bits),
+                     ref_bits_of(rng.sample(range(120_000), 30_000))):
+            assert bits.bit_count() * _SPARSE_RATIO >= bits.bit_length()
+
+    def test_wide_sparse_unpack_is_fast(self):
+        # the digit path reads all 2**24 positions, ~0.45 s on a 2-core host
+        wide = 1 | 1 << (UNIVERSE_CAP - 1)
+        best = min(timeit.repeat(lambda: elements_of(wide), number=1, repeat=3))
+        assert best < 0.1
+        best = min(timeit.repeat(
+            lambda: IntSet([0, 5]) | IntSet([UNIVERSE_CAP - 1]), number=1, repeat=3))
+        assert best < 0.1
 
     @pytest.mark.parametrize("chunk", [None, 3])
     def test_product_matches_reference_on_small_sets(self, chunk, monkeypatch):

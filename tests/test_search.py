@@ -1,8 +1,11 @@
 """Exhaustive search engines: frozen outcomes, closed-form counts, invariants."""
 
 import math
+import multiprocessing
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +20,17 @@ from mstd import (
     partition3_feasible,
     two_ap_general_scan,
 )
-from tests._oracles import naive_is_sum_dominant
+from mstd import search
+from mstd.core import elements_of
+from tests._oracles import (
+    naive_is_sum_dominant,
+    ref_is_sum_dominant,
+    ref_largest_scan,
+    ref_minsize_scan,
+    ref_pair_scan,
+    ref_partition3_search,
+    ref_split_worker,
+)
 
 
 def levels_examined(n, top_d):
@@ -31,7 +44,7 @@ class TestLargestSubset:
         assert res.n_value == 9
         assert res.witness == IntSet([0, 1, 2, 4, 5, 9, 12, 13, 14])
         # levels 0..6 scanned to completion: sum of C(13, d)
-        assert rep.examined == levels_examined(15, 6) == 4096
+        assert rep.examined == rep.classified == levels_examined(15, 6) == 4096
         assert [list(w.elements) for w in rep.witnesses] == [
             [0, 1, 2, 4, 5, 9, 12, 13, 14],
             [0, 1, 2, 5, 9, 10, 12, 13, 14],
@@ -103,7 +116,7 @@ class TestLargestSubset:
 class TestMinSize:
     def test_fourteen(self):
         rep = min_size_scan(14)
-        assert rep.examined == 9907
+        assert rep.examined == rep.classified == 9907
         assert [list(w.elements) for w in rep.witnesses] == [
             [0, 2, 3, 4, 7, 11, 12, 14],
             [0, 2, 3, 7, 10, 11, 12, 14],
@@ -152,6 +165,8 @@ class TestApPairScan:
         rep = ap_pair_scan(12, 2)
         closed = sum(ap_count(12, d) ** 2 for d in (1, 2))
         assert rep.examined == closed == 10682
+        # each unordered pair once: rows * (rows + 1) / 2 per difference
+        assert rep.classified == 91 * 92 // 2 + 49 * 50 // 2 == 5411
         assert rep.witnesses == []
 
     def test_small_spans_empty(self):
@@ -178,6 +193,7 @@ class TestTwoApGeneralScan:
         rep = two_ap_general_scan(10, 3)
         rows = sum(ap_count(10, d) for d in (1, 2, 3))
         assert rep.examined == rows * rows == 16384
+        assert rep.classified == rows * (rows + 1) // 2 == 8256
         assert rep.witnesses == []
 
     def test_is_square_of_row_count(self):
@@ -272,3 +288,156 @@ class TestReportSerialization:
         assert rep.as_dict()["elapsed_s"] == rep.elapsed
         assert set(rep.as_dict()) == {
             "search", "params", "examined", "witnesses", "elapsed_s"}
+
+
+def witness_lists(rep):
+    return [w.elements for w in rep.witnesses]
+
+
+class TestSumDominantWalk:
+    """The prefix-sharing walk against the combinations loop it replaces."""
+
+    @staticmethod
+    def check(prefix, pool, k, tail):
+        want = [e for c in combinations(pool, k)
+                for e in [tuple(prefix) + c + tuple(tail)] if ref_is_sum_dominant(e)]
+        got = [elements_of(w) for w in search._sum_dominant(prefix, pool, k, tail)]
+        assert got == want
+        return got
+
+    def test_one_element_prefix_finds_the_eight_element_witnesses(self):
+        assert self.check((0,), range(1, 14), 6, (14,)) == [
+            (0, 2, 3, 4, 7, 11, 12, 14), (0, 2, 3, 7, 10, 11, 12, 14)]
+
+    def test_k_zero_is_prefix_and_tail(self):
+        assert self.check((0, 2, 3, 4, 7, 11), range(12, 14), 0, (12, 14)) == [
+            (0, 2, 3, 4, 7, 11, 12, 14)]
+        assert self.check((0, 2), range(3, 14), 0, (14,)) == []
+        assert self.check((0, 2, 3, 4, 7, 11, 12, 14), (), 0, ()) == [
+            (0, 2, 3, 4, 7, 11, 12, 14)]
+
+    def test_pool_of_exactly_k(self):
+        assert self.check((0, 2), (3, 7, 10, 11, 12), 5, (14,)) == [
+            (0, 2, 3, 7, 10, 11, 12, 14)]
+        assert self.check((0,), range(1, 8), 7, ()) == []
+
+    def test_empty_tail(self):
+        found = self.check((0,), range(1, 15), 7, ())
+        assert (0, 2, 3, 4, 7, 11, 12, 14) in found
+
+    def test_more_than_the_pool_holds(self):
+        assert self.check((0,), range(1, 4), 5, (9,)) == []
+
+    def test_random_blocks(self):
+        rng = random.Random(89)
+        for _ in range(300):
+            top = rng.randrange(1, 19)
+            cut1, cut2 = sorted(rng.sample(range(top + 2), 2))
+            prefix = tuple(sorted(rng.sample(range(cut1), rng.randint(0, min(2, cut1)))))
+            pool = [x for x in range(cut1, cut2) if rng.random() < 0.8]
+            tail = tuple(x for x in range(cut2, top + 1) if rng.random() < 0.3)
+            self.check(prefix, pool, rng.randint(0, len(pool) + 1), tail)
+
+
+class TestAgainstReferenceLoops:
+    """Every engine against its old combinations loop, at 1 and 2 workers."""
+
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_largest(self, n):
+        examined, hits = ref_largest_scan(n)
+        for workers in (1, 2):
+            _, rep = largest_subset_scan(n, workers=workers)
+            assert (rep.examined, witness_lists(rep)) == (examined, hits)
+            assert rep.classified == examined
+
+    @pytest.mark.parametrize("bound", range(1, 17))
+    def test_minsize(self, bound):
+        examined, hits = ref_minsize_scan(bound)
+        for workers in (1, 2):
+            rep = min_size_scan(bound, workers=workers)
+            assert (rep.examined, witness_lists(rep)) == (examined, hits)
+            assert rep.classified == examined
+
+    @pytest.mark.parametrize("scan,groups,span,max_diff", [
+        (ap_pair_scan, [(1,)], 6, 1),
+        (ap_pair_scan, [(1,), (2,), (3,)], 8, 3),
+        (ap_pair_scan, [(1,), (2,), (3,), (4,)], 13, 4),
+        (two_ap_general_scan, [(1, 2)], 7, 2),
+        (two_ap_general_scan, [(1, 2, 3)], 10, 3),
+    ])
+    def test_pairs(self, scan, groups, span, max_diff):
+        examined, hits = ref_pair_scan(span, groups)
+        rows = [ap_count(span, d) for d in range(1, max_diff + 1)]
+        for workers in (1, 2):
+            rep = scan(span, max_diff, workers=workers)
+            assert (rep.examined, witness_lists(rep)) == (examined, hits)
+        if scan is ap_pair_scan:
+            assert rep.classified == sum(r * (r + 1) // 2 for r in rows)
+        else:
+            assert rep.classified == sum(rows) * (sum(rows) + 1) // 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unordered_pairs_reach_every_union(self, workers, monkeypatch):
+        # progression unions are never sum-dominant, so a stand-in predicate
+        # that accepts about a third of them checks the witness path
+        def accept(elems):
+            return len(elems) % 3 == 0
+        monkeypatch.setattr(search, "sum_diff_cards",
+                            lambda bits: (1, 0) if accept(elements_of(bits)) else (0, 1))
+        for scan, groups in ((ap_pair_scan, [(1,), (2,)]), (two_ap_general_scan, [(1, 2)])):
+            examined, hits = ref_pair_scan(9, groups, accept)
+            rep = scan(9, 2, workers=workers)
+            assert len(hits) > 100
+            assert (rep.examined, witness_lists(rep)) == (examined, hits)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partition3(self, workers):
+        out = partition3_feasible(24, exhaustive_small=True, workers=workers)
+        assert (out.examined, out.witness) == ref_partition3_search(24) == (245157, None)
+
+    def test_split_worker_second_parts(self, monkeypatch):
+        # no split of {1..26} exists; with every third part accepted, this
+        # block still finds six (A, B) pairs and so walks the second parts
+        monkeypatch.setattr(search, "sum_diff_cards", lambda bits: (1, 0))
+        count, found = search._split_worker((26, 9, 5))
+        want = ref_split_worker(26, 9, 5, c_ok=lambda c: True)
+        assert (count, sorted(found)) == (want[0], sorted(want[1]))
+        assert len(found) == 6
+
+
+class TestScanPlumbing:
+    def test_one_pool_per_scan(self, monkeypatch):
+        opened = []
+        real = multiprocessing.get_context
+
+        class Counting:
+            def __init__(self, method=None):
+                self.ctx = real(method)
+
+            def Pool(self, *args, **kwargs):
+                opened.append(1)
+                return self.ctx.Pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "get_context", Counting)
+        scans = [  # several levels, difference groups or first-part sizes each
+            lambda w: largest_subset_scan(16, workers=w),
+            lambda w: min_size_scan(10, workers=w),
+            lambda w: ap_pair_scan(10, 3, workers=w),
+            lambda w: partition3_feasible(25, exhaustive_small=True, workers=w),
+        ]
+        for scan in scans:
+            opened.clear()
+            scan(1)
+            assert opened == []
+            scan(2)
+            assert len(opened) == 1
+
+    def test_triangle_blocks_cover_rows_in_balance(self):
+        for total, blocks in ((1, 8), (5, 8), (120, 8), (1000, 8), (977, 4)):
+            ranges = search._triangle_blocks(total, blocks)
+            assert [lo for lo, _ in ranges] + [total] == [0] + [hi for _, hi in ranges]
+            assert all(lo < hi for lo, hi in ranges) and len(ranges) <= blocks
+            work = [sum(total - i for i in range(lo, hi)) for lo, hi in ranges]
+            if total >= 100:
+                assert len(ranges) == blocks
+                assert max(work) <= 1.1 * sum(work) / blocks
