@@ -33,10 +33,32 @@ elements, P reflected about the top element K as R, the sum mask S and
 the magnitude mask D, and adding x costs O(1) big-integer operations:
 P |= 1<<x; R |= 1<<(K-x); S |= P<<x; D |= R>>(K-x), since R>>(K-x)
 holds x-a for every a below x. A leaf is sum-dominant iff
-popcount(S) > 2*popcount(D) - 1. Pair scans union row i with rows j >= i
-only, as the union does not depend on the order. `examined` stays the
-closed-form count (rows**2 ordered pairs per difference group), while
-SearchReport.classified counts the candidates actually classified.
+popcount(S) > 2*popcount(D) - 1.
+
+Pair scans union row i with rows j >= i only, as the union does not
+depend on the order. `examined` stays the closed-form count (rows**2
+ordered pairs per difference group), while SearchReport.classified
+counts the candidates actually classified. The rows come in runs, one
+per difference d and length l, whose starts 0, 1, 2, ... make each row
+the previous one shifted by 1. A pair costs O(1) big-integer operations
+and no unpacking, because every term of
+
+    (A u B) + (A u B) = (A+A) u (B+B) u (A+B)
+    |(A u B) - (A u B)| = |A-A| u |B-B| u |A-B|
+
+is a progression or follows a run by shifts. The sums of AP(s, d, l)
+are AP(2s, d, 2l-1) and its magnitudes AP(0, d, l), so row i's own
+terms and each run's are built once. For the first row B0 of each run
+at or after row i, the cross sums C = A+B0 and the signed cross
+differences X = {K+a-b}, Y = {K+b-a}, offset by K = span so none is
+negative, take min(|A|, |B0|) shift-ORs. B = B0 << t shifts A+B by t
+and B+B by 2t, and moves a-b by -t and b-a by +t, so along the run
+
+    S = S_A | S_B0 << 2t | C << t
+    D = D_A | D_B | (X >> t | Y << t) >> K
+
+are exactly the sum and magnitude masks of A u B, the last >> K keeping
+the nonnegative differences. Only witnesses are unpacked.
 
 Parallelism: each engine splits its candidate space into contiguous
 lexicographic blocks (pair blocks of equal triangle area, since row i
@@ -56,7 +78,7 @@ from dataclasses import dataclass
 from itertools import chain, pairwise
 
 from .constructions import default_blocks, partition3
-from .core import IntSet, bits_of, elements_of, sum_diff_cards
+from .core import IntSet, elements_of, sum_diff_cards
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
@@ -115,6 +137,14 @@ class Partition3Feasibility:
 
 # ---------------------------------------------------------------------------
 # worker plumbing
+
+
+def _require(value, least, what):
+    # a scan bound or worker count: an int (not a bool) of at least `least`
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{what} must be an int, not {type(value).__name__}")
+    if value < least:
+        raise InvalidParameterError(f"{what} must be at least {least}")
 
 
 @contextmanager
@@ -223,10 +253,9 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     definitive once they are all scanned; if max_discard cuts the scan
     short of that, BudgetExceededError carries the partial report.
     """
-    if n < 2:
-        raise InvalidParameterError(f"interval length n={n} must be at least 2")
-    if max_discard < 0:
-        raise InvalidParameterError("max_discard must be nonnegative")
+    _require(n, 2, f"interval length n={n}")
+    _require(max_discard, 0, "max_discard")
+    _require(workers, 1, f"workers={workers}")
     t0 = time.perf_counter()
     meaningful = min(n - 2, max(0, n - MIN_SD_CARD))
     limit = min(max_discard, meaningful)
@@ -290,8 +319,8 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     sum-dominant candidate found; an empty size-7 slice certifies that
     8 elements are necessary within the bound.
     """
-    if max_diameter < 1:
-        raise InvalidParameterError("max_diameter must be at least 1")
+    _require(max_diameter, 1, "max_diameter")
+    _require(workers, 1, f"workers={workers}")
     t0 = time.perf_counter()
     tasks = [((0,), range(1, diameter), j, (diameter,))
              for diameter in range(1, max_diameter + 1)
@@ -312,21 +341,23 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
 # two-progression scans
 
 
-def _aps_within(span: int, diff: int) -> list[tuple[int, int]]:
-    # (start, length) pairs of progressions with this diff inside {0..span},
-    # length ascending then start ascending
-    out = []
-    length = 1
-    while (length - 1) * diff <= span:
-        top = span - (length - 1) * diff
-        for start in range(top + 1):
-            out.append((start, length))
-        length += 1
-    return out
+def _ap_runs(span: int, diffs) -> list[tuple[int, int, int]]:
+    # (diff, length, rows) for every shape of progression inside {0..span},
+    # diffs in the given order, then length ascending; a run's rows are
+    # its starts 0..rows-1
+    return [(d, length, span - (length - 1) * d + 1)
+            for d in diffs for length in range(1, span // d + 2)]
 
 
-def _ap_mask(start: int, diff: int, length: int) -> int:
-    return bits_of(range(start, start + length * diff, diff))
+def _ap_bits(diff: int, length: int) -> int:
+    # mask of {0, diff, ..., (length-1)*diff}: a repunit in base 2**diff
+    return ((1 << length * diff) - 1) // ((1 << diff) - 1)
+
+
+def _dominates(sc: int, dc: int) -> bool:
+    # the pair worker's verdict on (|A+A|, |A-A|), under its own name so a
+    # stand-in verdict can drive the witness path
+    return sc > dc
 
 
 def _pair_block_worker(task):
@@ -334,22 +365,44 @@ def _pair_block_worker(task):
     # on: the union is symmetric, so (j, i) would repeat (i, j). Returns the
     # ordered-pair count, the unions classified and the witnesses.
     span, diffs, lo, hi = task
-    rows = []
-    for d in diffs:
-        for start, length in _aps_within(span, d):
-            rows.append(_ap_mask(start, d, length))
+    top = span  # K, the reflection point of the cross differences
+    runs = []  # (first row, rows, diff, length, AP(0, d, l), AP(0, d, 2l-1))
+    total = 0
+    for diff, length, n in _ap_runs(span, diffs):
+        runs.append((total, n, diff, length, _ap_bits(diff, length),
+                     _ap_bits(diff, 2 * length - 1)))
+        total += n
     found = set()
     unions = 0
-    for i in range(lo, hi):
-        m1 = rows[i]
-        partners = rows[i:]
-        unions += len(partners)
-        for m2 in partners:
-            u = m1 | m2
-            sc, dc = sum_diff_cards(u)
-            if sc > dc:
-                found.add(elements_of(u))
-    return (hi - lo) * len(rows), unions, sorted(found)
+    for r, (first1, n1, d1, l1, base1, sums1) in enumerate(runs):
+        for s1 in range(max(lo - first1, 0), min(hi - first1, n1)):
+            a = base1 << s1
+            sa = sums1 << 2 * s1
+            ra = base1 << top - s1 - (l1 - 1) * d1
+            unions += total - first1 - s1
+            for first2, n2, d2, l2, base2, sums2 in runs[r:]:
+                s0 = s1 if first2 == first1 else 0  # first row j >= i
+                b = base2 << s0
+                sb = sums2 << 2 * s0
+                dab = base1 | base2
+                c = x = y = 0  # A+B0, {K+a-b} and {K+b-a}, b in B0
+                if l1 <= l2:
+                    rb = base2 << top - s0 - (l2 - 1) * d2
+                    for e in range(s1, s1 + l1 * d1, d1):
+                        c |= b << e
+                        x |= rb << e
+                        y |= b << top - e
+                else:
+                    for e in range(s0, s0 + l2 * d2, d2):
+                        c |= a << e
+                        x |= a << top - e
+                        y |= ra << e
+                for t in range(n2 - s0):  # B = B0 << t; x >> K+t | y >> K-t
+                    s = sa | sb << 2 * t | c << t
+                    d = dab | x >> top + t | y >> top - t
+                    if _dominates(s.bit_count(), 2 * d.bit_count() - 1):
+                        found.add(elements_of(a | b << t))
+    return (hi - lo) * total, unions, sorted(found)
 
 
 def _triangle_blocks(total, blocks):
@@ -367,7 +420,7 @@ def _scan_pairs(name, span, max_diff, diff_groups, workers):
     hits = set()
     with _task_runner(workers) as run:
         for diffs in diff_groups:
-            total = sum(len(_aps_within(span, d)) for d in diffs)
+            total = sum(n for _, _, n in _ap_runs(span, diffs))
             tasks = [(span, diffs, lo, hi)
                      for lo, hi in _triangle_blocks(total, workers * 4)]
             for count, unions, found in run(_pair_block_worker, tasks):
@@ -391,8 +444,9 @@ def ap_pair_scan(max_span: int, max_diff: int, workers: int = 1) -> SearchReport
     finer) configurations. The expected witness list is empty: such
     unions are never sum-dominant.
     """
-    if max_span < 1 or max_diff < 1:
-        raise InvalidParameterError("bounds must be at least 1")
+    _require(max_span, 1, "bounds")
+    _require(max_diff, 1, "bounds")
+    _require(workers, 1, f"workers={workers}")
     return _scan_pairs("appairs", max_span, max_diff,
                        [(d,) for d in range(1, max_diff + 1)], workers)
 
@@ -404,8 +458,9 @@ def two_ap_general_scan(max_span: int, max_diff: int, workers: int = 1) -> Searc
     independently over 1..max_diff. A sum-dominant union here would be
     a two-progression counterexample; none is expected in range.
     """
-    if max_span < 1 or max_diff < 1:
-        raise InvalidParameterError("bounds must be at least 1")
+    _require(max_span, 1, "bounds")
+    _require(max_diff, 1, "bounds")
+    _require(workers, 1, f"workers={workers}")
     return _scan_pairs("twoap", max_span, max_diff,
                        [tuple(range(1, max_diff + 1))], workers)
 
@@ -449,8 +504,8 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     second, and returns the lexicographically least witness; its
     `examined` counts the first parts classified (0 on the other paths).
     """
-    if r < 1:
-        raise InvalidParameterError(f"r={r} must be at least 1")
+    _require(r, 1, f"r={r}")
+    _require(workers, 1, f"workers={workers}")
     if r < 3 * MIN_SD_CARD:
         return Partition3Feasibility(r, "infeasible", reason=f"3x8 > {r}")
     if r >= 145:

@@ -69,9 +69,14 @@ def ref_diff_bits(bits):
     return d
 
 
+def ref_cards(bits):
+    """(|A+A|, |A-A|) of a nonempty mask, as the package's sum_diff_cards gives them."""
+    return ref_sumset_bits(bits).bit_count(), 2 * ref_diff_bits(bits).bit_count() - 1
+
+
 def ref_is_sum_dominant(elements):
-    bits = ref_bits_of(elements)
-    return ref_sumset_bits(bits).bit_count() > 2 * ref_diff_bits(bits).bit_count() - 1
+    sc, dc = ref_cards(ref_bits_of(elements))
+    return sc > dc
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +153,12 @@ def ref_ap_rows(span, diffs):
     return rows
 
 
-def ref_pair_scan(span, diff_groups, is_dominant=ref_is_sum_dominant):
-    """(examined, sorted witnesses) over every ordered pair of rows per group."""
+def ref_pair_scan(span, diff_groups, accept=lambda sc, dc: sc > dc):
+    """(examined, sorted witnesses) over every ordered pair of rows per group.
+
+    A union is a witness when accept(|A+A|, |A-A|) holds, the cards coming
+    from ref_cards.
+    """
     examined = 0
     hits = set()
     for diffs in diff_groups:
@@ -157,9 +166,8 @@ def ref_pair_scan(span, diff_groups, is_dominant=ref_is_sum_dominant):
         for m1 in rows:
             for m2 in rows:
                 examined += 1
-                union = ref_elements_of(m1 | m2)
-                if is_dominant(union):
-                    hits.add(union)
+                if accept(*ref_cards(m1 | m2)):
+                    hits.add(ref_elements_of(m1 | m2))
     return examined, sorted(hits)
 
 

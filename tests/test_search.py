@@ -5,7 +5,7 @@ import multiprocessing
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import pytest
 
@@ -24,6 +24,8 @@ from mstd import search
 from mstd.core import elements_of
 from tests._oracles import (
     naive_is_sum_dominant,
+    ref_ap_rows,
+    ref_cards,
     ref_is_sum_dominant,
     ref_largest_scan,
     ref_minsize_scan,
@@ -378,12 +380,11 @@ class TestAgainstReferenceLoops:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unordered_pairs_reach_every_union(self, workers, monkeypatch):
-        # progression unions are never sum-dominant, so a stand-in predicate
+        # progression unions are never sum-dominant, so a stand-in verdict
         # that accepts about a third of them checks the witness path
-        def accept(elems):
-            return len(elems) % 3 == 0
-        monkeypatch.setattr(search, "sum_diff_cards",
-                            lambda bits: (1, 0) if accept(elements_of(bits)) else (0, 1))
+        def accept(sc, dc):
+            return (sc + dc) % 3 == 0
+        monkeypatch.setattr(search, "_dominates", accept)
         for scan, groups in ((ap_pair_scan, [(1,), (2,)]), (two_ap_general_scan, [(1, 2)])):
             examined, hits = ref_pair_scan(9, groups, accept)
             rep = scan(9, 2, workers=workers)
@@ -403,6 +404,105 @@ class TestAgainstReferenceLoops:
         want = ref_split_worker(26, 9, 5, c_ok=lambda c: True)
         assert (count, sorted(found)) == (want[0], sorted(want[1]))
         assert len(found) == 6
+
+
+class TestPairRecurrence:
+    """The pair worker's (|A+A|, |A-A|) for every unordered pair, against ref_cards.
+
+    The worker hands each pair's cards to search._dominates in row order,
+    (i, j) for j >= i; a recorder in its place collects them.
+    """
+
+    @staticmethod
+    def worker_cards(monkeypatch, span, diffs, cuts):
+        seen = []
+        monkeypatch.setattr(search, "_dominates", lambda sc, dc: seen.append((sc, dc)))
+        classified = 0
+        for lo, hi in pairwise(cuts):
+            _, unions, _ = search._pair_block_worker((span, diffs, lo, hi))
+            classified += unions
+        assert classified == len(seen)
+        return seen
+
+    @staticmethod
+    def ref_cards_from(rows, lo, hi):
+        return [ref_cards(rows[i] | rows[j])
+                for i in range(lo, hi) for j in range(i, len(rows))]
+
+    @pytest.mark.parametrize("span,diffs", [
+        *[(span, diffs) for span in range(1, 13)
+          for diffs in ((1,), (2,), (3,), (1, 2, 3))],
+        (9, (1, 2, 3, 4, 5)),
+        (20, (1, 2, 3, 4)),
+    ])
+    def test_every_pair(self, monkeypatch, span, diffs):
+        rows = ref_ap_rows(span, diffs)
+        want = self.ref_cards_from(rows, 0, len(rows))
+        assert self.worker_cards(monkeypatch, span, diffs, [0, len(rows)]) == want
+        # blocks that start and end inside runs give the same sequence
+        cuts = sorted({0, 1, len(rows) // 3, len(rows) // 2 + 1, len(rows)})
+        assert self.worker_cards(monkeypatch, span, diffs, cuts) == want
+
+    def test_mid_run_row_longer_than_later_rows(self, monkeypatch):
+        # span 9, diffs 1..5: row 14 is {4, 5}, the fifth start of the
+        # length-2 run, so its own run is paired from {4, 5} on (j = i inside
+        # the run) and it is later paired with the 40 singletons of
+        # differences 2 to 5, which are shorter than it
+        span, diffs, i = 9, (1, 2, 3, 4, 5), 14
+        rows = ref_ap_rows(span, diffs)
+        assert elements_of(rows[i]) == (4, 5)
+        assert elements_of(rows[i - 1]) == (3, 4)
+        assert sum(1 for m in rows[i:] if m.bit_count() < 2) == 40
+        assert (self.worker_cards(monkeypatch, span, diffs, [i, i + 1])
+                == self.ref_cards_from(rows, i, i + 1))
+
+
+class TestParameterChecks:
+    """Every public scan wants int bounds and worker counts of at least 1."""
+
+    SCANS = {
+        "largest": lambda w: largest_subset(10, workers=w),
+        "largest_scan": lambda w: largest_subset_scan(10, workers=w),
+        "minsize": lambda w: min_size_scan(5, workers=w),
+        "appairs": lambda w: ap_pair_scan(5, 1, workers=w),
+        "twoap": lambda w: two_ap_general_scan(5, 2, workers=w),
+        "partition3": lambda w: partition3_feasible(30, workers=w),
+        "partition3_exhaustive": lambda w: partition3_feasible(
+            24, exhaustive_small=True, workers=w),
+    }
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_bad_workers(self, scan, workers):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            self.SCANS[scan](workers)
+
+    def test_worker_count_in_the_message(self):
+        with pytest.raises(InvalidParameterError, match=r"workers=0 must be at least 1"):
+            ap_pair_scan(5, 1, workers=0)
+        with pytest.raises(InvalidParameterError, match=r"must be an int, not bool"):
+            min_size_scan(5, workers=True)
+
+    def test_good_workers_still_scan(self):
+        assert two_ap_general_scan(5, 2, workers=1).examined == 1089
+        assert ap_pair_scan(5, 1, workers=2).examined == 21 ** 2
+
+    @pytest.mark.parametrize("call", [
+        lambda: largest_subset(14.0),
+        lambda: largest_subset_scan(10, max_discard=2.5),
+        lambda: largest_subset_scan(True),
+        lambda: min_size_scan(2.0),
+        lambda: min_size_scan(True),
+        lambda: ap_pair_scan(2.5, 1),
+        lambda: ap_pair_scan(5, True),
+        lambda: two_ap_general_scan(5, 2.0),
+        lambda: partition3_feasible(25.0),
+        lambda: partition3_feasible(True),
+        lambda: partition3_feasible("25"),
+    ])
+    def test_non_int_bounds(self, call):
+        with pytest.raises(InvalidParameterError, match="must be an int"):
+            call()
 
 
 class TestScanPlumbing:
