@@ -3,9 +3,11 @@
 Four engines, all built on the same pattern: enumerate a finite,
 combinatorially counted candidate space, classify it, and report the
 witnesses that satisfy the target predicate. Nothing is sampled and
-nothing exits early inside an enumeration level, so `examined` always
-equals the closed-form count implied by the bounds and re-runs are
-exactly reproducible.
+no enumeration level stops at its first witness. `examined` is always
+the closed-form count implied by the bounds, so re-runs are exactly
+reproducible; SearchReport.classified counts the candidates the engine
+actually classified, fewer where an exact bound or the order-free
+pairing settles the rest.
 
 largest_subset(n):   largest sum-dominant subset of {0..n-1} containing
                      both endpoints, found by discarding d = 0, 1, 2, ...
@@ -28,12 +30,34 @@ partition3_feasible: can {1..r} split into three sum-dominant parts;
 
 Combination scans (largest, minsize, both parts of the partition
 search) share one depth-first walk over ascending elements that visits
-the candidates in lexicographic order. A node holds the mask P of its
-elements, P reflected about the top element K as R, the sum mask S and
-the magnitude mask D, and adding x costs O(1) big-integer operations:
-P |= 1<<x; R |= 1<<(K-x); S |= P<<x; D |= R>>(K-x), since R>>(K-x)
-holds x-a for every a below x. A leaf is sum-dominant iff
+the candidates in lexicographic order. The fixed elements above the
+choices (the tail) enter the root, so a node holds, for its elements
+and the tail, the mask P, P reflected about the top element K as R,
+the sum mask S and the magnitude mask D. Adding x costs O(1)
+big-integer operations: P |= 1<<x; R |= 1<<(K-x); S |= P<<x;
+D |= R>>(K-x) | P>>x, since R>>(K-x) holds x-a for every a below x and
+P>>x holds t-x for every t above it. A leaf is sum-dominant iff
 popcount(S) > 2*popcount(D) - 1.
+
+The walk enters a node below the root, with k elements still to choose
+and m present, only if min(|S| + k*m + k(k+1)/2, 2K+1) > 2|D| - 1. The
+bound is exact: the i-th element added makes at most m+i new sums (x+a
+for the m+i-1 elements a present, and 2x), S stays inside [0, 2K], and
+D only grows, so a node that fails it has no sum-dominant leaf below it.
+
+Three-part splits of {1..r}, r <= 26: a sum-dominant set has at least
+8 elements (Hegarty 2007), so every part has 8 or more and, as
+3*9 > 26, the smallest has exactly 8. Every sum-dominant 8-subset of
+{1..r} is a translate of a normalized one {0, ..., D}, D <= r-1, and
+those come from the 8-element slice of the minsize walk. Each
+translate P inside {1..r} is completed in two ways: sizes (8, 8, r-16)
+pair it with every later disjoint translate Q; sizes (8, b, c) with
+b, c >= 9 (only (8, 9, 9), at r = 26) walk the sum-dominant B that own
+the least element outside P. The last part is the complement, which is
+classified alone. Every split found is put as (the part with 1, the part
+with the least element left, the rest), and the witness is the one with
+the smallest first part, then the least triple: the first a walk over
+the first parts {1, ...} by size would meet.
 
 Pair scans union row i with rows j >= i only, as the union does not
 depend on the order. `examined` stays the closed-form count (rows**2
@@ -63,7 +87,7 @@ the nonnegative differences. Only witnesses are unpacked.
 Parallelism: each engine splits its candidate space into contiguous
 lexicographic blocks (pair blocks of equal triangle area, since row i
 costs rows - i unions) and farms them to one process pool per scan.
-Blocks return (count, witness list); merging sums the counts and sorts
+Blocks return (counts, witness list); merging sums the counts and sorts
 the witness union, both order-free, so reports are byte-identical for
 any worker count. Workers receive plain tuples and rebuild their local
 state, so no shared mutable anything.
@@ -78,7 +102,7 @@ from dataclasses import dataclass
 from itertools import chain, pairwise
 
 from .constructions import default_blocks, partition3
-from .core import IntSet, elements_of, sum_diff_cards
+from .core import IntSet, bits_of, elements_of, sum_diff_cards
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
@@ -91,8 +115,9 @@ class SearchReport:
     witnesses hold IntSets (or IntSet triples for the partition search),
     sorted lexicographically by elements; examined is the closed-form
     candidate count; classified counts the candidates actually classified
-    (fewer in the pair scans, which classify each unordered pair once)
-    and stays out of as_dict; params echoes the search bounds.
+    and stays out of as_dict: at most examined, fewer where the walk's
+    bound cuts a subtree (largest, minsize) or each unordered pair is
+    classified once (pair scans). params echoes the search bounds.
     """
 
     search: str
@@ -132,7 +157,8 @@ class Partition3Feasibility:
     status: str  # "infeasible" | "feasible" | "unknown"
     reason: str | None = None
     witness: tuple[IntSet, IntSet, IntSet] | None = None
-    examined: int = 0  # first parts classified by the exhaustive search
+    examined: int = 0  # these two: see partition3_feasible
+    classified: int = 0  # kept out of the CLI report
 
 
 # ---------------------------------------------------------------------------
@@ -175,65 +201,74 @@ def _task_runner(workers):
 
 
 def _sum_dominant(prefix, pool, k, tail=()):
-    """Bitmasks of the sum-dominant sets prefix + c + tail, c in combinations(pool, k).
+    """Sum-dominant sets prefix + c + tail, c in combinations(pool, k).
 
-    The same sets in the same order as that loop. Each of prefix, pool
-    and tail ascends, and every pool element lies above the prefix and
-    below the tail. This is the walk of the module docstring with K the
-    top element; its last level is a flat loop, and a node that must
+    Returns (found, leaves): the bitmasks of those sets in the order of
+    that loop, and how many candidates were classified (subtrees the
+    bound cuts are not). Each of prefix, pool and tail ascends, and
+    every pool element lies above the prefix and below the tail. This is
+    the walk of the module docstring with K the top element and the tail
+    in every node; its last level is a flat loop, and a node that must
     take the rest of the pool takes it without branching.
     """
     top = max(chain(prefix[-1:], pool[-1:], tail[-1:]), default=0)
+    size = len(prefix) + k + len(tail)
+    cap = 2 * top + 1  # S lies in [0, 2K]
 
     def grow(p, r, s, d, xs):
         for x in xs:
             p |= 1 << x
             r |= 1 << (top - x)
             s |= p << x
-            d |= r >> (top - x)
+            d |= r >> (top - x) | p >> x
         return p, r, s, d
 
-    tp, _, ts, td = grow(0, 0, 0, 0, tail)
-
-    def close(p, r, s, d):  # S and D once the tail is appended
-        for t in tail:
-            s |= p << t
-            d |= r >> (top - t)
-        return s | ts, d | td
-
-    items = [(x, 1 << x, 1 << (top - x), top - x) for x in pool]
+    tp = bits_of(tail)
+    # x, {x}, {K-x}, {2x}, K-x, and the differences x makes with itself and the tail
+    items = [(x, 1 << x, 1 << (top - x), 1 << 2 * x, top - x, 1 | tp >> x) for x in pool]
     m = len(items)
     found = []
+    leaves = 0
 
     def walk(i, k, p, r, s, d):
+        nonlocal leaves
         if k == 1:
-            for x, bx, rx, kx in items[i:]:
-                q = p | bx
-                u = r | rx
-                sq, dq = close(q, u, s | q << x, d | u >> kx)
-                if sq.bit_count() > 2 * dq.bit_count() - 1:
-                    found.append(q | tp)
+            leaves += m - i
+            for x, bx, _, b2x, kx, cx in items[i:]:
+                if (s | p << x | b2x).bit_count() > 2 * (d | r >> kx | cx).bit_count() - 1:
+                    found.append(p | bx)
         elif k == 0 or i + k == m:  # no choice left
-            p, r, s, d = grow(p, r, s, d, pool[i:i + k])
-            s, d = close(p, r, s, d)
+            p, _, s, d = grow(p, r, s, d, pool[i:i + k])
+            leaves += 1
             if s.bit_count() > 2 * d.bit_count() - 1:
-                found.append(p | tp)
+                found.append(p)
         else:
-            for j in range(i, m - k + 1):
-                x, bx, rx, kx = items[j]
-                q = p | bx
-                u = r | rx
-                walk(j + 1, k - 1, q, u, s | q << x, d | u >> kx)
+            k -= 1
+            gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
+            for j in range(i, m - k):
+                x, bx, rx, b2x, kx, cx = items[j]
+                sj = s | p << x | b2x
+                dj = d | r >> kx | cx
+                # the bound: min(|S| + gain, 2K+1) > 2|D| - 1
+                if sj.bit_count() + gain > 2 * dj.bit_count() - 1 < cap:
+                    walk(j + 1, k, p | bx, r | rx, sj, dj)
 
-    walk(0, k, *grow(0, 0, 0, 0, prefix))
-    return found
+    walk(0, k, *grow(0, 0, 0, 0, chain(prefix, tail)))
+    return found, leaves
 
 
 def _subset_worker(task):
     # one block (prefix, pool, k, tail) of a combination scan
     prefix, pool, k, tail = task
-    found = _sum_dominant(prefix, pool, k, tail)
-    return math.comb(len(pool), k), [elements_of(w) for w in found]
+    found, leaves = _sum_dominant(prefix, pool, k, tail)
+    return math.comb(len(pool), k), leaves, [elements_of(w) for w in found]
+
+
+def _normal_tasks(max_diameter, mids):
+    # blocks of the normalized sets {0} u c u {D}, D <= max_diameter and
+    # c a j-subset of 1..D-1, one block per (D, j) with j in mids
+    return [((0,), range(1, diameter), j, (diameter,))
+            for diameter in range(1, max_diameter + 1) for j in mids if j < diameter]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +295,7 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     meaningful = min(n - 2, max(0, n - MIN_SD_CARD))
     limit = min(max_discard, meaningful)
 
-    examined = 0
+    examined = classified = 0
     hits: list[tuple[int, ...]] = []
     hit_d = None
     with _task_runner(workers) as run:
@@ -272,8 +307,9 @@ def largest_subset_scan(n: int, max_discard: int = 8,
             else:
                 tasks = [((0,), (), 0, (n - 1,))]
             level = []
-            for count, found in run(_subset_worker, tasks):
+            for count, leaves, found in run(_subset_worker, tasks):
                 examined += count
+                classified += leaves
                 level.extend(found)
             hits = sorted(level)
             if hits:
@@ -284,7 +320,7 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     params = {"n": n, "max_discard": max_discard}
     witnesses = [IntSet(w) for w in hits]
     report = SearchReport("largest", params, examined, witnesses, elapsed,
-                          classified=examined)
+                          classified=classified)
     if hit_d is not None:
         result = LargestSubsetResult(n, n - hit_d, witnesses[0])
         return result, report
@@ -322,19 +358,18 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     _require(max_diameter, 1, "max_diameter")
     _require(workers, 1, f"workers={workers}")
     t0 = time.perf_counter()
-    tasks = [((0,), range(1, diameter), j, (diameter,))
-             for diameter in range(1, max_diameter + 1)
-             for j in range(min(MIN_SD_CARD - 2, diameter - 1) + 1)]
-    examined = 0
+    tasks = _normal_tasks(max_diameter, range(MIN_SD_CARD - 1))
+    examined = classified = 0
     hits = []
     with _task_runner(workers) as run:
-        for count, found in run(_subset_worker, tasks):
+        for count, leaves, found in run(_subset_worker, tasks):
             examined += count
+            classified += leaves
             hits.extend(found)
     witnesses = [IntSet(w) for w in sorted(hits)]
     elapsed = time.perf_counter() - t0
     return SearchReport("minsize", {"max_diameter": max_diameter},
-                        examined, witnesses, elapsed, classified=examined)
+                        examined, witnesses, elapsed, classified=classified)
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +504,31 @@ def two_ap_general_scan(max_span: int, max_diff: int, workers: int = 1) -> Searc
 # three-part feasibility
 
 
-def _split_worker(task):
-    # completions of A = {1, second, ...} at this size; for sum-dominant A,
-    # try every B owning the least remaining element; C is forced
-    r, size_a, second = task
+def _completion_worker(task):
+    # the splits of {1..r} with part places[i] and, besides it, a later
+    # disjoint placement (sizes 8, 8, r-16) or a part B of 9 or more that
+    # owns the least element left (sizes 8, b, c with b, c >= 9); the last
+    # part is the complement. Returns (candidates classified, splits).
+    r, places, i = task
     whole = (1 << (r + 1)) - 2  # {1..r}
-    pool_a = range(second + 1, r + 1)
-    found = []
-    for a in _sum_dominant((1, second), pool_a, size_a - 2):
-        rest = whole ^ a
-        left = elements_of(rest)
-        for size_b in range(MIN_SD_CARD, len(left) - MIN_SD_CARD + 1):
-            for b in _sum_dominant(left[:1], left[1:], size_b - 1):
-                c = rest ^ b
-                sc, dc = sum_diff_cards(c)
-                if sc > dc:
-                    found.append((elements_of(a), elements_of(b), elements_of(c)))
-    return math.comb(len(pool_a), size_a - 2), found
+    p = places[i]
+    rest = elements_of(whole ^ p)
+    parts = [q for q in places[i + 1:] if not p & q]
+    classified = 0
+    for size_b in range(MIN_SD_CARD + 1, len(rest) - MIN_SD_CARD):
+        found, leaves = _sum_dominant(rest[:1], rest[1:], size_b - 1)
+        classified += leaves
+        parts += found
+    splits = []
+    for q in parts:
+        c = whole ^ p ^ q
+        sc, dc = sum_diff_cards(c)
+        if sc > dc:  # sorted by least element: (A with 1, B, C)
+            splits.append(tuple(sorted(map(elements_of, (p, q, c)))))
+    return classified + len(parts), splits
 
 
-SMALL_SEARCH_MAX_R = 26
+SMALL_SEARCH_MAX_R = 26  # the smallest part has exactly 8 elements while 3*9 > r
 
 
 def partition3_feasible(r: int, exhaustive_small: bool = False,
@@ -499,10 +539,15 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     every r >= 145 is feasible by the explicit construction at
     m = r - 124. In between the answer is unknown, except that setting
     exhaustive_small=True runs a complete search for r <= 26 (the flag
-    is ignored above that bound). The search canonicalizes by giving
-    element 1 to the first part and the least leftover element to the
-    second, and returns the lexicographically least witness; its
-    `examined` counts the first parts classified (0 on the other paths).
+    is ignored above that bound). The search starts from the translates
+    of the 8-element sum-dominant sets (module docstring). The witness is
+    (the part with 1, the part with the least element left, the rest),
+    with the smallest first part and then the least triple. `examined`
+    counts the first parts {1, ...} of every size a up to that of the
+    witness, or up to r - 16 if there is none: the sum of C(r-1, a-1)
+    (245157 at r = 24). `classified` counts the candidates the search
+    did classify: catalogue walk leaves, second parts walked and
+    complements. Both are 0 on the other paths.
     """
     _require(r, 1, f"r={r}")
     _require(workers, 1, f"workers={workers}")
@@ -513,22 +558,24 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
         return Partition3Feasibility(r, "feasible",
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:
-        examined = 0
         with _task_runner(workers) as run:
-            for size_a in range(MIN_SD_CARD, r - 2 * MIN_SD_CARD + 1):
-                tasks = [(r, size_a, second)
-                         for second in range(2, r - size_a + 3)]
-                level = []
-                for count, found in run(_split_worker, tasks):
-                    examined += count
-                    level.extend(found)
-                if level:
-                    a, b, c = min(level)
-                    return Partition3Feasibility(
-                        r, "feasible", witness=(IntSet(a), IntSet(b), IntSet(c)),
-                        examined=examined)
+            catalogue = run(_subset_worker, _normal_tasks(r - 1, (MIN_SD_CARD - 2,)))
+            places = tuple(bits_of(form) << t for _, _, forms in catalogue
+                           for form in forms for t in range(1, r + 1 - form[-1]))
+            classified = sum(leaves for _, leaves, _ in catalogue)
+            splits = []
+            for count, found in run(_completion_worker,
+                                    [(r, places, i) for i in range(len(places))]):
+                classified += count
+                splits += found
+        least = min(splits, key=lambda split: (len(split[0]), split), default=None)
+        size_a = len(least[0]) if least else r - 2 * MIN_SD_CARD  # the old walk's last
+        examined = sum(math.comb(r - 1, a - 1) for a in range(MIN_SD_CARD, size_a + 1))
+        if least:
+            return Partition3Feasibility(r, "feasible", witness=tuple(map(IntSet, least)),
+                                         examined=examined, classified=classified)
         return Partition3Feasibility(
             r, "infeasible",
             reason=f"exhaustive: no split of {{1..{r}}} into three "
-                   "sum-dominant parts", examined=examined)
+                   "sum-dominant parts", examined=examined, classified=classified)
     return Partition3Feasibility(r, "unknown")

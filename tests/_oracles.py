@@ -8,6 +8,7 @@ search engines' candidate loops as plain combinations loops over the
 shift-OR reference.
 """
 
+import math
 from itertools import combinations
 
 
@@ -171,7 +172,7 @@ def ref_pair_scan(span, diff_groups, accept=lambda sc, dc: sc > dc):
     return examined, sorted(hits)
 
 
-def ref_split_worker(r, size_a, second, c_ok=ref_is_sum_dominant):
+def ref_split_worker(r, size_a, second):
     found = []
     count = 0
     for rest_a in combinations(range(second + 1, r + 1), size_a - 2):
@@ -186,7 +187,7 @@ def ref_split_worker(r, size_a, second, c_ok=ref_is_sum_dominant):
                 if not ref_is_sum_dominant(b):
                     continue
                 c = tuple(x for x in rest if x not in b)
-                if c_ok(c):
+                if ref_is_sum_dominant(c):
                     found.append((a, b, c))
     return count, found
 
@@ -203,3 +204,47 @@ def ref_partition3_search(r):
         if level:
             return examined, min(level)
     return examined, None
+
+
+# ---------------------------------------------------------------------------
+# three-part splits from translated 8-element parts, for a stand-in verdict
+# on the last part
+
+# Hegarty (2007): a sum-dominant set has at least 8 elements, and the
+# 8-element ones are affine images of the first set below; the only two
+# of diameter <= 25 are it and its mirror
+SD8_FORMS = ((0, 2, 3, 4, 7, 11, 12, 14), (0, 2, 3, 7, 10, 11, 12, 14))
+
+
+def ref_placements(r):
+    """Every translate of SD8_FORMS inside {1..r}, form by form, start ascending."""
+    return [tuple(x + t for x in form)
+            for form in SD8_FORMS for t in range(1, r + 1 - form[-1])]
+
+
+def ref_completions(r, places, i):
+    """Splits of {1..r} with part places[i], as (part with 1, part with the least element left, last).
+
+    The last part is the complement and is accepted whatever it is: one
+    split per later disjoint placement, and one per sum-dominant B of 9
+    or more elements owning the least element outside places[i] that
+    leaves 9 or more.
+    """
+    p = places[i]
+    rest = [x for x in range(1, r + 1) if x not in p]
+    pairs = [q for q in places[i + 1:] if not set(p) & set(q)]
+    for size_b in range(9, len(rest) - 9 + 1):
+        pairs += [b for comb in combinations(rest[1:], size_b - 1)
+                  for b in [(rest[0],) + comb] if ref_is_sum_dominant(b)]
+    return [tuple(sorted((p, q, tuple(x for x in rest if x not in q)))) for q in pairs]
+
+
+def ref_least_split(r, splits):
+    """(examined, witness) of the three-part search given every split it finds.
+
+    The witness has the smallest part with 1, then the least triple; the
+    count is that of the old walk over the first parts {1, ...} up to its
+    size, sum of C(r-1, a-1).
+    """
+    a, b, c = min(splits, key=lambda split: (len(split[0]), split))
+    return sum(math.comb(r - 1, n - 1) for n in range(8, len(a) + 1)), (a, b, c)

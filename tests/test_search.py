@@ -25,13 +25,16 @@ from mstd.core import elements_of
 from tests._oracles import (
     naive_is_sum_dominant,
     ref_ap_rows,
+    ref_bits_of,
     ref_cards,
+    ref_completions,
     ref_is_sum_dominant,
     ref_largest_scan,
+    ref_least_split,
     ref_minsize_scan,
     ref_pair_scan,
     ref_partition3_search,
-    ref_split_worker,
+    ref_placements,
 )
 
 
@@ -46,7 +49,8 @@ class TestLargestSubset:
         assert res.n_value == 9
         assert res.witness == IntSet([0, 1, 2, 4, 5, 9, 12, 13, 14])
         # levels 0..6 scanned to completion: sum of C(13, d)
-        assert rep.examined == rep.classified == levels_examined(15, 6) == 4096
+        assert rep.examined == levels_examined(15, 6) == 4096
+        assert rep.classified == 2928  # the rest are cut by the walk's bound
         assert [list(w.elements) for w in rep.witnesses] == [
             [0, 1, 2, 4, 5, 9, 12, 13, 14],
             [0, 1, 2, 5, 9, 10, 12, 13, 14],
@@ -118,7 +122,7 @@ class TestLargestSubset:
 class TestMinSize:
     def test_fourteen(self):
         rep = min_size_scan(14)
-        assert rep.examined == rep.classified == 9907
+        assert rep.examined == 9907 and rep.classified == 9248
         assert [list(w.elements) for w in rep.witnesses] == [
             [0, 2, 3, 4, 7, 11, 12, 14],
             [0, 2, 3, 7, 10, 11, 12, 14],
@@ -239,8 +243,17 @@ class TestPartition3Feasible:
         out = partition3_feasible(24, exhaustive_small=True)
         assert out.status == "infeasible"
         assert "exhaustive" in out.reason
-        # every first part {1, ...} of the one size scanned, 8, is classified
+        # the first parts {1, ...} of the one size the old walk scanned, 8
         assert out.examined == math.comb(23, 7) == 245157
+        # the catalogue leaves and the complements of disjoint placement pairs
+        assert out.classified == 146931
+
+    def test_exhaustive_largest_gap_value(self):
+        out = partition3_feasible(26, exhaustive_small=True)
+        assert out.status == "infeasible" and out.witness is None
+        # first parts of sizes 8, 9 and 10
+        assert out.examined == sum(math.comb(25, a - 1) for a in (8, 9, 10)) == 3605250
+        assert out.classified == 664045
 
     def test_exhaustive_flag_ignored_above_bound(self):
         out = partition3_feasible(40, exhaustive_small=True)
@@ -296,6 +309,15 @@ def witness_lists(rep):
     return [w.elements for w in rep.witnesses]
 
 
+# classified counts of largest(n) and minsize(bound): the walk's leaves
+LARGEST_CLASSIFIED = {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 4, 10: 17, 11: 70,
+                      12: 241, 13: 722, 14: 1884, 15: 2928, 16: 7456, 17: 11838,
+                      18: 18217}
+MINSIZE_CLASSIFIED = {1: 1, 2: 3, 3: 7, 4: 15, 5: 28, 6: 56, 7: 109, 8: 218, 9: 427,
+                      10: 841, 11: 1610, 12: 3001, 13: 5366, 14: 9248, 15: 15211,
+                      16: 24099}
+
+
 class TestSumDominantWalk:
     """The prefix-sharing walk against the combinations loop it replaces."""
 
@@ -303,8 +325,10 @@ class TestSumDominantWalk:
     def check(prefix, pool, k, tail):
         want = [e for c in combinations(pool, k)
                 for e in [tuple(prefix) + c + tuple(tail)] if ref_is_sum_dominant(e)]
-        got = [elements_of(w) for w in search._sum_dominant(prefix, pool, k, tail)]
+        found, leaves = search._sum_dominant(prefix, pool, k, tail)
+        got = [elements_of(w) for w in found]
         assert got == want
+        assert leaves <= math.comb(len(pool), k)
         return got
 
     def test_one_element_prefix_finds_the_eight_element_witnesses(self):
@@ -340,6 +364,41 @@ class TestSumDominantWalk:
             tail = tuple(x for x in range(cut2, top + 1) if rng.random() < 0.3)
             self.check(prefix, pool, rng.randint(0, len(pool) + 1), tail)
 
+    def test_random_blocks_with_long_tails(self):
+        # the tail enters every node's masks before the first pool element
+        rng = random.Random(97)
+        for _ in range(150):
+            top = rng.randrange(6, 19)
+            tail = tuple(sorted(rng.sample(range(3, top + 1), rng.randint(2, 4))))
+            cut = rng.randrange(1, tail[0])
+            prefix = tuple(sorted(rng.sample(range(cut), rng.randint(0, min(2, cut)))))
+            pool = [x for x in range(cut, tail[0]) if rng.random() < 0.85]
+            self.check(prefix, pool, rng.randint(0, len(pool)), tail)
+
+    def test_random_largest_shaped_blocks(self):
+        # (0, first) + kept middles + (n-1) with 12 or more elements, where
+        # the bound cuts deep subtrees
+        rng = random.Random(101)
+        for _ in range(40):
+            n = rng.randrange(13, 21)
+            first = rng.randrange(1, 4)
+            pool = [x for x in range(first + 1, n - 1) if rng.random() < 0.85]
+            if len(pool) < 9:
+                continue
+            self.check((0, first), pool, rng.randrange(9, len(pool) + 1), (n - 1,))
+
+    def test_bound_cuts_subtrees(self):
+        # the 8-element normal forms of diameter 14 and 24, and a largest(25)
+        # block; of their 1716, 100947 and 170544 candidates the walk
+        # classifies only these
+        for (prefix, pool, k, tail), hits, leaves in [
+                (((0,), range(1, 14), 6, (14,)), 2, 1657),
+                (((0,), range(1, 24), 6, (24,)), 0, 41934),
+                (((0, 1), range(2, 24), 15, (24,)), 3, 68921)]:
+            found, got = search._sum_dominant(prefix, pool, k, tail)
+            assert (len(found), got) == (hits, leaves)
+            assert leaves < math.comb(len(pool), k)
+
 
 class TestAgainstReferenceLoops:
     """Every engine against its old combinations loop, at 1 and 2 workers."""
@@ -350,7 +409,7 @@ class TestAgainstReferenceLoops:
         for workers in (1, 2):
             _, rep = largest_subset_scan(n, workers=workers)
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
-            assert rep.classified == examined
+            assert rep.classified == LARGEST_CLASSIFIED[n] <= examined
 
     @pytest.mark.parametrize("bound", range(1, 17))
     def test_minsize(self, bound):
@@ -358,7 +417,7 @@ class TestAgainstReferenceLoops:
         for workers in (1, 2):
             rep = min_size_scan(bound, workers=workers)
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
-            assert rep.classified == examined
+            assert rep.classified == MINSIZE_CLASSIFIED[bound] <= examined
 
     @pytest.mark.parametrize("scan,groups,span,max_diff", [
         (ap_pair_scan, [(1,)], 6, 1),
@@ -393,17 +452,57 @@ class TestAgainstReferenceLoops:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partition3(self, workers):
+        # the old walk over every first part {1, ...} is the oracle
         out = partition3_feasible(24, exhaustive_small=True, workers=workers)
         assert (out.examined, out.witness) == ref_partition3_search(24) == (245157, None)
+        assert out.classified == 146931
 
-    def test_split_worker_second_parts(self, monkeypatch):
-        # no split of {1..26} exists; with every third part accepted, this
-        # block still finds six (A, B) pairs and so walks the second parts
+    def test_partition3_25(self):
+        out = partition3_feasible(25, exhaustive_small=True)
+        assert (out.examined, out.witness) == ref_partition3_search(25) == (1081575, None)
+        assert out.classified == 188868
+
+    @pytest.mark.parametrize("r", [24, 25])
+    def test_partition3_witness_path(self, r, monkeypatch):
+        # no split of {1..26} exists; accepting every complement makes each
+        # pair of disjoint sum-dominant 8-sets a split, so the search must
+        # report them all and pick the oracle's witness
         monkeypatch.setattr(search, "sum_diff_cards", lambda bits: (1, 0))
-        count, found = search._split_worker((26, 9, 5))
-        want = ref_split_worker(26, 9, 5, c_ok=lambda c: True)
-        assert (count, sorted(found)) == (want[0], sorted(want[1]))
-        assert len(found) == 6
+        seen = []
+        worker = search._completion_worker
+
+        def spy(task):
+            classified, splits = worker(task)
+            seen.extend(splits)
+            return classified, splits
+        places = ref_placements(r)
+        want = [split for i in range(len(places))
+                for split in ref_completions(r, places, i)]
+        examined, witness = ref_least_split(r, want)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_completion_worker", spy)
+            out = partition3_feasible(r, exhaustive_small=True)
+        assert sorted(seen) == sorted(want) and len(want) >= 12
+        for out in (out, partition3_feasible(r, exhaustive_small=True, workers=2)):
+            assert out.status == "feasible"
+            assert (out.examined, tuple(p.elements for p in out.witness)) == (
+                examined, witness)
+        # at r = 25 the least triple has a 9-element part with 1, so the
+        # witness is decided by the smallest first part
+        assert len(witness[0]) == 8
+        assert len(min(want)[0]) == {24: 8, 25: 9}[r]
+
+    @pytest.mark.parametrize("i", [4, 20])
+    def test_partition3_second_parts(self, i, monkeypatch):
+        # at r = 26 these placements leave 9-element second parts that are
+        # sum-dominant; with every complement accepted they become splits
+        monkeypatch.setattr(search, "sum_diff_cards", lambda bits: (1, 0))
+        places = ref_placements(26)
+        _, splits = search._completion_worker(
+            (26, tuple(map(ref_bits_of, places)), i))
+        want = ref_completions(26, places, i)
+        assert sorted(splits) == sorted(want)
+        assert any(len(part) == 9 for split in want for part in split)
 
 
 class TestPairRecurrence:
