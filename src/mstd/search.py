@@ -1,13 +1,13 @@
 """Exhaustive searches over bounded families of candidate sets.
 
-Four engines, all built on the same pattern: enumerate a finite,
+Five engines, all built on the same pattern: enumerate a finite,
 combinatorially counted candidate space, classify it, and report the
 witnesses that satisfy the target predicate. Nothing is sampled and
 no enumeration level stops at its first witness. `examined` is always
 the closed-form count implied by the bounds, so re-runs are exactly
 reproducible; SearchReport.classified counts the candidates the engine
-actually classified, fewer where an exact bound or the order-free
-pairing settles the rest.
+actually classified, fewer where an exact bound or a symmetry settles
+the rest.
 
 largest_subset(n):   largest sum-dominant subset of {0..n-1} containing
                      both endpoints, found by discarding d = 0, 1, 2, ...
@@ -29,21 +29,38 @@ partition3_feasible: can {1..r} split into three sum-dominant parts;
                      settles r <= 26.
 
 Combination scans (largest, minsize, both parts of the partition
-search) share one depth-first walk over ascending elements that visits
-the candidates in lexicographic order. The fixed elements above the
-choices (the tail) enter the root, so a node holds, for its elements
-and the tail, the mask P, P reflected about the top element K as R,
-the sum mask S and the magnitude mask D. Adding x costs O(1)
-big-integer operations: P |= 1<<x; R |= 1<<(K-x); S |= P<<x;
-D |= R>>(K-x) | P>>x, since R>>(K-x) holds x-a for every a below x and
-P>>x holds t-x for every t above it. A leaf is sum-dominant iff
-popcount(S) > 2*popcount(D) - 1.
+search) share one depth-first walk that takes the pool in a decision
+order: ascending, in lexicographic order, for minsize and the partition
+search, and outside in for largest. The fixed elements (prefix and
+tail) enter the root, so a node holds, for its elements, the mask P,
+P reflected about the top element K as R, the sum mask S and the
+magnitude mask D. Adding x costs O(1) big-integer operations in any
+order: P |= 1<<x; R |= 1<<(K-x); S |= P<<x; D |= R>>(K-x) | P>>x, since
+R>>(K-x) holds x-a for every a below x and P>>x holds t-x for every t
+above it (in ascending order, only the tail, so that term is
+precomputed). A leaf is sum-dominant iff popcount(S) > 2*popcount(D) - 1.
 
 The walk enters a node below the root, with k elements still to choose
 and m present, only if min(|S| + k*m + k(k+1)/2, 2K+1) > 2|D| - 1. The
 bound is exact: the i-th element added makes at most m+i new sums (x+a
 for the m+i-1 elements a present, and 2x), S stays inside [0, 2K], and
 D only grows, so a node that fails it has no sum-dominant leaf below it.
+
+largest walks one set per mirror class, deciding the middle pairs
+(i, K-i), i = 1, 2, ..., from the outside in, then the centre K/2.
+- Mirror class: A -> K-A is affine, so it keeps |A+A| and |A-A|, and
+  K-A is emitted with A. At the outermost pair that A holds one side
+  of, K-i is the top bit where the masks of A and K-A differ, so the
+  walk keeps the A that holds i (K-A > A as masks) and cuts any node
+  whose decided pairs give R < P: until the first asymmetric pair, K-i
+  is never taken without i.
+- Symmetric sets are balanced: A = K-A gives A+A = K+(A-A).
+- Final fringe: once pairs 1..f are decided, a sum in [0, f] u
+  [2K-f, 2K] has both terms decided, so it is final and at most 2K-2f-1
+  sums can still appear; a node also needs
+  |S n ([0, f] u [2K-f, 2K])| + 2K-2f-1 > 2|D| - 1. The walk takes the
+  open sums as (undecided elements) + (all elements), which is one
+  tighter when a pair is half decided.
 
 Three-part splits of {1..r}, r <= 26: a sum-dominant set has at least
 8 elements (Hegarty 2007), so every part has 8 or more and, as
@@ -59,47 +76,54 @@ with the least element left, the rest), and the witness is the one with
 the smallest first part, then the least triple: the first a walk over
 the first parts {1, ...} by size would meet.
 
-Pair scans union row i with rows j >= i only, as the union does not
-depend on the order. `examined` stays the closed-form count (rows**2
-ordered pairs per difference group), while SearchReport.classified
-counts the candidates actually classified. The rows come in runs, one
-per difference d and length l, whose starts 0, 1, 2, ... make each row
-the previous one shifted by 1. A pair costs O(1) big-integer operations
-and no unpacking, because every term of
+Pair scans classify one row pair per translation class. `examined` stays
+the closed-form count (rows**2 ordered pairs per difference group),
+while SearchReport.classified counts the unions actually classified.
+The rows come in runs, one per difference d and length l, whose starts
+0, 1, 2, ... make each row the previous one shifted by 1.
+- Translation class: shifted down by its least start, a pair inside
+  {0..span} stays inside it and keeps |A+A| and |A-A|. So for runs
+  r1 <= r2 the scan unions the first row A0 of r1 with each row B0 << t
+  of r2 and, if r1 != r2, each row A0 << t (t >= 1) with B0: every
+  unordered row pair is a translate of exactly one of these.
+- A witness u is emitted as u << v for every v with max(u)+v <= span.
+A union costs O(1) big-integer operations and no unpacking, because
+every term of
 
     (A u B) + (A u B) = (A+A) u (B+B) u (A+B)
     |(A u B) - (A u B)| = |A-A| u |B-B| u |A-B|
 
-is a progression or follows a run by shifts. The sums of AP(s, d, l)
-are AP(2s, d, 2l-1) and its magnitudes AP(0, d, l), so row i's own
-terms and each run's are built once. For the first row B0 of each run
-at or after row i, the cross sums C = A+B0 and the signed cross
-differences X = {K+a-b}, Y = {K+b-a}, offset by K = span so none is
-negative, take min(|A|, |B0|) shift-ORs. B = B0 << t shifts A+B by t
-and B+B by 2t, and moves a-b by -t and b-a by +t, so along the run
+is a progression or follows a run by shifts. The sums of AP(0, d, l)
+are AP(0, d, 2l-1) and its magnitudes AP(0, d, l). For each pair of
+runs the cross sums C = A0+B0 and the signed cross differences
+X = {K+a-b}, Y = {K+b-a}, offset by K = span so none is negative, take
+min(|A0|, |B0|) shift-ORs. B = B0 << t shifts A+B by t and B+B by 2t,
+and moves a-b by -t and b-a by +t, so along the run
 
     S = S_A | S_B0 << 2t | C << t
     D = D_A | D_B | (X >> t | Y << t) >> K
 
-are exactly the sum and magnitude masks of A u B, the last >> K keeping
-the nonnegative differences. Only witnesses are unpacked.
+are exactly the sum and magnitude masks of A0 u B, the last >> K
+keeping the nonnegative differences; A = A0 << t against B0 swaps the
+roles of A and B, and of X and Y. Only witnesses are unpacked.
 
 Parallelism: each engine splits its candidate space into contiguous
-lexicographic blocks (pair blocks of equal triangle area, since row i
-costs rows - i unions) and farms them to one process pool per scan.
-Blocks return (counts, witness list); merging sums the counts and sorts
-the witness union, both order-free, so reports are byte-identical for
-any worker count. Workers receive plain tuples and rebuild their local
-state, so no shared mutable anything.
+blocks (pair blocks are run ranges of about equal sweep length) and
+farms them to one process pool per scan, heaviest block first by its
+closed-form count. Blocks return (counts, witness list); merging sums
+the counts and sorts the witness union, both order-free, so reports
+are byte-identical for any worker count. Workers receive plain tuples
+and rebuild their local state, so no shared mutable anything.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import accumulate, chain, pairwise
 
 from .constructions import default_blocks, partition3
 from .core import IntSet, bits_of, elements_of, sum_diff_cards
@@ -116,8 +140,9 @@ class SearchReport:
     sorted lexicographically by elements; examined is the closed-form
     candidate count; classified counts the candidates actually classified
     and stays out of as_dict: at most examined, fewer where the walk's
-    bound cuts a subtree (largest, minsize) or each unordered pair is
-    classified once (pair scans). params echoes the search bounds.
+    bounds cut a subtree (largest, minsize), one set per mirror pair is
+    walked (largest) or one union per translation class is classified
+    (pair scans). params echoes the search bounds.
     """
 
     search: str
@@ -175,12 +200,14 @@ def _require(value, least, what):
 
 @contextmanager
 def _task_runner(workers):
-    # yields run(fn, tasks) for one scan: contiguous blocks, order-free
-    # merge; a pool only when it can pay off, opened once and reused by
-    # every later task list of the scan
+    # yields run(fn, tasks, weight) for one scan: results in task order,
+    # order-free merge; a pool only when it can pay off, opened once and
+    # reused by every later task list of the scan. The pool takes the
+    # blocks heaviest first by weight(task), a closed-form count, one at a
+    # time, so no worker is left with a heavy last chunk while others idle.
     pool = None
 
-    def run(fn, tasks):
+    def run(fn, tasks, weight):
         nonlocal pool
         if workers <= 1 or len(tasks) <= 1:
             return [fn(t) for t in tasks]
@@ -191,7 +218,11 @@ def _task_runner(workers):
             except ValueError:
                 ctx = get_context()
             pool = ctx.Pool(processes=workers)
-        return pool.map(fn, tasks)
+        order = sorted(range(len(tasks)), key=lambda i: weight(tasks[i]), reverse=True)
+        out = [None] * len(tasks)
+        for i, res in zip(order, pool.map(fn, [tasks[i] for i in order], chunksize=1)):
+            out[i] = res
+        return out
 
     try:
         yield run
@@ -200,18 +231,24 @@ def _task_runner(workers):
             pool.terminate()
 
 
-def _sum_dominant(prefix, pool, k, tail=()):
+def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
     """Sum-dominant sets prefix + c + tail, c in combinations(pool, k).
 
     Returns (found, leaves): the bitmasks of those sets in the order of
     that loop, and how many candidates were classified (subtrees the
-    bound cuts are not). Each of prefix, pool and tail ascends, and
-    every pool element lies above the prefix and below the tail. This is
-    the walk of the module docstring with K the top element and the tail
-    in every node; its last level is a flat loop, and a node that must
-    take the rest of the pool takes it without branching.
+    bounds cut are not). The pool is the decision order. Each of prefix,
+    pool and tail ascends, and every pool element lies above the prefix
+    and below the tail, so found is lexicographic. This is the walk of
+    the module docstring with K the top element and prefix and tail in
+    every node; its last level is a flat loop, and a node that must take
+    the rest of the pool takes it without branching.
+
+    mirror=True walks one set per mirror pair instead: the prefix holds
+    0, the tail K, and the pool runs from the outside in, K-i right
+    after i. The walk then also cuts by the final fringe, keeps only the
+    sets A whose mirror K-A is the larger mask and puts K-A after each.
     """
-    top = max(chain(prefix[-1:], pool[-1:], tail[-1:]), default=0)
+    top = max(chain(prefix, pool, tail), default=0)
     size = len(prefix) + k + len(tail)
     cap = 2 * top + 1  # S lies in [0, 2K]
 
@@ -224,44 +261,70 @@ def _sum_dominant(prefix, pool, k, tail=()):
         return p, r, s, d
 
     tp = bits_of(tail)
-    # x, {x}, {K-x}, {2x}, K-x, and the differences x makes with itself and the tail
+    # x, {x}, {K-x}, {2x}, K-x, and the differences x makes with itself and
+    # the tail; walking outside in, the elements chosen above x add P>>x
     items = [(x, 1 << x, 1 << (top - x), 1 << 2 * x, top - x, 1 | tp >> x) for x in pool]
     m = len(items)
+    if mirror:
+        # open_[j]: the sums not yet final once pool[:j] is decided, those
+        # an undecided element makes with any element
+        whole = bits_of(tuple(chain(prefix, pool, tail)))
+        open_ = [0] * (m + 1)
+        for j in reversed(range(m)):
+            open_[j] = open_[j + 1] | whole << pool[j]
     found = []
     leaves = 0
+
+    def emit(p, r):
+        if not mirror:
+            found.append(p)
+        elif r > p:  # A = K-A is balanced; K-A < A is the mirror of a set kept
+            found.extend((p, r))
 
     def walk(i, k, p, r, s, d):
         nonlocal leaves
         if k == 1:
             leaves += m - i
-            for x, bx, _, b2x, kx, cx in items[i:]:
+            for x, bx, rx, b2x, kx, cx in items[i:]:
+                if mirror:
+                    cx |= p >> x
                 if (s | p << x | b2x).bit_count() > 2 * (d | r >> kx | cx).bit_count() - 1:
-                    found.append(p | bx)
+                    emit(p | bx, r | rx)
         elif k == 0 or i + k == m:  # no choice left
-            p, _, s, d = grow(p, r, s, d, pool[i:i + k])
+            p, r, s, d = grow(p, r, s, d, pool[i:i + k])
             leaves += 1
             if s.bit_count() > 2 * d.bit_count() - 1:
-                found.append(p)
+                emit(p, r)
         else:
             k -= 1
             gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
             for j in range(i, m - k):
                 x, bx, rx, b2x, kx, cx = items[j]
+                if mirror:
+                    cx |= p >> x
                 sj = s | p << x | b2x
                 dj = d | r >> kx | cx
                 # the bound: min(|S| + gain, 2K+1) > 2|D| - 1
                 if sj.bit_count() + gain > 2 * dj.bit_count() - 1 < cap:
-                    walk(j + 1, k, p | bx, r | rx, sj, dj)
+                    pj, rj = p | bx, r | rx
+                    # outside in, also the mirror rule and the final fringe
+                    if not mirror or rj >= pj and (
+                            (sj | open_[j + 1]).bit_count() > 2 * dj.bit_count() - 1):
+                        walk(j + 1, k, pj, rj, sj, dj)
 
     walk(0, k, *grow(0, 0, 0, 0, chain(prefix, tail)))
     return found, leaves
 
 
 def _subset_worker(task):
-    # one block (prefix, pool, k, tail) of a combination scan
-    prefix, pool, k, tail = task
-    found, leaves = _sum_dominant(prefix, pool, k, tail)
-    return math.comb(len(pool), k), leaves, [elements_of(w) for w in found]
+    # one block (prefix, pool, k, tail[, mirror]) of a combination scan
+    found, leaves = _sum_dominant(*task)
+    return leaves, [elements_of(w) for w in found]
+
+
+def _block_count(task):
+    # the candidates of one combination block: C(|pool|, k)
+    return math.comb(len(task[1]), task[2])
 
 
 def _normal_tasks(max_diameter, mids):
@@ -269,6 +332,19 @@ def _normal_tasks(max_diameter, mids):
     # c a j-subset of 1..D-1, one block per (D, j) with j in mids
     return [((0,), range(1, diameter), j, (diameter,))
             for diameter in range(1, max_diameter + 1) for j in mids if j < diameter]
+
+
+def _largest_tasks(n, kept):
+    # blocks of one discard level: {0, K} and `kept` middles, K = n-1, the
+    # pool outside in (1, K-1, 2, K-2, ..., the centre). One block per
+    # first middle taken, always a lo i or the centre: a set whose
+    # outermost middle pair holds K-i alone is the mirror of one walked
+    top = n - 1
+    order = list(dict.fromkeys(x for i in range(1, top // 2 + 1) for x in (i, top - i)))
+    if not kept:
+        return [((0,), (), 0, (top,), True)]
+    return [((0, order[j]), order[j + 1:], kept - 1, (top,), True)
+            for j in range(0, len(order) - kept + 1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +377,10 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     with _task_runner(workers) as run:
         for d in range(limit + 1):
             kept = (n - 2) - d
-            if kept:  # kept middles, one block per least element
-                tasks = [((0, first), range(first + 1, n - 1), kept - 1, (n - 1,))
-                         for first in range(1, n - kept)]
-            else:
-                tasks = [((0,), (), 0, (n - 1,))]
+            examined += math.comb(n - 2, kept)
+            tasks = _largest_tasks(n, kept)
             level = []
-            for count, leaves, found in run(_subset_worker, tasks):
-                examined += count
+            for leaves, found in run(_subset_worker, tasks, _block_count):
                 classified += leaves
                 level.extend(found)
             hits = sorted(level)
@@ -359,11 +431,10 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     _require(workers, 1, f"workers={workers}")
     t0 = time.perf_counter()
     tasks = _normal_tasks(max_diameter, range(MIN_SD_CARD - 1))
-    examined = classified = 0
+    examined, classified = sum(map(_block_count, tasks)), 0
     hits = []
     with _task_runner(workers) as run:
-        for count, leaves, found in run(_subset_worker, tasks):
-            examined += count
+        for leaves, found in run(_subset_worker, tasks, _block_count):
             classified += leaves
             hits.extend(found)
     witnesses = [IntSet(w) for w in sorted(hits)]
@@ -396,54 +467,54 @@ def _dominates(sc: int, dc: int) -> bool:
 
 
 def _pair_block_worker(task):
-    # rows lo..hi of the first progression against every row from itself
-    # on: the union is symmetric, so (j, i) would repeat (i, j). Returns the
-    # ordered-pair count, the unions classified and the witnesses.
+    # runs lo..hi against every run from themselves on, one pair per
+    # translation class: the first row of one run against every row of the
+    # other, both ways between different runs. Returns the unions classified
+    # and the witnesses, each with all of its translates inside the span.
     span, diffs, lo, hi = task
     top = span  # K, the reflection point of the cross differences
-    runs = []  # (first row, rows, diff, length, AP(0, d, l), AP(0, d, 2l-1))
-    total = 0
-    for diff, length, n in _ap_runs(span, diffs):
-        runs.append((total, n, diff, length, _ap_bits(diff, length),
-                     _ap_bits(diff, 2 * length - 1)))
-        total += n
+    runs = [(n, diff, length, _ap_bits(diff, length), _ap_bits(diff, 2 * length - 1))
+            for diff, length, n in _ap_runs(span, diffs)]  # AP(0, d, l), its sums
     found = set()
     unions = 0
-    for r, (first1, n1, d1, l1, base1, sums1) in enumerate(runs):
-        for s1 in range(max(lo - first1, 0), min(hi - first1, n1)):
-            a = base1 << s1
-            sa = sums1 << 2 * s1
-            ra = base1 << top - s1 - (l1 - 1) * d1
-            unions += total - first1 - s1
-            for first2, n2, d2, l2, base2, sums2 in runs[r:]:
-                s0 = s1 if first2 == first1 else 0  # first row j >= i
-                b = base2 << s0
-                sb = sums2 << 2 * s0
-                dab = base1 | base2
-                c = x = y = 0  # A+B0, {K+a-b} and {K+b-a}, b in B0
-                if l1 <= l2:
-                    rb = base2 << top - s0 - (l2 - 1) * d2
-                    for e in range(s1, s1 + l1 * d1, d1):
-                        c |= b << e
-                        x |= rb << e
-                        y |= b << top - e
-                else:
-                    for e in range(s0, s0 + l2 * d2, d2):
-                        c |= a << e
-                        x |= a << top - e
-                        y |= ra << e
-                for t in range(n2 - s0):  # B = B0 << t; x >> K+t | y >> K-t
-                    s = sa | sb << 2 * t | c << t
+    for r, (n1, d1, l1, a, sa) in enumerate(runs[lo:hi], lo):
+        ra = a << top - (l1 - 1) * d1  # {K - a}
+        for r2, (n2, d2, l2, b, sb) in enumerate(runs[r:], r):
+            c = x = y = 0  # A0+B0, {K+a-b} and {K+b-a}
+            if l1 <= l2:
+                rb = b << top - (l2 - 1) * d2
+                for e in range(0, l1 * d1, d1):
+                    c |= b << e
+                    x |= rb << e
+                    y |= b << top - e
+            else:
+                for e in range(0, l2 * d2, d2):
+                    c |= a << e
+                    x |= a << top - e
+                    y |= ra << e
+            dab = a | b
+            # B0 << t against A0, then A0 << t against B0 (t >= 1, other runs only)
+            sweeps = [(a, sa, b, sb, x, y, 0, n2)]
+            if r2 != r:
+                sweeps.append((b, sb, a, sa, y, x, 1, n1))
+            for fixed, sf, moving, sm, x, y, t0, n in sweeps:
+                unions += n - t0
+                for t in range(t0, n):  # moving << t: x >> K+t | y >> K-t
+                    s = sf | sm << 2 * t | c << t
                     d = dab | x >> top + t | y >> top - t
                     if _dominates(s.bit_count(), 2 * d.bit_count() - 1):
-                        found.add(elements_of(a | b << t))
-    return (hi - lo) * total, unions, sorted(found)
+                        u = fixed | moving << t
+                        found.update(elements_of(u << v)
+                                     for v in range(span + 2 - u.bit_length()))
+    return unions, sorted(found)
 
 
-def _triangle_blocks(total, blocks):
-    # contiguous row ranges of about equal work: row i costs total - i, so
-    # the rows from i on hold a (total - i)**2 / total**2 share of it
-    cuts = {total - math.isqrt(total * total * b // blocks) for b in range(blocks + 1)}
+def _even_blocks(weights, blocks):
+    # contiguous index ranges of about equal total weight: each cut falls
+    # after the item that carries the running total to the next share
+    acc = list(accumulate(weights))
+    cuts = {0, len(acc)} | {bisect_left(acc, acc[-1] * b / blocks) + 1
+                            for b in range(1, blocks)}
     return list(pairwise(sorted(cuts)))
 
 
@@ -455,11 +526,15 @@ def _scan_pairs(name, span, max_diff, diff_groups, workers):
     hits = set()
     with _task_runner(workers) as run:
         for diffs in diff_groups:
-            total = sum(n for _, _, n in _ap_runs(span, diffs))
-            tasks = [(span, diffs, lo, hi)
-                     for lo, hi in _triangle_blocks(total, workers * 4)]
-            for count, unions, found in run(_pair_block_worker, tasks):
-                examined += count
+            runs = _ap_runs(span, diffs)
+            total = sum(n for _, _, n in runs)
+            examined += total * total  # ordered row pairs
+            # run r sweeps every run from itself on, and the later ones back
+            sweep = [sum(n for _, _, n in runs[r:]) + (n1 - 1) * (len(runs) - r - 1)
+                     for r, (_, _, n1) in enumerate(runs)]
+            tasks = [(span, diffs, lo, hi) for lo, hi in _even_blocks(sweep, workers * 4)]
+            for unions, found in run(_pair_block_worker, tasks,
+                                     lambda task: sum(sweep[task[2]:task[3]])):
                 classified += unions
                 hits.update(found)
     witnesses = [IntSet(w) for w in sorted(hits)]
@@ -559,13 +634,16 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:
         with _task_runner(workers) as run:
-            catalogue = run(_subset_worker, _normal_tasks(r - 1, (MIN_SD_CARD - 2,)))
-            places = tuple(bits_of(form) << t for _, _, forms in catalogue
+            catalogue = run(_subset_worker, _normal_tasks(r - 1, (MIN_SD_CARD - 2,)),
+                            _block_count)
+            places = tuple(bits_of(form) << t for _, forms in catalogue
                            for form in forms for t in range(1, r + 1 - form[-1]))
-            classified = sum(leaves for _, leaves, _ in catalogue)
+            classified = sum(leaves for leaves, _ in catalogue)
             splits = []
+            # placement i is paired with the placements after it
             for count, found in run(_completion_worker,
-                                    [(r, places, i) for i in range(len(places))]):
+                                    [(r, places, i) for i in range(len(places))],
+                                    lambda task: len(places) - task[2]):
                 classified += count
                 splits += found
         least = min(splits, key=lambda split: (len(split[0]), split), default=None)

@@ -142,16 +142,22 @@ def ref_minsize_scan(max_diameter):
     return examined, sorted(hits)
 
 
-def ref_ap_rows(span, diffs):
-    # masks of every progression inside {0..span} with a difference in diffs
-    rows = []
+def ref_ap_runs(span, diffs):
+    # masks of every progression inside {0..span} with a difference in
+    # diffs, one list (run) per (difference, length), starts ascending
+    runs = []
     for d in diffs:
         length = 1
         while (length - 1) * d <= span:
-            for start in range(span - (length - 1) * d + 1):
-                rows.append(ref_bits_of(range(start, start + length * d, d)))
+            runs.append([ref_bits_of(range(start, start + length * d, d))
+                         for start in range(span - (length - 1) * d + 1)])
             length += 1
-    return rows
+    return runs
+
+
+def ref_ap_rows(span, diffs):
+    # the rows of every run, one run after the other
+    return [row for run in ref_ap_runs(span, diffs) for row in run]
 
 
 def ref_pair_scan(span, diff_groups, accept=lambda sc, dc: sc > dc):

@@ -5,7 +5,8 @@ import multiprocessing
 import random
 import subprocess
 import sys
-from itertools import combinations, pairwise
+from collections import Counter
+from itertools import combinations, pairwise, product
 
 import pytest
 
@@ -24,7 +25,7 @@ from mstd import search
 from mstd.core import elements_of
 from tests._oracles import (
     naive_is_sum_dominant,
-    ref_ap_rows,
+    ref_ap_runs,
     ref_bits_of,
     ref_cards,
     ref_completions,
@@ -50,7 +51,7 @@ class TestLargestSubset:
         assert res.witness == IntSet([0, 1, 2, 4, 5, 9, 12, 13, 14])
         # levels 0..6 scanned to completion: sum of C(13, d)
         assert rep.examined == levels_examined(15, 6) == 4096
-        assert rep.classified == 2928  # the rest are cut by the walk's bound
+        assert rep.classified == 321  # the rest are cut by the walk's bounds or mirrored
         assert [list(w.elements) for w in rep.witnesses] == [
             [0, 1, 2, 4, 5, 9, 12, 13, 14],
             [0, 1, 2, 5, 9, 10, 12, 13, 14],
@@ -119,6 +120,62 @@ class TestLargestSubset:
         assert rep.params == {"n": 15, "max_discard": 8}
 
 
+class TestLargestMirrorWalk:
+    """The outside-in walk keeps one set per mirror pair; check it against loops."""
+
+    @staticmethod
+    def outside_in(top):
+        # 1, K-1, 2, K-2, ..., then the centre K/2
+        pairs = [x for i in range(1, (top + 1) // 2) for x in (i, top - i)]
+        return pairs + ([top // 2] if top % 2 == 0 else [])
+
+    def test_symmetric_sets_are_balanced(self):
+        # A = K-A gives A+A = K+(A-A), so the walk may skip every such leaf
+        for top in range(1, 15):
+            pairs = [{i, top - i} for i in range(1, top // 2 + 1)]
+            for choice in product((False, True), repeat=len(pairs)):
+                elems = {0, top}.union(*(pair for take, pair in zip(choice, pairs) if take))
+                sc, dc = ref_cards(ref_bits_of(sorted(elems)))
+                assert sc == dc
+
+    def test_random_levels(self):
+        # one level (K, j): {0, K} and j middles. The bounded walk over the
+        # whole level and over the scan's blocks finds exactly the sets of a
+        # combinations loop, each set A as (A, K-A) with K-A the larger mask
+        rng = random.Random(131)
+        cases = [(14, 7), (15, 8), (16, 8), (16, 9)]  # levels with witnesses
+        while len(cases) < 40:
+            top = rng.randrange(1, 21)
+            kept = rng.randrange(max(0, top - 10), top)
+            if math.comb(top - 1, kept) <= 20000:
+                cases.append((top, kept))
+        hits = 0
+        for top, kept in cases:
+            want = [e for c in combinations(range(1, top), kept)
+                    for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
+            found, leaves = search._sum_dominant((0,), self.outside_in(top), kept, (top,),
+                                                 mirror=True)
+            assert leaves <= math.comb(top - 1, kept)
+            assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
+                       for a, b in zip(found[::2], found[1::2]))
+            assert sorted(map(elements_of, found)) == want
+            blocks = [w for task in search._largest_tasks(top + 1, kept)
+                      for w in search._subset_worker(task)[1]]
+            assert sorted(blocks) == want
+            hits += len(want)
+        assert hits >= 8
+
+    @pytest.mark.parametrize("n", [26, 27, 28, 29])
+    def test_beyond_the_table(self, n):
+        # the fringe prediction: N(n) = n - 7 with two mirror pairs of witnesses
+        res, rep = largest_subset_scan(n)
+        assert res.n_value == n - 7 and len(rep.witnesses) == 4
+        assert res.witness == IntSet(set(range(n)) - {3, 5, 6, n - 7, n - 6, n - 5, n - 3})
+        assert rep.examined == levels_examined(n, 7)
+        assert {w.elements for w in rep.witnesses} == {
+            tuple(n - 1 - x for x in reversed(w.elements)) for w in rep.witnesses}
+
+
 class TestMinSize:
     def test_fourteen(self):
         rep = min_size_scan(14)
@@ -156,6 +213,14 @@ class TestMinSize:
         assert rep.params == {"max_diameter": 6}
 
 
+def canonical_count(span, diffs):
+    # row pairs with one start 0: for runs r1 <= r2, the first row of r1
+    # with every row of r2, and its later rows with the first of r2
+    runs = [len(run) for run in ref_ap_runs(span, diffs)]
+    return sum(runs[r2] + (r2 > r1) * (runs[r1] - 1)
+               for r1 in range(len(runs)) for r2 in range(r1, len(runs)))
+
+
 def ap_count(span, diff):
     # progressions with this difference inside {0..span}, all lengths
     out = 0
@@ -171,8 +236,8 @@ class TestApPairScan:
         rep = ap_pair_scan(12, 2)
         closed = sum(ap_count(12, d) ** 2 for d in (1, 2))
         assert rep.examined == closed == 10682
-        # each unordered pair once: rows * (rows + 1) / 2 per difference
-        assert rep.classified == 91 * 92 // 2 + 49 * 50 // 2 == 5411
+        # one row pair per translation class
+        assert rep.classified == sum(canonical_count(12, (d,)) for d in (1, 2)) == 1427
         assert rep.witnesses == []
 
     def test_small_spans_empty(self):
@@ -199,7 +264,7 @@ class TestTwoApGeneralScan:
         rep = two_ap_general_scan(10, 3)
         rows = sum(ap_count(10, d) for d in (1, 2, 3))
         assert rep.examined == rows * rows == 16384
-        assert rep.classified == rows * (rows + 1) // 2 == 8256
+        assert rep.classified == canonical_count(10, (1, 2, 3)) == 2478
         assert rep.witnesses == []
 
     def test_is_square_of_row_count(self):
@@ -310,9 +375,8 @@ def witness_lists(rep):
 
 
 # classified counts of largest(n) and minsize(bound): the walk's leaves
-LARGEST_CLASSIFIED = {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 4, 10: 17, 11: 70,
-                      12: 241, 13: 722, 14: 1884, 15: 2928, 16: 7456, 17: 11838,
-                      18: 18217}
+LARGEST_CLASSIFIED = {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 2, 10: 7, 11: 16,
+                      12: 51, 13: 108, 14: 286, 15: 321, 16: 716, 17: 853, 18: 989}
 MINSIZE_CLASSIFIED = {1: 1, 2: 3, 3: 7, 4: 15, 5: 28, 6: 56, 7: 109, 8: 218, 9: 427,
                       10: 841, 11: 1610, 12: 3001, 13: 5366, 14: 9248, 15: 15211,
                       16: 24099}
@@ -432,15 +496,14 @@ class TestAgainstReferenceLoops:
         for workers in (1, 2):
             rep = scan(span, max_diff, workers=workers)
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
-        if scan is ap_pair_scan:
-            assert rep.classified == sum(r * (r + 1) // 2 for r in rows)
-        else:
-            assert rep.classified == sum(rows) * (sum(rows) + 1) // 2
+        assert rep.classified == sum(canonical_count(span, diffs) for diffs in groups)
+        assert rep.classified < sum(rows) * (sum(rows) + 1) // 2  # unordered row pairs
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_unordered_pairs_reach_every_union(self, workers, monkeypatch):
         # progression unions are never sum-dominant, so a stand-in verdict
-        # that accepts about a third of them checks the witness path
+        # that accepts about a third of them checks the witness path: each
+        # translation class classified once, every translate re-emitted
         def accept(sc, dc):
             return (sc + dc) % 3 == 0
         monkeypatch.setattr(search, "_dominates", accept)
@@ -506,10 +569,12 @@ class TestAgainstReferenceLoops:
 
 
 class TestPairRecurrence:
-    """The pair worker's (|A+A|, |A-A|) for every unordered pair, against ref_cards.
+    """The pair worker's (|A+A|, |A-A|) for every canonical pair, against ref_cards.
 
-    The worker hands each pair's cards to search._dominates in row order,
-    (i, j) for j >= i; a recorder in its place collects them.
+    A canonical pair has one start 0. The worker hands each pair's cards to
+    search._dominates in its order, run r1 against every run r2 >= r1: the
+    first row of r1 with each row of r2, then, for r2 != r1, each later row
+    of r1 with the first of r2; a recorder in its place collects them.
     """
 
     @staticmethod
@@ -518,15 +583,25 @@ class TestPairRecurrence:
         monkeypatch.setattr(search, "_dominates", lambda sc, dc: seen.append((sc, dc)))
         classified = 0
         for lo, hi in pairwise(cuts):
-            _, unions, _ = search._pair_block_worker((span, diffs, lo, hi))
+            unions, _ = search._pair_block_worker((span, diffs, lo, hi))
             classified += unions
         assert classified == len(seen)
         return seen
 
     @staticmethod
-    def ref_cards_from(rows, lo, hi):
-        return [ref_cards(rows[i] | rows[j])
-                for i in range(lo, hi) for j in range(i, len(rows))]
+    def canonical(runs, lo, hi):
+        # ((run, start), (run, start)) in the worker's order, runs lo..hi first
+        out = []
+        for r1 in range(lo, hi):
+            for r2 in range(r1, len(runs)):
+                out += [((r1, 0), (r2, t)) for t in range(len(runs[r2]))]
+                if r2 != r1:
+                    out += [((r1, t), (r2, 0)) for t in range(1, len(runs[r1]))]
+        return out
+
+    @staticmethod
+    def ref_cards_of(runs, pairs):
+        return [ref_cards(runs[r1][s1] | runs[r2][s2]) for (r1, s1), (r2, s2) in pairs]
 
     @pytest.mark.parametrize("span,diffs", [
         *[(span, diffs) for span in range(1, 13)
@@ -535,25 +610,42 @@ class TestPairRecurrence:
         (20, (1, 2, 3, 4)),
     ])
     def test_every_pair(self, monkeypatch, span, diffs):
-        rows = ref_ap_rows(span, diffs)
-        want = self.ref_cards_from(rows, 0, len(rows))
-        assert self.worker_cards(monkeypatch, span, diffs, [0, len(rows)]) == want
-        # blocks that start and end inside runs give the same sequence
-        cuts = sorted({0, 1, len(rows) // 3, len(rows) // 2 + 1, len(rows)})
+        runs = ref_ap_runs(span, diffs)
+        canon = self.canonical(runs, 0, len(runs))
+        want = self.ref_cards_of(runs, canon)
+        assert self.worker_cards(monkeypatch, span, diffs, [0, len(runs)]) == want
+        # blocks of runs give the same sequence
+        cuts = sorted({0, 1, len(runs) // 3, len(runs) // 2 + 1, len(runs)})
         assert self.worker_cards(monkeypatch, span, diffs, cuts) == want
+        # every unordered row pair, shifted down by its least start, is
+        # exactly one canonical pair
+        count = Counter(canon)
+        rows = [(r, t) for r, run in enumerate(runs) for t in range(len(run))]
+        for i, (r1, s1) in enumerate(rows):
+            for r2, s2 in rows[i:]:
+                low = min(s1, s2)
+                assert runs[r1][s1] | runs[r2][s2] == (
+                    runs[r1][s1 - low] | runs[r2][s2 - low]) << low
+                assert count[(r1, s1 - low), (r2, s2 - low)] == 1
+        assert sum(count.values()) == len(count)
 
     def test_mid_run_row_longer_than_later_rows(self, monkeypatch):
-        # span 9, diffs 1..5: row 14 is {4, 5}, the fifth start of the
-        # length-2 run, so its own run is paired from {4, 5} on (j = i inside
-        # the run) and it is later paired with the 40 singletons of
-        # differences 2 to 5, which are shorter than it
-        span, diffs, i = 9, (1, 2, 3, 4, 5), 14
-        rows = ref_ap_rows(span, diffs)
-        assert elements_of(rows[i]) == (4, 5)
-        assert elements_of(rows[i - 1]) == (3, 4)
-        assert sum(1 for m in rows[i:] if m.bit_count() < 2) == 40
-        assert (self.worker_cards(monkeypatch, span, diffs, [i, i + 1])
-                == self.ref_cards_from(rows, i, i + 1))
+        # span 9, diffs 1..5: run 1 holds the rows {s, s+1}, longer than the
+        # 40 singletons of differences 2 to 5 in later runs. The pairs of
+        # {4, 5} with them are {0, 1} with {v - 4} for v >= 4, and
+        # {4 - v, 5 - v} with {0} below: both sweeps of run 1's block
+        span, diffs, r = 9, (1, 2, 3, 4, 5), 1
+        runs = ref_ap_runs(span, diffs)
+        assert elements_of(runs[r][4]) == (4, 5)
+        later = [(r2, v) for r2 in range(r + 1, len(runs))
+                 for v in range(len(runs[r2])) if runs[r2][v].bit_count() < 2]
+        assert len(later) == 40
+        canon = self.canonical(runs, r, r + 1)
+        for r2, v in later:
+            low = min(4, v)
+            assert ((r, 4 - low), (r2, v - low)) in canon
+        assert (self.worker_cards(monkeypatch, span, diffs, [r, r + 1])
+                == self.ref_cards_of(runs, canon))
 
 
 class TestParameterChecks:
@@ -631,12 +723,41 @@ class TestScanPlumbing:
             scan(2)
             assert len(opened) == 1
 
-    def test_triangle_blocks_cover_rows_in_balance(self):
-        for total, blocks in ((1, 8), (5, 8), (120, 8), (1000, 8), (977, 4)):
-            ranges = search._triangle_blocks(total, blocks)
-            assert [lo for lo, _ in ranges] + [total] == [0] + [hi for _, hi in ranges]
+    def test_even_blocks_cover_runs_in_balance(self):
+        rng = random.Random(7)
+        cases = [([1], 8), ([3] * 5, 8), ([120 - i for i in range(120)], 8),
+                 ([0, 0, 5, 0], 3), ([50, 1, 1, 1], 4)]
+        cases += [([rng.randrange(40) for _ in range(rng.randrange(1, 90))], rng.randrange(1, 12))
+                  for _ in range(200)]
+        for weights, blocks in cases:
+            ranges = search._even_blocks(weights, blocks)
+            assert [lo for lo, _ in ranges] + [len(weights)] == [0] + [hi for _, hi in ranges]
             assert all(lo < hi for lo, hi in ranges) and len(ranges) <= blocks
-            work = [sum(total - i for i in range(lo, hi)) for lo, hi in ranges]
-            if total >= 100:
-                assert len(ranges) == blocks
-                assert max(work) <= 1.1 * sum(work) / blocks
+            # no block exceeds its share by a whole item or more
+            work = [sum(weights[lo:hi]) for lo, hi in ranges]
+            assert max(work) < sum(weights) / blocks + max(weights) or max(work) == 0
+        # the pair scans' run weights at 2 workers: 8 blocks within 10% of a share
+        runs = [len(run) for run in ref_ap_runs(34, (1, 2, 3, 4, 5))]
+        sweep = [sum(runs[r:]) + (n - 1) * (len(runs) - r - 1) for r, n in enumerate(runs)]
+        work = [sum(sweep[lo:hi]) for lo, hi in search._even_blocks(sweep, 8)]
+        assert len(work) == 8 and max(work) <= 1.1 * sum(sweep) / 8
+
+    def test_pool_takes_heaviest_blocks_first(self, monkeypatch):
+        # the pool is handed the blocks by falling weight, one at a time, and
+        # the results come back in task order
+        calls = []
+
+        class Pool:
+            def map(self, fn, tasks, chunksize):
+                calls.append((list(tasks), chunksize))
+                return [fn(t) for t in tasks]
+
+            def terminate(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: type(
+            "Ctx", (), {"Pool": lambda self, processes: Pool()})())
+        with search._task_runner(2) as run:
+            weight = {1: 5, 2: 9, 3: 1, 4: 7}.get
+            assert run(str, [1, 2, 3, 4], weight) == ["1", "2", "3", "4"]
+        assert calls == [([2, 4, 1, 3], 1)]
