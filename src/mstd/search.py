@@ -62,6 +62,14 @@ largest walks one set per mirror class, deciding the middle pairs
   open sums as (undecided elements) + (all elements), which is one
   tighter when a pair is half decided.
 
+Mirror fold of the ascending walk (minsize, the three-part catalogue):
+A = {0} u c u {D} and D-A have the same cardinalities and swap first
+and last gap, so the walk keeps the sets whose first gap f is at most
+the last: the first middle f taken caps the rest of the pool at D-f.
+If f is below the last gap, D-f is the top bit where A and D-A differ,
+so D-A > A and the pair is emitted with A; on a tie both are walked and
+only the one with D-A > A emits it. Symmetric sets are skipped.
+
 Three-part splits of {1..r}, r <= 26: a sum-dominant set has at least
 8 elements (Hegarty 2007), so every part has 8 or more and, as
 3*9 > 26, the smallest has exactly 8. Every sum-dominant 8-subset of
@@ -120,7 +128,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
@@ -141,8 +149,8 @@ class SearchReport:
     candidate count; classified counts the candidates actually classified
     and stays out of as_dict: at most examined, fewer where the walk's
     bounds cut a subtree (largest, minsize), one set per mirror pair is
-    walked (largest) or one union per translation class is classified
-    (pair scans). params echoes the search bounds.
+    walked (largest, minsize) or one union per translation class is
+    classified (pair scans). params echoes the search bounds.
     """
 
     search: str
@@ -243,10 +251,10 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
     every node; its last level is a flat loop, and a node that must take
     the rest of the pool takes it without branching.
 
-    mirror=True walks one set per mirror pair instead: the prefix holds
-    0, the tail K, and the pool runs from the outside in, K-i right
-    after i. The walk then also cuts by the final fringe, keeps only the
-    sets A whose mirror K-A is the larger mask and puts K-A after each.
+    mirror=True walks one set per mirror pair (0 in the prefix, the tail
+    K, all elements closed under x -> K-x); found is unsorted, K-A after
+    each A kept. The prefix (0,) with an ascending pool is folded; else
+    the pool runs outside in, K-i after i, cut by mirror rule and fringe.
     """
     top = max(chain(prefix, pool, tail), default=0)
     size = len(prefix) + k + len(tail)
@@ -265,7 +273,11 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
     # the tail; walking outside in, the elements chosen above x add P>>x
     items = [(x, 1 << x, 1 << (top - x), 1 << 2 * x, top - x, 1 | tp >> x) for x in pool]
     m = len(items)
-    if mirror:
+    # the fold: the first middle x taken caps the pool below ends[j] (at K-x)
+    fold = mirror and len(prefix) == 1 and list(pool) == sorted(pool)
+    outside = mirror and not fold
+    ends = [bisect_right(pool, top - x) if fold else m for x in pool]
+    if outside:
         # open_[j]: the sums not yet final once pool[:j] is decided, those
         # an undecided element makes with any element
         whole = bits_of(tuple(chain(prefix, pool, tail)))
@@ -281,16 +293,16 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
         elif r > p:  # A = K-A is balanced; K-A < A is the mirror of a set kept
             found.extend((p, r))
 
-    def walk(i, k, p, r, s, d):
+    def walk(i, end, k, p, r, s, d):
         nonlocal leaves
         if k == 1:
-            leaves += m - i
-            for x, bx, rx, b2x, kx, cx in items[i:]:
-                if mirror:
+            leaves += end - i
+            for x, bx, rx, b2x, kx, cx in items[i:end]:
+                if outside:
                     cx |= p >> x
                 if (s | p << x | b2x).bit_count() > 2 * (d | r >> kx | cx).bit_count() - 1:
                     emit(p | bx, r | rx)
-        elif k == 0 or i + k == m:  # no choice left
+        elif k == 0 or i + k == end:  # no choice left
             p, r, s, d = grow(p, r, s, d, pool[i:i + k])
             leaves += 1
             if s.bit_count() > 2 * d.bit_count() - 1:
@@ -298,9 +310,12 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
         else:
             k -= 1
             gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
-            for j in range(i, m - k):
+            for j in range(i, end - k):
                 x, bx, rx, b2x, kx, cx = items[j]
-                if mirror:
+                e = end if i else ends[j]  # below the root, the cap is set
+                if j + k >= e:  # the capped pool is too short, and only shrinks
+                    break
+                if outside:
                     cx |= p >> x
                 sj = s | p << x | b2x
                 dj = d | r >> kx | cx
@@ -308,11 +323,11 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
                 if sj.bit_count() + gain > 2 * dj.bit_count() - 1 < cap:
                     pj, rj = p | bx, r | rx
                     # outside in, also the mirror rule and the final fringe
-                    if not mirror or rj >= pj and (
+                    if not outside or rj >= pj and (
                             (sj | open_[j + 1]).bit_count() > 2 * dj.bit_count() - 1):
-                        walk(j + 1, k, pj, rj, sj, dj)
+                        walk(j + 1, e, k, pj, rj, sj, dj)
 
-    walk(0, k, *grow(0, 0, 0, 0, chain(prefix, tail)))
+    walk(0, m, k, *grow(0, 0, 0, 0, chain(prefix, tail)))
     return found, leaves
 
 
@@ -330,7 +345,7 @@ def _block_count(task):
 def _normal_tasks(max_diameter, mids):
     # blocks of the normalized sets {0} u c u {D}, D <= max_diameter and
     # c a j-subset of 1..D-1, one block per (D, j) with j in mids
-    return [((0,), range(1, diameter), j, (diameter,))
+    return [((0,), range(1, diameter), j, (diameter,), True)
             for diameter in range(1, max_diameter + 1) for j in mids if j < diameter]
 
 
@@ -621,8 +636,8 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     counts the first parts {1, ...} of every size a up to that of the
     witness, or up to r - 16 if there is none: the sum of C(r-1, a-1)
     (245157 at r = 24). `classified` counts the candidates the search
-    did classify: catalogue walk leaves, second parts walked and
-    complements. Both are 0 on the other paths.
+    did classify: catalogue walk leaves (one set per mirror pair),
+    second parts walked and complements. Both are 0 on the other paths.
     """
     _require(r, 1, f"r={r}")
     _require(workers, 1, f"workers={workers}")

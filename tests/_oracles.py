@@ -9,6 +9,7 @@ shift-OR reference.
 """
 
 import math
+from functools import cache
 from itertools import combinations
 
 
@@ -120,6 +121,7 @@ def ref_largest_scan(n, max_discard=8):
     return examined, hits
 
 
+@cache  # each scan bound re-walks the blocks of the smaller ones
 def ref_minsize_worker(diameter, j):
     found = []
     count = 0
@@ -128,7 +130,7 @@ def ref_minsize_worker(diameter, j):
         count += 1
         if ref_is_sum_dominant(elems):
             found.append(elems)
-    return count, found
+    return count, tuple(found)
 
 
 def ref_minsize_scan(max_diameter):

@@ -24,6 +24,7 @@ from mstd import (
 from mstd import search
 from mstd.core import elements_of
 from tests._oracles import (
+    SD8_FORMS,
     naive_is_sum_dominant,
     ref_ap_runs,
     ref_bits_of,
@@ -179,7 +180,7 @@ class TestLargestMirrorWalk:
 class TestMinSize:
     def test_fourteen(self):
         rep = min_size_scan(14)
-        assert rep.examined == 9907 and rep.classified == 9248
+        assert rep.examined == 9907 and rep.classified == 5667  # 9248 unfolded
         assert [list(w.elements) for w in rep.witnesses] == [
             [0, 2, 3, 4, 7, 11, 12, 14],
             [0, 2, 3, 7, 10, 11, 12, 14],
@@ -310,15 +311,16 @@ class TestPartition3Feasible:
         assert "exhaustive" in out.reason
         # the first parts {1, ...} of the one size the old walk scanned, 8
         assert out.examined == math.comb(23, 7) == 245157
-        # the catalogue leaves and the complements of disjoint placement pairs
-        assert out.classified == 146931
+        # the catalogue leaves (one set per mirror pair; 146931 before the
+        # fold) and the complements of disjoint placement pairs
+        assert out.classified == 81615 < 146931
 
     def test_exhaustive_largest_gap_value(self):
         out = partition3_feasible(26, exhaustive_small=True)
         assert out.status == "infeasible" and out.witness is None
         # first parts of sizes 8, 9 and 10
         assert out.examined == sum(math.comb(25, a - 1) for a in (8, 9, 10)) == 3605250
-        assert out.classified == 664045
+        assert out.classified == 555170 < 664045  # the old count: unfolded catalogue
 
     def test_exhaustive_flag_ignored_above_bound(self):
         out = partition3_feasible(40, exhaustive_small=True)
@@ -377,9 +379,10 @@ def witness_lists(rep):
 # classified counts of largest(n) and minsize(bound): the walk's leaves
 LARGEST_CLASSIFIED = {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 2, 10: 7, 11: 16,
                       12: 51, 13: 108, 14: 286, 15: 321, 16: 716, 17: 853, 18: 989}
-MINSIZE_CLASSIFIED = {1: 1, 2: 3, 3: 7, 4: 15, 5: 28, 6: 56, 7: 109, 8: 218, 9: 427,
-                      10: 841, 11: 1610, 12: 3001, 13: 5366, 14: 9248, 15: 15211,
-                      16: 24099}
+MINSIZE_CLASSIFIED = {1: 1, 2: 3, 3: 7, 4: 14, 5: 24, 6: 44, 7: 79, 8: 149, 9: 278,
+                      10: 534, 11: 1008, 12: 1864, 13: 3309, 14: 5667, 15: 9252,
+                      16: 14493, 17: 21735, 18: 31459, 19: 43946, 20: 59952,
+                      21: 78993, 22: 102896}
 
 
 class TestSumDominantWalk:
@@ -464,6 +467,52 @@ class TestSumDominantWalk:
             assert leaves < math.comb(len(pool), k)
 
 
+class TestMirrorFold:
+    """The folded ascending walk of the normalized blocks against loops."""
+
+    def test_every_block(self):
+        # every (D, j), D <= 16 (j <= 6 is the minsize slice, the larger j
+        # bring witnesses of 9 to 12 elements): each set A of the loop
+        # comes as (A, D-A) with D-A the larger mask, and only sets whose
+        # middles lie in [f, D-f] (f the first middle) are classified
+        ties = gaps = 0
+        for top in range(1, 17):
+            for j in range(top):
+                want = [e for c in combinations(range(1, top), j)
+                        for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
+                task = search._normal_tasks(top, (j,))[-1]
+                assert task == ((0,), range(1, top), j, (top,), True)
+                found, leaves = search._sum_dominant(*task)
+                assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
+                           for a, b in zip(found[::2], found[1::2]))
+                assert sorted(map(elements_of, found)) == want
+                if j >= 2:
+                    assert leaves <= sum(c[-1] <= top - c[0]
+                                         for c in combinations(range(1, top), j))
+                else:  # {0, D} is symmetric; one middle is taken at the last level
+                    assert leaves == math.comb(top - 1, j)
+                for a in map(elements_of, found[::2]):
+                    ties += a[1] == top - a[-2]
+                    gaps += a[1] < top - a[-2]
+        assert ties >= 2 and gaps >= 2  # both ways a pair is kept occur
+
+    def test_tie_block(self):
+        # the diameter-14 forms have first gap = last gap = 2: the last
+        # middle is D-f = 12, and the walk emits the pair once
+        found, _ = search._sum_dominant((0,), range(1, 14), 6, (14,), True)
+        assert list(map(elements_of, found)) == [
+            (0, 2, 3, 4, 7, 11, 12, 14), (0, 2, 3, 7, 10, 11, 12, 14)]
+
+    @pytest.mark.parametrize("r", [24, 25, 26])
+    def test_catalogue_forms(self, r):
+        # the partition search's catalogue against the unfolded 8-element slice
+        tasks = search._normal_tasks(r - 1, (6,))
+        folded = [w for task in tasks for w in search._subset_worker(task)[1]]
+        unfolded = [elements_of(w) for task in tasks
+                    for w in search._sum_dominant(*task[:4])[0]]
+        assert sorted(folded) == unfolded == list(SD8_FORMS)
+
+
 class TestAgainstReferenceLoops:
     """Every engine against its old combinations loop, at 1 and 2 workers."""
 
@@ -475,13 +524,18 @@ class TestAgainstReferenceLoops:
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
             assert rep.classified == LARGEST_CLASSIFIED[n] <= examined
 
-    @pytest.mark.parametrize("bound", range(1, 17))
+    @pytest.mark.parametrize("bound", range(1, 23))
     def test_minsize(self, bound):
         examined, hits = ref_minsize_scan(bound)
-        for workers in (1, 2):
+        for workers in (1, 2, 8):
             rep = min_size_scan(bound, workers=workers)
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
             assert rep.classified == MINSIZE_CLASSIFIED[bound] <= examined
+        # the fold walks one set per mirror pair: fewer leaves than the
+        # unfolded walk once a block has two middles to fold (D >= 4)
+        unfolded = sum(search._sum_dominant(*task[:4])[1]
+                       for task in search._normal_tasks(bound, range(7)))
+        assert rep.classified < unfolded if bound >= 4 else rep.classified == unfolded
 
     @pytest.mark.parametrize("scan,groups,span,max_diff", [
         (ap_pair_scan, [(1,)], 6, 1),
@@ -518,12 +572,12 @@ class TestAgainstReferenceLoops:
         # the old walk over every first part {1, ...} is the oracle
         out = partition3_feasible(24, exhaustive_small=True, workers=workers)
         assert (out.examined, out.witness) == ref_partition3_search(24) == (245157, None)
-        assert out.classified == 146931
+        assert out.classified == 81615 <= out.examined
 
     def test_partition3_25(self):
         out = partition3_feasible(25, exhaustive_small=True)
         assert (out.examined, out.witness) == ref_partition3_search(25) == (1081575, None)
-        assert out.classified == 188868
+        assert out.classified == 103457 < 188868  # the old count: unfolded catalogue
 
     @pytest.mark.parametrize("r", [24, 25])
     def test_partition3_witness_path(self, r, monkeypatch):
