@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IntSet, elements_of
-from .errors import ConstraintViolationError, InvalidParameterError
+from .core import UNIVERSE_CAP, IntSet, elements_of
+from .errors import ConstraintViolationError, InvalidParameterError, UniverseOverflowError
 from .lemmas import ArithProg, is_arithmetic_progression
 
 # fixed anchor blocks of the three-part split
@@ -53,6 +53,13 @@ CENTER_SET = IntSet((66, 68, 69, 70, 73, 77, 78, 80))
 MIN_WINDOW_M = 21
 
 
+def _within_cap(top: int, what: str) -> None:
+    # from the parameter, before a list of up to `top` elements is built
+    if top >= UNIVERSE_CAP:
+        raise UniverseOverflowError(
+            f"{what} reaches {top}, at or beyond the cap {UNIVERSE_CAP}")
+
+
 def ap(start: int, diff: int, length: int) -> IntSet:
     """Expand the arithmetic progression start, start+diff, ... (length terms)."""
     return ArithProg(start, diff, length).expand()
@@ -65,6 +72,7 @@ def k_set(m: int) -> IntSet:
     """
     if m < 9:
         raise InvalidParameterError(f"k_set needs m >= 9, got {m}")
+    _within_cap(m + 7, "k_set")
     elems = [0, 1, 2, 4]
     elems.extend(range(7, m + 1))
     elems.extend((m + 4, m + 6, m + 7))
@@ -78,6 +86,7 @@ def nathanson_set(k: int) -> IntSet:
     """
     if k < 5:
         raise InvalidParameterError(f"nathanson_set needs k >= 5, got {k}")
+    _within_cap(4 * k + 2, "nathanson_set")
     elems = [0, 2, 4]
     elems.extend(range(3, 4 * k, 4))
     elems.extend((4 * k, 4 * k + 2))
@@ -135,6 +144,7 @@ def middle_window(m: int) -> IntSet:
     """The free middle positions {66..59+m} minus the fixed center set."""
     if m < MIN_WINDOW_M:
         raise InvalidParameterError(f"window needs m >= {MIN_WINDOW_M}, got {m}")
+    _within_cap(124 + m, "the three-part split")
     return IntSet(range(66, 60 + m)) - CENTER_SET
 
 
@@ -266,6 +276,7 @@ def default_blocks(m: int) -> Partition3Spec:
     """
     if m < MIN_WINDOW_M:
         raise InvalidParameterError(f"default_blocks needs m >= 21, got {m}")
+    window = middle_window(m)
     center = CENTER_SET.bits
     hi = 59 + m
 
@@ -281,7 +292,7 @@ def default_blocks(m: int) -> Partition3Spec:
         t += 1
 
     m1 = IntSet([x for p in starts for x in (p, p + 1)])
-    spec = Partition3Spec(m, m1, middle_window(m) - m1)
+    spec = Partition3Spec(m, m1, window - m1)
     violations = validate_partition_spec(spec)
     if violations:
         raise ConstraintViolationError(violations)

@@ -142,9 +142,16 @@ def bits_of(elements: Iterable[int]) -> int:
     return int(digits, 2)
 
 
+def _require_mask(bits: int) -> int:
+    # a negative int has no finite set of bits
+    if bits < 0:
+        raise InvalidParameterError("bitmask is negative")
+    return bits
+
+
 def elements_of(bits: int) -> tuple[int, ...]:
     """Unpack a bitmask into a sorted tuple of elements."""
-    n = bits.bit_length()
+    n = _require_mask(bits).bit_length()
     if bits.bit_count() * _SPARSE_RATIO < n:
         raw = bits.to_bytes((n + 7) // 8, "little")
         nonzero = raw.translate(_ANY_BIT)
@@ -161,7 +168,7 @@ def elements_of(bits: int) -> tuple[int, ...]:
 
 def _product_pays(bits: int, weight: int) -> bool:
     card = bits.bit_count()
-    return card >= weight * len(str(card)) * bits.bit_length().bit_length()
+    return 0 < card >= weight * len(str(card)) * bits.bit_length().bit_length()
 
 
 def _kronecker(bits: int, reflect: bool) -> int:
@@ -205,8 +212,8 @@ def _kronecker(bits: int, reflect: bool) -> int:
 
 
 def sumset_bits(bits: int) -> int:
-    """Bitmask of A+A from the bitmask of A."""
-    if _product_pays(bits, _SUM_WEIGHT):
+    """Bitmask of A+A from the bitmask of A (0 for the empty set)."""
+    if _product_pays(_require_mask(bits), _SUM_WEIGHT):
         return _kronecker(bits, reflect=False)
     s = 0
     for e in elements_of(bits):
@@ -215,8 +222,8 @@ def sumset_bits(bits: int) -> int:
 
 
 def diff_bits(bits: int) -> int:
-    """Bitmask of the nonnegative difference magnitudes of A."""
-    if _product_pays(bits, _DIFF_WEIGHT):
+    """Bitmask of the difference magnitudes of A (0 for the empty set)."""
+    if _product_pays(_require_mask(bits), _DIFF_WEIGHT):
         return _kronecker(bits, reflect=True)
     d = 0
     for e in elements_of(bits):
@@ -239,7 +246,12 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
     -------
     (int, int)
         |A+A| and the signed-difference cardinality 2*popcount(D) - 1.
+        The empty mask raises EmptySetError, a negative one
+        InvalidParameterError.
     """
+    if bits <= 0:
+        _require_mask(bits)
+        raise EmptySetError("empty set has no sum or difference set")
     if elements is None:
         elements = elements_of(bits)
     if len(elements) >= _SMALL_CARD:
@@ -285,9 +297,7 @@ class IntSet:
     @classmethod
     def from_bits(cls, bits: int) -> "IntSet":
         """Rebuild an IntSet from a dense bitmask."""
-        if bits < 0:
-            raise InvalidParameterError("bitmask is negative")
-        if bits.bit_length() > UNIVERSE_CAP:
+        if _require_mask(bits).bit_length() > UNIVERSE_CAP:
             raise UniverseOverflowError("bitmask extends beyond the universe cap")
         self = object.__new__(cls)
         self._elements = elements_of(bits)

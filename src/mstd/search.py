@@ -30,15 +30,15 @@ partition3_feasible: can {1..r} split into three sum-dominant parts;
 
 Combination scans (largest, minsize, both parts of the partition
 search) share one depth-first walk that takes the pool in a decision
-order: ascending, in lexicographic order, for minsize and the partition
-search, and outside in for largest. The fixed elements (prefix and
-tail) enter the root, so a node holds, for its elements, the mask P,
-P reflected about the top element K as R, the sum mask S and the
-magnitude mask D. Adding x costs O(1) big-integer operations in any
-order: P |= 1<<x; R |= 1<<(K-x); S |= P<<x; D |= R>>(K-x) | P>>x, since
-R>>(K-x) holds x-a for every a below x and P>>x holds t-x for every t
-above it (in ascending order, only the tail, so that term is
-precomputed). A leaf is sum-dominant iff popcount(S) > 2*popcount(D) - 1.
+order: outside in for the normalized sets {0} u c u {K} (largest,
+minsize, the three-part catalogue), ascending only for the second parts
+of the partition search. The fixed elements (prefix and tail) enter the
+root, so a node holds, for its elements, the mask P, P reflected about
+the top element K as R, the sum mask S and the magnitude mask D. Adding
+x costs O(1) big-integer operations in any order: P |= 1<<x;
+R |= 1<<(K-x); S |= P<<x; D |= R>>(K-x) | P>>x, since R>>(K-x) holds
+x-a for every a up to x and P>>x holds t-x for every t from x on. A leaf
+is sum-dominant iff popcount(S) > 2*popcount(D) - 1.
 
 The walk enters a node below the root, with k elements still to choose
 and m present, only if min(|S| + k*m + k(k+1)/2, 2K+1) > 2|D| - 1. The
@@ -46,8 +46,9 @@ bound is exact: the i-th element added makes at most m+i new sums (x+a
 for the m+i-1 elements a present, and 2x), S stays inside [0, 2K], and
 D only grows, so a node that fails it has no sum-dominant leaf below it.
 
-largest walks one set per mirror class, deciding the middle pairs
-(i, K-i), i = 1, 2, ..., from the outside in, then the centre K/2.
+A normalized level {0} u c u {K}, |c| = j, is one mirror walk, which
+keeps one set per mirror class by deciding the middle pairs (i, K-i),
+i = 1, 2, ..., from the outside in, then the centre K/2.
 - Mirror class: A -> K-A is affine, so it keeps |A+A| and |A-A|, and
   K-A is emitted with A. At the outermost pair that A holds one side
   of, K-i is the top bit where the masks of A and K-A differ, so the
@@ -61,14 +62,6 @@ largest walks one set per mirror class, deciding the middle pairs
   |S n ([0, f] u [2K-f, 2K])| + 2K-2f-1 > 2|D| - 1. The walk takes the
   open sums as (undecided elements) + (all elements), which is one
   tighter when a pair is half decided.
-
-Mirror fold of the ascending walk (minsize, the three-part catalogue):
-A = {0} u c u {D} and D-A have the same cardinalities and swap first
-and last gap, so the walk keeps the sets whose first gap f is at most
-the last: the first middle f taken caps the rest of the pool at D-f.
-If f is below the last gap, D-f is the top bit where A and D-A differ,
-so D-A > A and the pair is emitted with A; on a tie both are walked and
-only the one with D-A > A emits it. Symmetric sets are skipped.
 
 Three-part splits of {1..r}, r <= 26: a sum-dominant set has at least
 8 elements (Hegarty 2007), so every part has 8 or more and, as
@@ -116,9 +109,10 @@ keeping the nonnegative differences; A = A0 << t against B0 swaps the
 roles of A and B, and of X and Y. Only witnesses are unpacked.
 
 Parallelism: each engine splits its candidate space into contiguous
-blocks (pair blocks are run ranges of about equal sweep length) and
-farms them to one process pool per scan, heaviest block first by its
-closed-form count. Blocks return (counts, witness list); merging sums
+blocks (one per normalized level (K, j), pair blocks are run ranges of
+about equal sweep length) and farms them to one process pool per scan,
+heaviest block first by its closed-form count; largest, one block per
+level, runs in process. Blocks return (counts, witness list); merging sums
 the counts and sorts the witness union, both order-free, so reports
 are byte-identical for any worker count. Workers receive plain tuples
 and rebuild their local state, so no shared mutable anything.
@@ -128,7 +122,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
@@ -252,11 +246,13 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
     the rest of the pool takes it without branching.
 
     mirror=True walks one set per mirror pair (0 in the prefix, the tail
-    K, all elements closed under x -> K-x); found is unsorted, K-A after
-    each A kept. The prefix (0,) with an ascending pool is folded; else
-    the pool runs outside in, K-i after i, cut by mirror rule and fringe.
+    K, all elements closed under x -> K-x) in its own decision order,
+    outside in (1, K-1, 2, K-2, ..., the centre), cut by the mirror rule
+    and the final fringe; found is unsorted, K-A after each A kept.
     """
     top = max(chain(prefix, pool, tail), default=0)
+    if mirror:
+        pool = sorted(pool, key=lambda x: (min(x, top - x), x))
     size = len(prefix) + k + len(tail)
     cap = 2 * top + 1  # S lies in [0, 2K]
 
@@ -268,16 +264,9 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
             d |= r >> (top - x) | p >> x
         return p, r, s, d
 
-    tp = bits_of(tail)
-    # x, {x}, {K-x}, {2x}, K-x, and the differences x makes with itself and
-    # the tail; walking outside in, the elements chosen above x add P>>x
-    items = [(x, 1 << x, 1 << (top - x), 1 << 2 * x, top - x, 1 | tp >> x) for x in pool]
+    items = [(x, 1 << x, 1 << (top - x), top - x) for x in pool]  # x, {x}, {K-x}, K-x
     m = len(items)
-    # the fold: the first middle x taken caps the pool below ends[j] (at K-x)
-    fold = mirror and len(prefix) == 1 and list(pool) == sorted(pool)
-    outside = mirror and not fold
-    ends = [bisect_right(pool, top - x) if fold else m for x in pool]
-    if outside:
+    if mirror:
         # open_[j]: the sums not yet final once pool[:j] is decided, those
         # an undecided element makes with any element
         whole = bits_of(tuple(chain(prefix, pool, tail)))
@@ -293,16 +282,15 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
         elif r > p:  # A = K-A is balanced; K-A < A is the mirror of a set kept
             found.extend((p, r))
 
-    def walk(i, end, k, p, r, s, d):
+    def walk(i, k, p, r, s, d):
         nonlocal leaves
         if k == 1:
-            leaves += end - i
-            for x, bx, rx, b2x, kx, cx in items[i:end]:
-                if outside:
-                    cx |= p >> x
-                if (s | p << x | b2x).bit_count() > 2 * (d | r >> kx | cx).bit_count() - 1:
-                    emit(p | bx, r | rx)
-        elif k == 0 or i + k == end:  # no choice left
+            leaves += m - i
+            for x, bx, rx, kx in items[i:]:
+                pj, rj = p | bx, r | rx
+                if (s | pj << x).bit_count() > 2 * (d | rj >> kx | pj >> x).bit_count() - 1:
+                    emit(pj, rj)
+        elif k == 0 or i + k == m:  # no choice left
             p, r, s, d = grow(p, r, s, d, pool[i:i + k])
             leaves += 1
             if s.bit_count() > 2 * d.bit_count() - 1:
@@ -310,24 +298,19 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
         else:
             k -= 1
             gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
-            for j in range(i, end - k):
-                x, bx, rx, b2x, kx, cx = items[j]
-                e = end if i else ends[j]  # below the root, the cap is set
-                if j + k >= e:  # the capped pool is too short, and only shrinks
-                    break
-                if outside:
-                    cx |= p >> x
-                sj = s | p << x | b2x
-                dj = d | r >> kx | cx
+            for j in range(i, m - k):
+                x, bx, rx, kx = items[j]
+                pj, rj = p | bx, r | rx
+                sj = s | pj << x
+                dj = d | rj >> kx | pj >> x
                 # the bound: min(|S| + gain, 2K+1) > 2|D| - 1
                 if sj.bit_count() + gain > 2 * dj.bit_count() - 1 < cap:
-                    pj, rj = p | bx, r | rx
-                    # outside in, also the mirror rule and the final fringe
-                    if not outside or rj >= pj and (
+                    # in a mirror walk, also the mirror rule and the final fringe
+                    if not mirror or rj >= pj and (
                             (sj | open_[j + 1]).bit_count() > 2 * dj.bit_count() - 1):
-                        walk(j + 1, e, k, pj, rj, sj, dj)
+                        walk(j + 1, k, pj, rj, sj, dj)
 
-    walk(0, m, k, *grow(0, 0, 0, 0, chain(prefix, tail)))
+    walk(0, k, *grow(0, 0, 0, 0, chain(prefix, tail)))
     return found, leaves
 
 
@@ -342,24 +325,11 @@ def _block_count(task):
     return math.comb(len(task[1]), task[2])
 
 
-def _normal_tasks(max_diameter, mids):
-    # blocks of the normalized sets {0} u c u {D}, D <= max_diameter and
-    # c a j-subset of 1..D-1, one block per (D, j) with j in mids
+def _normal_tasks(diameters, mids):
+    # blocks of the normalized sets {0} u c u {D}, D in diameters and c a
+    # j-subset of 1..D-1, one mirror block per (D, j) with j in mids
     return [((0,), range(1, diameter), j, (diameter,), True)
-            for diameter in range(1, max_diameter + 1) for j in mids if j < diameter]
-
-
-def _largest_tasks(n, kept):
-    # blocks of one discard level: {0, K} and `kept` middles, K = n-1, the
-    # pool outside in (1, K-1, 2, K-2, ..., the centre). One block per
-    # first middle taken, always a lo i or the centre: a set whose
-    # outermost middle pair holds K-i alone is the mirror of one walked
-    top = n - 1
-    order = list(dict.fromkeys(x for i in range(1, top // 2 + 1) for x in (i, top - i)))
-    if not kept:
-        return [((0,), (), 0, (top,), True)]
-    return [((0, order[j]), order[j + 1:], kept - 1, (top,), True)
-            for j in range(0, len(order) - kept + 1, 2)]
+            for diameter in diameters for j in mids if j < diameter]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +363,7 @@ def largest_subset_scan(n: int, max_discard: int = 8,
         for d in range(limit + 1):
             kept = (n - 2) - d
             examined += math.comb(n - 2, kept)
-            tasks = _largest_tasks(n, kept)
+            tasks = _normal_tasks((n - 1,), (kept,))
             level = []
             for leaves, found in run(_subset_worker, tasks, _block_count):
                 classified += leaves
@@ -445,7 +415,7 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     _require(max_diameter, 1, "max_diameter")
     _require(workers, 1, f"workers={workers}")
     t0 = time.perf_counter()
-    tasks = _normal_tasks(max_diameter, range(MIN_SD_CARD - 1))
+    tasks = _normal_tasks(range(1, max_diameter + 1), range(MIN_SD_CARD - 1))
     examined, classified = sum(map(_block_count, tasks)), 0
     hits = []
     with _task_runner(workers) as run:
@@ -649,7 +619,7 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:
         with _task_runner(workers) as run:
-            catalogue = run(_subset_worker, _normal_tasks(r - 1, (MIN_SD_CARD - 2,)),
+            catalogue = run(_subset_worker, _normal_tasks(range(1, r), (MIN_SD_CARD - 2,)),
                             _block_count)
             places = tuple(bits_of(form) << t for _, forms in catalogue
                            for form in forms for t in range(1, r + 1 - form[-1]))

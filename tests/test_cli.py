@@ -4,12 +4,15 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from mstd import IntSet, SearchReport
-from mstd import cli
+from mstd import (IntSet, SearchReport, UNIVERSE_CAP, UniverseOverflowError, k_set,
+                  nathanson_set, partition3_feasible)
+from mstd import cli, constructions
+from mstd.constructions import default_blocks, middle_window
 
 
 def run_cli(argv):
@@ -202,6 +205,40 @@ class TestConstruct:
         assert run_cli(["construct", "partition3", "21",
                         "--m1", "{71,72}", "--m2", "{71,74,75,76,79}"]) == 65
         assert "error:" in capsys.readouterr().err
+
+    # the least parameters past the cap: a check that came after the list
+    # would spend seconds and ~1.5 GB on 2**24 elements
+    @pytest.mark.parametrize("argv", [
+        ["construct", "kset", str(UNIVERSE_CAP - 7)],
+        ["construct", "nathanson", str(UNIVERSE_CAP // 4)],
+        ["construct", "partition3", str(UNIVERSE_CAP - 124)],
+        ["construct", "partition3", str(UNIVERSE_CAP - 124), "--m1", "{71,72}", "--m2", "{67}"],
+        ["search", "partition3", str(UNIVERSE_CAP)],
+    ])
+    def test_beyond_the_cap_is_a_fast_data_error(self, argv, capsys):
+        # the top element is checked from the parameter, before any list
+        t0 = time.perf_counter()
+        assert run_cli(argv) == 65
+        assert time.perf_counter() - t0 < 0.1
+        assert "at or beyond the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build", [
+        lambda: k_set(UNIVERSE_CAP - 7),
+        lambda: nathanson_set(UNIVERSE_CAP // 4),
+        lambda: middle_window(UNIVERSE_CAP - 124),
+        lambda: default_blocks(UNIVERSE_CAP - 124),
+        lambda: partition3_feasible(UNIVERSE_CAP),
+    ])
+    def test_library_checks_the_cap_first(self, build):
+        t0 = time.perf_counter()
+        with pytest.raises(UniverseOverflowError):
+            build()
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_cap_check_admits_the_top_position(self):
+        constructions._within_cap(UNIVERSE_CAP - 1, "top")
+        with pytest.raises(UniverseOverflowError, match="top reaches 16777216"):
+            constructions._within_cap(UNIVERSE_CAP, "top")
 
 
 class TestSearchLargest:

@@ -152,6 +152,20 @@ class TestArithmetic:
         with pytest.raises(EmptySetError):
             classify(IntSet())
 
+    def test_empty_and_negative_masks(self):
+        # the empty mask has empty sum and magnitude masks but no cardinality
+        # pair (|A-A| would read -1); a negative int is no mask at all
+        assert sumset_bits(0) == diff_bits(0) == 0 and elements_of(0) == ()
+        with pytest.raises(EmptySetError):
+            sum_diff_cards(0)
+        with pytest.raises(EmptySetError):
+            sum_diff_cards(0, ())
+        for bits in (-1, -5, 1 - (1 << 40000)):  # the last one past both crossovers
+            for kernel in (elements_of, sumset_bits, diff_bits, sum_diff_cards,
+                           IntSet.from_bits):
+                with pytest.raises(InvalidParameterError, match="negative"):
+                    kernel(bits)
+
     def test_classify_sum_dominant(self):
         c = classify(IntSet([0, 2, 3, 4, 7, 11, 12, 14]))
         assert c == Classification(Kind.SUM_DOMINANT, 26, 25)

@@ -124,12 +124,6 @@ class TestLargestSubset:
 class TestLargestMirrorWalk:
     """The outside-in walk keeps one set per mirror pair; check it against loops."""
 
-    @staticmethod
-    def outside_in(top):
-        # 1, K-1, 2, K-2, ..., then the centre K/2
-        pairs = [x for i in range(1, (top + 1) // 2) for x in (i, top - i)]
-        return pairs + ([top // 2] if top % 2 == 0 else [])
-
     def test_symmetric_sets_are_balanced(self):
         # A = K-A gives A+A = K+(A-A), so the walk may skip every such leaf
         for top in range(1, 15):
@@ -140,9 +134,10 @@ class TestLargestMirrorWalk:
                 assert sc == dc
 
     def test_random_levels(self):
-        # one level (K, j): {0, K} and j middles. The bounded walk over the
-        # whole level and over the scan's blocks finds exactly the sets of a
-        # combinations loop, each set A as (A, K-A) with K-A the larger mask
+        # one level (K, j): {0, K} and j middles. The mirror walk, handed the
+        # middles in any order, and the scan's block of the level find exactly
+        # the sets of a combinations loop, each set A as (A, K-A) with K-A the
+        # larger mask
         rng = random.Random(131)
         cases = [(14, 7), (15, 8), (16, 8), (16, 9)]  # levels with witnesses
         while len(cases) < 40:
@@ -154,15 +149,14 @@ class TestLargestMirrorWalk:
         for top, kept in cases:
             want = [e for c in combinations(range(1, top), kept)
                     for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
-            found, leaves = search._sum_dominant((0,), self.outside_in(top), kept, (top,),
-                                                 mirror=True)
+            middles = rng.sample(range(1, top), top - 1)
+            found, leaves = search._sum_dominant((0,), middles, kept, (top,), mirror=True)
             assert leaves <= math.comb(top - 1, kept)
             assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
                        for a, b in zip(found[::2], found[1::2]))
             assert sorted(map(elements_of, found)) == want
-            blocks = [w for task in search._largest_tasks(top + 1, kept)
-                      for w in search._subset_worker(task)[1]]
-            assert sorted(blocks) == want
+            [task] = search._normal_tasks((top,), (kept,))
+            assert search._subset_worker(task) == (leaves, list(map(elements_of, found)))
             hits += len(want)
         assert hits >= 8
 
@@ -180,7 +174,7 @@ class TestLargestMirrorWalk:
 class TestMinSize:
     def test_fourteen(self):
         rep = min_size_scan(14)
-        assert rep.examined == 9907 and rep.classified == 5667  # 9248 unfolded
+        assert rep.examined == 9907 and rep.classified == 3366  # 9248 without mirror
         assert [list(w.elements) for w in rep.witnesses] == [
             [0, 2, 3, 4, 7, 11, 12, 14],
             [0, 2, 3, 7, 10, 11, 12, 14],
@@ -311,16 +305,16 @@ class TestPartition3Feasible:
         assert "exhaustive" in out.reason
         # the first parts {1, ...} of the one size the old walk scanned, 8
         assert out.examined == math.comb(23, 7) == 245157
-        # the catalogue leaves (one set per mirror pair; 146931 before the
-        # fold) and the complements of disjoint placement pairs
-        assert out.classified == 81615 < 146931
+        # the catalogue leaves (one set per mirror pair; 146931 without the
+        # mirror walk) and the complements of disjoint placement pairs
+        assert out.classified == 62566 < 146931
 
     def test_exhaustive_largest_gap_value(self):
         out = partition3_feasible(26, exhaustive_small=True)
         assert out.status == "infeasible" and out.witness is None
         # first parts of sizes 8, 9 and 10
         assert out.examined == sum(math.comb(25, a - 1) for a in (8, 9, 10)) == 3605250
-        assert out.classified == 555170 < 664045  # the old count: unfolded catalogue
+        assert out.classified == 531885 < 664045  # 664045: the catalogue without mirror
 
     def test_exhaustive_flag_ignored_above_bound(self):
         out = partition3_feasible(40, exhaustive_small=True)
@@ -379,10 +373,10 @@ def witness_lists(rep):
 # classified counts of largest(n) and minsize(bound): the walk's leaves
 LARGEST_CLASSIFIED = {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 2, 10: 7, 11: 16,
                       12: 51, 13: 108, 14: 286, 15: 321, 16: 716, 17: 853, 18: 989}
-MINSIZE_CLASSIFIED = {1: 1, 2: 3, 3: 7, 4: 14, 5: 24, 6: 44, 7: 79, 8: 149, 9: 278,
-                      10: 534, 11: 1008, 12: 1864, 13: 3309, 14: 5667, 15: 9252,
-                      16: 14493, 17: 21735, 18: 31459, 19: 43946, 20: 59952,
-                      21: 78993, 22: 102896}
+MINSIZE_CLASSIFIED = {1: 1, 2: 3, 3: 7, 4: 14, 5: 26, 6: 46, 7: 80, 8: 139, 9: 240,
+                      10: 410, 11: 709, 12: 1193, 13: 2021, 14: 3366, 15: 5474,
+                      16: 8812, 17: 13902, 18: 20954, 19: 31110, 20: 44447,
+                      21: 61102, 22: 81848}
 
 
 class TestSumDominantWalk:
@@ -468,49 +462,46 @@ class TestSumDominantWalk:
 
 
 class TestMirrorFold:
-    """The folded ascending walk of the normalized blocks against loops."""
+    """The one mirror walk of the normalized blocks against loops."""
 
     def test_every_block(self):
         # every (D, j), D <= 16 (j <= 6 is the minsize slice, the larger j
         # bring witnesses of 9 to 12 elements): each set A of the loop
-        # comes as (A, D-A) with D-A the larger mask, and only sets whose
-        # middles lie in [f, D-f] (f the first middle) are classified
+        # comes as (A, D-A) with D-A the larger mask
         ties = gaps = 0
         for top in range(1, 17):
             for j in range(top):
                 want = [e for c in combinations(range(1, top), j)
                         for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
-                task = search._normal_tasks(top, (j,))[-1]
-                assert task == ((0,), range(1, top), j, (top,), True)
+                task = ((0,), range(1, top), j, (top,), True)
+                assert search._normal_tasks((top,), (j,)) == [task]
                 found, leaves = search._sum_dominant(*task)
                 assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
                            for a, b in zip(found[::2], found[1::2]))
                 assert sorted(map(elements_of, found)) == want
-                if j >= 2:
-                    assert leaves <= sum(c[-1] <= top - c[0]
-                                         for c in combinations(range(1, top), j))
-                else:  # {0, D} is symmetric; one middle is taken at the last level
+                assert leaves <= math.comb(top - 1, j)
+                if j < 2:  # {0, D} is symmetric; one middle is taken at the last level
                     assert leaves == math.comb(top - 1, j)
                 for a in map(elements_of, found[::2]):
                     ties += a[1] == top - a[-2]
                     gaps += a[1] < top - a[-2]
-        assert ties >= 2 and gaps >= 2  # both ways a pair is kept occur
+        assert ties >= 2 and gaps >= 2  # first gap equal to and below the last
 
     def test_tie_block(self):
-        # the diameter-14 forms have first gap = last gap = 2: the last
-        # middle is D-f = 12, and the walk emits the pair once
+        # the diameter-14 forms have first gap = last gap = 2, and the walk
+        # emits the pair once
         found, _ = search._sum_dominant((0,), range(1, 14), 6, (14,), True)
         assert list(map(elements_of, found)) == [
             (0, 2, 3, 4, 7, 11, 12, 14), (0, 2, 3, 7, 10, 11, 12, 14)]
 
     @pytest.mark.parametrize("r", [24, 25, 26])
     def test_catalogue_forms(self, r):
-        # the partition search's catalogue against the unfolded 8-element slice
-        tasks = search._normal_tasks(r - 1, (6,))
-        folded = [w for task in tasks for w in search._subset_worker(task)[1]]
-        unfolded = [elements_of(w) for task in tasks
-                    for w in search._sum_dominant(*task[:4])[0]]
-        assert sorted(folded) == unfolded == list(SD8_FORMS)
+        # the partition search's catalogue against the plain 8-element slice
+        tasks = search._normal_tasks(range(1, r), (6,))
+        mirrored = [w for task in tasks for w in search._subset_worker(task)[1]]
+        plain = [elements_of(w) for task in tasks
+                 for w in search._sum_dominant(*task[:4])[0]]
+        assert sorted(mirrored) == plain == list(SD8_FORMS)
 
 
 class TestAgainstReferenceLoops:
@@ -531,11 +522,11 @@ class TestAgainstReferenceLoops:
             rep = min_size_scan(bound, workers=workers)
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
             assert rep.classified == MINSIZE_CLASSIFIED[bound] <= examined
-        # the fold walks one set per mirror pair: fewer leaves than the
-        # unfolded walk once a block has two middles to fold (D >= 4)
-        unfolded = sum(search._sum_dominant(*task[:4])[1]
-                       for task in search._normal_tasks(bound, range(7)))
-        assert rep.classified < unfolded if bound >= 4 else rep.classified == unfolded
+        # the mirror walk keeps one set per mirror pair: fewer leaves than the
+        # plain walk once a block has two middles to mirror (D >= 4)
+        plain = sum(search._sum_dominant(*task[:4])[1]
+                    for task in search._normal_tasks(range(1, bound + 1), range(7)))
+        assert rep.classified < plain if bound >= 4 else rep.classified == plain
 
     @pytest.mark.parametrize("scan,groups,span,max_diff", [
         (ap_pair_scan, [(1,)], 6, 1),
@@ -572,12 +563,12 @@ class TestAgainstReferenceLoops:
         # the old walk over every first part {1, ...} is the oracle
         out = partition3_feasible(24, exhaustive_small=True, workers=workers)
         assert (out.examined, out.witness) == ref_partition3_search(24) == (245157, None)
-        assert out.classified == 81615 <= out.examined
+        assert out.classified == 62566 <= out.examined
 
     def test_partition3_25(self):
         out = partition3_feasible(25, exhaustive_small=True)
         assert (out.examined, out.witness) == ref_partition3_search(25) == (1081575, None)
-        assert out.classified == 103457 < 188868  # the old count: unfolded catalogue
+        assert out.classified == 82014 < 188868  # 188868: the catalogue without mirror
 
     @pytest.mark.parametrize("r", [24, 25])
     def test_partition3_witness_path(self, r, monkeypatch):
@@ -765,17 +756,17 @@ class TestScanPlumbing:
 
         monkeypatch.setattr(multiprocessing, "get_context", Counting)
         scans = [  # several levels, difference groups or first-part sizes each
-            lambda w: largest_subset_scan(16, workers=w),
-            lambda w: min_size_scan(10, workers=w),
-            lambda w: ap_pair_scan(10, 3, workers=w),
-            lambda w: partition3_feasible(25, exhaustive_small=True, workers=w),
+            (lambda w: largest_subset_scan(16, workers=w), 0),  # one block per level
+            (lambda w: min_size_scan(10, workers=w), 1),
+            (lambda w: ap_pair_scan(10, 3, workers=w), 1),
+            (lambda w: partition3_feasible(25, exhaustive_small=True, workers=w), 1),
         ]
-        for scan in scans:
+        for scan, pools in scans:
             opened.clear()
             scan(1)
             assert opened == []
             scan(2)
-            assert len(opened) == 1
+            assert len(opened) == pools
 
     def test_even_blocks_cover_runs_in_balance(self):
         rng = random.Random(7)
