@@ -110,20 +110,22 @@ roles of A and B, and of X and Y. Only witnesses are unpacked.
 
 Parallelism: each engine splits its candidate space into contiguous
 blocks (one per normalized level (K, j), pair blocks are run ranges of
-about equal sweep length) and farms them to one process pool per scan,
-heaviest block first by its closed-form count; largest, one block per
-level, runs in process. Blocks return (counts, witness list); merging sums
-the counts and sorts the witness union, both order-free, so reports
-are byte-identical for any worker count. Workers receive plain tuples
-and rebuild their local state, so no shared mutable anything.
+about equal sweep length) and runs each task list fork-join: the caller
+forks min(workers, blocks) - 1 children, which inherit the tasks, and
+every process, the caller too, takes blocks one at a time, heaviest
+first by closed-form count, off one pipe. A child pickles back only its
+(index, result) pairs. Largest (one block per level) and any scan where
+os.fork is missing run in process. Blocks return (count, witness list),
+and merging sums the counts and sorts the witness union, both order-free,
+so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 
@@ -200,37 +202,68 @@ def _require(value, least, what):
         raise InvalidParameterError(f"{what} must be at least {least}")
 
 
-@contextmanager
-def _task_runner(workers):
-    # yields run(fn, tasks, weight) for one scan: results in task order,
-    # order-free merge; a pool only when it can pay off, opened once and
-    # reused by every later task list of the scan. The pool takes the
-    # blocks heaviest first by weight(task), a closed-form count, one at a
-    # time, so no worker is left with a heavy last chunk while others idle.
-    pool = None
+def _run_blocks(fn, tasks, weight, workers):
+    # [fn(task) for task in tasks], run fork-join as the module docstring says
+    procs = min(workers, len(tasks))
+    if procs <= 1 or not hasattr(os, "fork"):
+        return [fn(t) for t in tasks]
+    import pickle
+    import signal  # only the fork path pays these imports
+    order = sorted(range(len(tasks)), key=lambda i: weight(tasks[i]), reverse=True)
+    feed = b"".join(i.to_bytes(4, "little") for i in order)
+    feed_r, feed_w = os.pipe()
+    fds, kids = [feed_r, feed_w], []
 
-    def run(fn, tasks, weight):
-        nonlocal pool
-        if workers <= 1 or len(tasks) <= 1:
-            return [fn(t) for t in tasks]
-        if pool is None:
-            from multiprocessing import get_context  # only a pool pays its import
-            try:
-                ctx = get_context("fork")
-            except ValueError:
-                ctx = get_context()
-            pool = ctx.Pool(processes=workers)
-        order = sorted(range(len(tasks)), key=lambda i: weight(tasks[i]), reverse=True)
-        out = [None] * len(tasks)
-        for i, res in zip(order, pool.map(fn, [tasks[i] for i in order], chunksize=1)):
-            out[i] = res
-        return out
+    def work():
+        while rec := os.read(feed_r, 4):  # whole 4-byte records go in: one index
+            i = int.from_bytes(rec, "little")
+            yield i, fn(tasks[i])
 
     try:
-        yield run
+        # 512 bytes, the least PIPE_BUF, go in whole and fit any pipe; the first
+        # child sends the rest, so the caller never blocks on a full pipe
+        os.write(feed_w, feed[:512])
+        while len(kids) < procs - 1:
+            out_r, out_w = os.pipe()
+            fds += out_r, out_w
+            if (pid := os.fork()) == 0:  # the child: feed, work, report, exit
+                try:
+                    if not kids:
+                        for at in range(512, len(feed), 512):
+                            os.write(feed_w, feed[at:at + 512])
+                    os.close(feed_w)
+                    try:
+                        done = list(work())
+                    except Exception as exc:
+                        done = exc
+                    with open(out_w, "wb") as out:
+                        pickle.dump(done, out)
+                finally:  # no atexit handler, no flush of the caller's stdio
+                    os._exit(0)
+            os.close(fds.pop())  # out_w
+            kids.append((pid, out_r))
+        fds.remove(feed_w)
+        os.close(feed_w)
+        results = dict(work())
+        for pid, fd in kids:
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            if not data:  # never a short report
+                raise RuntimeError(f"block process {pid} exited without its results")
+            if isinstance(got := pickle.loads(data), Exception):
+                raise got
+            results.update(got)
+        return [results[i] for i in range(len(tasks))]
     finally:
-        if pool is not None:
-            pool.terminate()
+        for pid, _ in kids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _merged(results):
+    # block results (count, witness list) merged: counts summed, lists joined
+    return sum(c for c, _ in results), [w for _, ws in results for w in ws]
 
 
 def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
@@ -359,19 +392,16 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     examined = classified = 0
     hits: list[tuple[int, ...]] = []
     hit_d = None
-    with _task_runner(workers) as run:
-        for d in range(limit + 1):
-            kept = (n - 2) - d
-            examined += math.comb(n - 2, kept)
-            tasks = _normal_tasks((n - 1,), (kept,))
-            level = []
-            for leaves, found in run(_subset_worker, tasks, _block_count):
-                classified += leaves
-                level.extend(found)
-            hits = sorted(level)
-            if hits:
-                hit_d = d
-                break
+    for d in range(limit + 1):
+        kept = (n - 2) - d
+        examined += math.comb(n - 2, kept)
+        tasks = _normal_tasks((n - 1,), (kept,))
+        leaves, found = _merged(_run_blocks(_subset_worker, tasks, _block_count, workers))
+        classified += leaves
+        hits = sorted(found)
+        if hits:
+            hit_d = d
+            break
 
     elapsed = time.perf_counter() - t0
     params = {"n": n, "max_discard": max_discard}
@@ -416,12 +446,8 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     _require(workers, 1, f"workers={workers}")
     t0 = time.perf_counter()
     tasks = _normal_tasks(range(1, max_diameter + 1), range(MIN_SD_CARD - 1))
-    examined, classified = sum(map(_block_count, tasks)), 0
-    hits = []
-    with _task_runner(workers) as run:
-        for leaves, found in run(_subset_worker, tasks, _block_count):
-            classified += leaves
-            hits.extend(found)
+    examined = sum(map(_block_count, tasks))
+    classified, hits = _merged(_run_blocks(_subset_worker, tasks, _block_count, workers))
     witnesses = [IntSet(w) for w in sorted(hits)]
     elapsed = time.perf_counter() - t0
     return SearchReport("minsize", {"max_diameter": max_diameter},
@@ -495,11 +521,14 @@ def _pair_block_worker(task):
 
 
 def _even_blocks(weights, blocks):
-    # contiguous index ranges of about equal total weight: each cut falls
-    # after the item that carries the running total to the next share
+    # contiguous index ranges of about equal total weight: a cut after each item
+    # that carries the running total to a next share; b skips the shares in one item
     acc = list(accumulate(weights))
-    cuts = {0, len(acc)} | {bisect_left(acc, acc[-1] * b / blocks) + 1
-                            for b in range(1, blocks)}
+    cuts, b = {0, len(acc)}, 1
+    while b < blocks:
+        i = bisect_left(acc, acc[-1] * b / blocks)
+        cuts.add(i + 1)
+        b = max(b + 1, acc[i] * blocks // acc[-1] + 1) if acc[-1] else blocks
     return list(pairwise(sorted(cuts)))
 
 
@@ -507,22 +536,18 @@ def _scan_pairs(name, span, max_diff, diff_groups, workers):
     # diff_groups: list of diff-tuples; progressions within one group are
     # paired with each other only
     t0 = time.perf_counter()
-    examined = classified = 0
-    hits = set()
-    with _task_runner(workers) as run:
-        for diffs in diff_groups:
-            runs = _ap_runs(span, diffs)
-            total = sum(n for _, _, n in runs)
-            examined += total * total  # ordered row pairs
-            # run r sweeps every run from itself on, and the later ones back
-            sweep = [sum(n for _, _, n in runs[r:]) + (n1 - 1) * (len(runs) - r - 1)
-                     for r, (_, _, n1) in enumerate(runs)]
-            tasks = [(span, diffs, lo, hi) for lo, hi in _even_blocks(sweep, workers * 4)]
-            for unions, found in run(_pair_block_worker, tasks,
-                                     lambda task: sum(sweep[task[2]:task[3]])):
-                classified += unions
-                hits.update(found)
-    witnesses = [IntSet(w) for w in sorted(hits)]
+    examined, tasks, sweeps = 0, [], {}
+    for diffs in diff_groups:
+        runs = _ap_runs(span, diffs)
+        total = sum(n for _, _, n in runs)
+        examined += total * total  # ordered row pairs
+        # run r sweeps every run from itself on, and the later ones back
+        sweep = sweeps[diffs] = [sum(n for _, _, n in runs[r:]) + (n1 - 1) * (len(runs) - r - 1)
+                                 for r, (_, _, n1) in enumerate(runs)]
+        tasks += [(span, diffs, lo, hi) for lo, hi in _even_blocks(sweep, workers * 4)]
+    classified, hits = _merged(_run_blocks(_pair_block_worker, tasks,
+                                           lambda t: sum(sweeps[t[1]][t[2]:t[3]]), workers))
+    witnesses = [IntSet(w) for w in sorted(set(hits))]
     elapsed = time.perf_counter() - t0
     return SearchReport(name, {"max_span": span, "max_diff": max_diff},
                         examined, witnesses, elapsed, classified=classified)
@@ -618,19 +643,14 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
         return Partition3Feasibility(r, "feasible",
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:
-        with _task_runner(workers) as run:
-            catalogue = run(_subset_worker, _normal_tasks(range(1, r), (MIN_SD_CARD - 2,)),
-                            _block_count)
-            places = tuple(bits_of(form) << t for _, forms in catalogue
-                           for form in forms for t in range(1, r + 1 - form[-1]))
-            classified = sum(leaves for leaves, _ in catalogue)
-            splits = []
-            # placement i is paired with the placements after it
-            for count, found in run(_completion_worker,
-                                    [(r, places, i) for i in range(len(places))],
-                                    lambda task: len(places) - task[2]):
-                classified += count
-                splits += found
+        classified, forms = _merged(_run_blocks(
+            _subset_worker, _normal_tasks(range(1, r), (MIN_SD_CARD - 2,)), _block_count, workers))
+        places = tuple(bits_of(form) << t for form in forms for t in range(1, r + 1 - form[-1]))
+        # placement i is paired with the placements after it
+        count, splits = _merged(_run_blocks(_completion_worker,
+                                            [(r, places, i) for i in range(len(places))],
+                                            lambda task: len(places) - task[2], workers))
+        classified += count
         least = min(splits, key=lambda split: (len(split[0]), split), default=None)
         size_a = len(least[0]) if least else r - 2 * MIN_SD_CARD  # the old walk's last
         examined = sum(math.comb(r - 1, a - 1) for a in range(MIN_SD_CARD, size_a + 1))

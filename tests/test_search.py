@@ -1,12 +1,14 @@
 """Exhaustive search engines: frozen outcomes, closed-form counts, invariants."""
 
 import math
-import multiprocessing
+import os
 import random
+import select
+import signal
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations, pairwise, product
+from itertools import combinations, count, pairwise, product
 
 import pytest
 
@@ -342,13 +344,15 @@ class TestParallelDeterminism:
                 for w in (1, 4)]
         assert outs[0] == outs[1]
 
-    def test_multiprocessing_is_imported_only_by_a_pool(self):
-        code = ("import sys, mstd.cli; before = 'multiprocessing' in sys.modules; "
-                "mstd.min_size_scan(9, workers=2); "
-                "print(before, 'multiprocessing' in sys.modules)")
+    def test_only_the_fork_path_imports_pickle(self):
+        code = ("import sys, mstd.cli\n"
+                "seen = lambda: sorted({'pickle', 'multiprocessing'} & set(sys.modules))\n"
+                "before = seen(); mstd.min_size_scan(9, workers=1); serial = seen()\n"
+                "mstd.min_size_scan(9, workers=2)\n"
+                "print(before, serial, 'multiprocessing' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["False", "True"]
+        assert out.stdout.split() == ["[]", "[]", "False"]
 
 
 class TestReportSerialization:
@@ -742,31 +746,35 @@ class TestParameterChecks:
 
 
 class TestScanPlumbing:
-    def test_one_pool_per_scan(self, monkeypatch):
-        opened = []
-        real = multiprocessing.get_context
-
-        class Counting:
-            def __init__(self, method=None):
-                self.ctx = real(method)
-
-            def Pool(self, *args, **kwargs):
-                opened.append(1)
-                return self.ctx.Pool(*args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing, "get_context", Counting)
+    def test_no_fork_at_one_worker_or_one_block(self, monkeypatch):
+        forks = counting_fork(monkeypatch)
         scans = [  # several levels, difference groups or first-part sizes each
             (lambda w: largest_subset_scan(16, workers=w), 0),  # one block per level
             (lambda w: min_size_scan(10, workers=w), 1),
-            (lambda w: ap_pair_scan(10, 3, workers=w), 1),
-            (lambda w: partition3_feasible(25, exhaustive_small=True, workers=w), 1),
+            (lambda w: ap_pair_scan(10, 3, workers=w), 1),  # all differences in one list
+            (lambda w: partition3_feasible(25, exhaustive_small=True, workers=w), 2),
         ]
-        for scan, pools in scans:
-            opened.clear()
+        for scan, lists in scans:
+            forks.clear()
             scan(1)
-            assert opened == []
-            scan(2)
-            assert len(opened) == pools
+            assert forks == []
+            scan(2)  # one child per task list of more than one block
+            assert len(forks) == lists
+        assert_no_children()
+
+    def test_without_fork_scans_run_in_process(self, monkeypatch):
+        want = min_size_scan(12).as_dict(elapsed_s=0.0)
+        monkeypatch.delattr(os, "fork")  # as on a platform without it
+        assert min_size_scan(12, workers=2).as_dict(elapsed_s=0.0) == want
+
+    def test_never_more_processes_than_blocks(self, monkeypatch):
+        forks = counting_fork(monkeypatch)
+        for workers, tasks, children in [(10 ** 5, 3, 2), (2, 5, 1), (3, 1, 0), (1, 4, 0)]:
+            forks.clear()
+            assert search._run_blocks(abs, list(range(-tasks, 0)), abs, workers) == \
+                list(range(tasks, 0, -1))
+            assert len(forks) == children
+        assert_no_children()
 
     def test_even_blocks_cover_runs_in_balance(self):
         rng = random.Random(7)
@@ -787,22 +795,116 @@ class TestScanPlumbing:
         work = [sum(sweep[lo:hi]) for lo, hi in search._even_blocks(sweep, 8)]
         assert len(work) == 8 and max(work) <= 1.1 * sum(sweep) / 8
 
-    def test_pool_takes_heaviest_blocks_first(self, monkeypatch):
-        # the pool is handed the blocks by falling weight, one at a time, and
-        # the results come back in task order
+    def test_even_blocks_at_a_huge_block_count_return_at_once(self, monkeypatch):
         calls = []
+        real = search.bisect_left
+        monkeypatch.setattr(search, "bisect_left", lambda *a: calls.append(1) or real(*a))
+        weights = list(range(60, 0, -1))
+        assert search._even_blocks(weights, 4 * 10 ** 6) == [(i, i + 1) for i in range(60)]
+        assert len(calls) <= 2 * len(weights)
+        calls.clear()
+        assert search._even_blocks([0] * 60, 10 ** 9) == [(0, 1), (1, 60)]
+        assert len(calls) == 1
 
-        class Pool:
-            def map(self, fn, tasks, chunksize):
-                calls.append((list(tasks), chunksize))
-                return [fn(t) for t in tasks]
+    def test_blocks_go_out_heaviest_first_and_return_in_task_order(self):
+        # each process draws its blocks in falling weight (its own counter
+        # numbers its draws), and the results come back in task order
+        draws = count()
+        weights = [5, 9, 1, 7, 3, 8, 2, 6, 4, 0]
+        tasks = list(range(len(weights)))
+        for workers in (2, 3):
+            out = search._run_blocks(lambda t: (os.getpid(), next(draws), t), tasks,
+                                     weights.__getitem__, workers)
+            assert [t for _, _, t in out] == tasks
+            taken = {}
+            for pid, draw, t in sorted(out, key=lambda rec: rec[1]):
+                taken.setdefault(pid, []).append(weights[t])
+            assert all(ws == sorted(ws, reverse=True) for ws in taken.values())
+            assert len(taken) <= workers
+        assert_no_children()
 
-            def terminate(self):
-                pass
 
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: type(
-            "Ctx", (), {"Pool": lambda self, processes: Pool()})())
-        with search._task_runner(2) as run:
-            weight = {1: 5, 2: 9, 3: 1, 4: 7}.get
-            assert run(str, [1, 2, 3, 4], weight) == ["1", "2", "3", "4"]
-        assert calls == [([2, 4, 1, 3], 1)]
+def counting_fork(monkeypatch, cap=4):
+    # os.fork that records each call and refuses beyond `cap`, so that a
+    # broken cap on the process count cannot start many real processes
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(1)
+        if len(forks) > cap:
+            raise OSError("more forks than the test allows")
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    # a hung runner fails the test after 60 s instead of hanging the suite
+    def expire(signum, frame):
+        raise TimeoutError("the block runner did not finish")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+class TestForkJoinFailures:
+    # two blocks at two workers: the caller's block waits until the child
+    # has taken the other one, so each process runs exactly one of them
+    def run_pair(self, in_child):
+        caller = os.getpid()
+        ready_r, ready_w = os.pipe()
+
+        def fn(task):
+            if os.getpid() == caller:
+                if not select.select([ready_r], [], [], 30)[0]:
+                    raise TimeoutError("the child never took a block")
+                return task
+            os.write(ready_w, b"x")
+            return in_child(task)
+        try:
+            return search._run_blocks(fn, [0, 1], lambda t: t, 2)
+        finally:
+            os.close(ready_r)
+            os.close(ready_w)
+
+    def test_a_block_that_raises_in_a_child_raises_in_the_caller(self, deadline):
+        def boom(task):
+            raise ValueError(f"block {task}")
+        with pytest.raises(ValueError, match="block "):
+            self.run_pair(boom)
+        assert_no_children()
+
+    def test_a_child_that_dies_makes_the_caller_raise(self, deadline):
+        caller = os.getpid()
+
+        def die(task):
+            if os.getpid() != caller:  # never the caller itself
+                os.kill(os.getpid(), signal.SIGKILL)
+            return task
+        with pytest.raises(RuntimeError, match="exited without its results"):
+            self.run_pair(die)
+        assert_no_children()
+
+    def test_more_blocks_than_the_pipe_holds(self, deadline):
+        tasks = list(range(20000))  # 80000 bytes of indices, more than a 64 KiB pipe
+        assert search._run_blocks(abs, [-t for t in tasks], lambda t: -t % 97, 2) == tasks
+        assert_no_children()
+
+    def test_the_caller_raises_and_reaps(self, deadline):
+        caller = os.getpid()
+
+        def fn(task):
+            if os.getpid() == caller:
+                raise KeyError(task)
+            return task
+        with pytest.raises(KeyError):
+            search._run_blocks(fn, list(range(50)), lambda t: t, 2)
+        assert_no_children()
