@@ -24,19 +24,12 @@ subcommand, --max-discard on `search largest`, and --threads on the five
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, NamedTuple
 
-from .constructions import (
-    Partition3Spec,
-    ap,
-    default_blocks,
-    k_set,
-    nathanson_set,
-    partition3,
-)
+import mstd
+
 from .core import (
     classify,
     diffset,
@@ -47,14 +40,6 @@ from .core import (
     sumset,
 )
 from .errors import BudgetExceededError, Error
-from .lemmas import ms_condition1, ms_condition2, new_sums_on_extend
-from .search import (
-    ap_pair_scan,
-    largest_subset_scan,
-    min_size_scan,
-    partition3_feasible,
-    two_ap_general_scan,
-)
 
 EX_OK = 0
 EX_WITNESS = 1
@@ -151,16 +136,18 @@ def _feasibility_doc(feas, ns, show):
 
 
 # ---------------------------------------------------------------------------
-# run callables and exit rules; names resolve at call time, so tests can patch
+# run callables and exit rules; lemmas, constructions and engines resolve
+# through mstd at call time, which loads only the module a command runs, and
+# tests patch them there
 
 
 def _partition3(ns):
     if (ns.m1 is None) != (ns.m2 is None):
         print("error: --m1 and --m2 must be given together", file=sys.stderr)
         raise SystemExit(EX_USAGE)
-    spec = default_blocks(ns.m) if ns.m1 is None else Partition3Spec(
+    spec = mstd.default_blocks(ns.m) if ns.m1 is None else mstd.Partition3Spec(
         ns.m, _parse_set_arg(ns.m1), _parse_set_arg(ns.m2))
-    return partition3(spec)
+    return mstd.partition3(spec)
 
 
 def _any_witness(report):
@@ -214,37 +201,37 @@ _COMMANDS = (
     _Command("spohn format", "set to gap notation", "set",
              lambda ns: format_gap_notation(ns.set), _scalar_doc),
     _Command("lemma ms1", "all gaps at most 2 implies not sum-dominant", "set",
-             lambda ns: ms_condition1(ns.set), _verdict_doc),
+             lambda ns: mstd.ms_condition1(ns.set), _verdict_doc),
     _Command("lemma ms2", "gaps in {1,m} with long outer unit runs", "set m",
-             lambda ns: ms_condition2(ns.set, ns.m), _verdict_doc),
+             lambda ns: mstd.ms_condition2(ns.set, ns.m), _verdict_doc),
     _Command("lemma extend", "new sums when a point joins the set",
-             "set point", lambda ns: new_sums_on_extend(ns.set, ns.point),
+             "set point", lambda ns: mstd.new_sums_on_extend(ns.set, ns.point),
              _scalar_doc),
     _Command("construct kset", "{0,1,2,4} u {7..m} u {m+4,m+6,m+7}", "m",
-             lambda ns: k_set(ns.m), _set_doc),
+             lambda ns: mstd.k_set(ns.m), _set_doc),
     _Command("construct nathanson", "three-progression family at parameter k",
-             "k", lambda ns: nathanson_set(ns.k), _set_doc),
+             "k", lambda ns: mstd.nathanson_set(ns.k), _set_doc),
     _Command("construct ap", "arithmetic progression start/diff/length",
-             "a d len", lambda ns: ap(ns.a, ns.d, ns.len), _set_doc),
+             "a d len", lambda ns: mstd.ap(ns.a, ns.d, ns.len), _set_doc),
     _Command("construct partition3",
              "three-part sum-dominant split of {1..124+m}", "m",
              _partition3, _partition3_doc, flags=("--m1", "--m2")),
     _Command("search largest", "largest sum-dominant subset of {0..n-1}", "n",
-             lambda ns: largest_subset_scan(ns.n, ns.max_discard, ns.threads),
+             lambda ns: mstd.largest_subset_scan(ns.n, ns.max_discard, ns.threads),
              _largest_doc, flags=("--threads", "--max-discard")),
     _Command("search minsize",
              "sum-dominant sets of size <= 8 up to a diameter", "diameter",
-             lambda ns: min_size_scan(ns.diameter, ns.threads), _report_doc,
+             lambda ns: mstd.min_size_scan(ns.diameter, ns.threads), _report_doc,
              _small_witness, ("--threads",)),
     _Command("search appairs", "same-difference progression pairs", "span diff",
-             lambda ns: ap_pair_scan(ns.span, ns.diff, ns.threads),
+             lambda ns: mstd.ap_pair_scan(ns.span, ns.diff, ns.threads),
              _report_doc, _any_witness, ("--threads",)),
     _Command("search twoap", "independent-difference progression pairs",
-             "span diff", lambda ns: two_ap_general_scan(ns.span, ns.diff,
-                                                         ns.threads),
+             "span diff", lambda ns: mstd.two_ap_general_scan(ns.span, ns.diff,
+                                                              ns.threads),
              _report_doc, _any_witness, ("--threads",)),
     _Command("search partition3", "feasibility of a three-part split of {1..r}",
-             "r", lambda ns: partition3_feasible(ns.r, ns.exhaustive, ns.threads),
+             "r", lambda ns: mstd.partition3_feasible(ns.r, ns.exhaustive, ns.threads),
              _feasibility_doc, flags=("--threads", "--exhaustive")),
 )
 
@@ -305,7 +292,10 @@ def run(argv: list[str]) -> int:
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
-    print(json.dumps(doc) if fmt == "json" else text)
+    if fmt == "json":
+        import json
+        text = json.dumps(doc)
+    print(text)
     if isinstance(result, BudgetExceededError):
         print(f"error: {result}", file=sys.stderr)
         return EX_BUDGET

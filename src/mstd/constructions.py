@@ -35,7 +35,7 @@ returned. At m=21 this yields M1 = {71,72}, M2 = {67,74,75,76,79}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import UNIVERSE_CAP, IntSet, elements_of
 from .errors import ConstraintViolationError, InvalidParameterError, UniverseOverflowError
@@ -114,8 +114,7 @@ def union_two_aps(p1: ArithProg, p2: ArithProg) -> IntSet:
 # three-part split
 
 
-@dataclass(frozen=True)
-class Partition3Spec:
+class Partition3Spec(NamedTuple):
     """Parameters of the split: interval scale m and the window division."""
 
     m: int
@@ -123,8 +122,7 @@ class Partition3Spec:
     m2: IntSet
 
 
-@dataclass(frozen=True)
-class SpecViolation:
+class SpecViolation(NamedTuple):
     """One failed spec constraint with the positions that break it."""
 
     constraint: str
@@ -132,8 +130,7 @@ class SpecViolation:
     message: str
 
 
-@dataclass(frozen=True)
-class Partition3Result:
+class Partition3Result(NamedTuple):
     a1: IntSet
     a2: IntSet
     s: IntSet

@@ -76,9 +76,8 @@ import enum
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DegenerateSetError,
@@ -122,20 +121,26 @@ _NONZERO = bytes.maketrans(b"23456789", b"11111111")
 
 
 def bits_of(elements: Iterable[int]) -> int:
-    """Pack an iterable of nonnegative ints into a dense bitmask."""
+    """Pack an iterable of ints in [0, UNIVERSE_CAP) into a dense bitmask."""
     try:
         small = len(elements) < _PACK_MIN_CARD
     except TypeError:  # a one-shot iterable
         elements = tuple(elements)
         small = len(elements) < _PACK_MIN_CARD
+    if not elements:
+        return 0
+    # checked before packing: a huge element would allocate its whole mask
+    if (low := min(elements)) < 0:
+        raise InvalidParameterError(f"set element {low} is negative")
+    if (top := max(elements)) >= UNIVERSE_CAP:
+        raise UniverseOverflowError(
+            f"element {top} is at or beyond the universe cap {UNIVERSE_CAP}")
     if small:
         bits = 0
         for e in elements:
             bits |= 1 << e
         return bits
-    if min(elements) < 0:
-        raise ValueError("negative element")
-    digits = bytearray(b"0") * (max(elements) + 1)
+    digits = bytearray(b"0") * (top + 1)
     for e in elements:
         digits[e] = 49  # ord("1")
     digits.reverse()
@@ -384,8 +389,7 @@ class Kind(enum.Enum):
     DIFFERENCE_DOMINANT = "difference-dominant"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: Kind
     sum_card: int
     diff_card: int
@@ -468,17 +472,18 @@ def normalize_affine(a: IntSet) -> IntSet:
 # gap notation
 
 
-@dataclass(frozen=True)
-class GapNotation:
+class GapNotation(NamedTuple("GapNotation", [("origin", int), ("gaps", tuple)])):
     """A set as first element plus consecutive gaps: "(2 | 1, 6, 1, 5)"."""
 
-    origin: int
-    gaps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.gaps:
+    def __new__(cls, origin: int, gaps: tuple[int, ...]):
+        for g in gaps:
             if g < 1:
                 raise InvalidParameterError(f"gap {g} is not positive")
+        return super().__new__(cls, origin, gaps)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates
 
     def to_intset(self) -> IntSet:
         if self.origin < 0:

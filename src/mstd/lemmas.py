@@ -23,7 +23,7 @@ an AP {0..n-1} by the next term always adds exactly 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import IntSet, UNIVERSE_CAP, gaps_of, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
@@ -31,21 +31,21 @@ from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 NOT_SUM_DOMINANT = "not-sum-dominant"
 
 
-@dataclass(frozen=True)
-class ArithProg:
+class ArithProg(NamedTuple("ArithProg", [("start", int), ("diff", int), ("length", int)])):
     """Arithmetic progression start, start+diff, ..., start+(length-1)*diff."""
 
-    start: int
-    diff: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start < 0:
-            raise InvalidParameterError(f"start {self.start} is negative")
-        if self.diff < 1:
-            raise InvalidParameterError(f"diff {self.diff} is not positive")
-        if self.length < 1:
-            raise InvalidParameterError(f"length {self.length} is not positive")
+    def __new__(cls, start: int, diff: int, length: int):
+        if start < 0:
+            raise InvalidParameterError(f"start {start} is negative")
+        if diff < 1:
+            raise InvalidParameterError(f"diff {diff} is not positive")
+        if length < 1:
+            raise InvalidParameterError(f"length {length} is not positive")
+        return super().__new__(cls, start, diff, length)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates
 
     @property
     def last(self) -> int:
@@ -60,8 +60,7 @@ class ArithProg:
         return IntSet(self.start + i * self.diff for i in range(self.length))
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(NamedTuple):
     """Outcome of a structural check.
 
     applies=True carries the guarantee string; applies=False carries

@@ -126,18 +126,16 @@ import math
 import os
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
+from typing import NamedTuple
 
-from .constructions import default_blocks, partition3
 from .core import IntSet, bits_of, elements_of, sum_diff_cards
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of one exhaustive scan.
 
     witnesses hold IntSets (or IntSet triples for the partition search),
@@ -173,15 +171,13 @@ class SearchReport:
         }
 
 
-@dataclass(frozen=True)
-class LargestSubsetResult:
+class LargestSubsetResult(NamedTuple):
     n: int
     n_value: int | None
     witness: IntSet | None
 
 
-@dataclass(frozen=True)
-class Partition3Feasibility:
+class Partition3Feasibility(NamedTuple):
     r: int
     status: str  # "infeasible" | "feasible" | "unknown"
     reason: str | None = None
@@ -639,6 +635,8 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     if r < 3 * MIN_SD_CARD:
         return Partition3Feasibility(r, "infeasible", reason=f"3x8 > {r}")
     if r >= 145:
+        # only this path builds a split, so only it loads the constructions
+        from .constructions import default_blocks, partition3
         res = partition3(default_blocks(r - 124))
         return Partition3Feasibility(r, "feasible",
                                      witness=(res.a1, res.a2, res.s))

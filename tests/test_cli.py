@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mstd
 from mstd import (IntSet, SearchReport, UNIVERSE_CAP, UniverseOverflowError, k_set,
                   nathanson_set, partition3_feasible)
 from mstd import cli, constructions
@@ -342,7 +343,7 @@ class TestRefutingWitnessExit:
 
     def test_appairs_witness_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "ap_pair_scan",
+            mstd, "ap_pair_scan",
             lambda span, diff, workers=1: self.fake_report(
                 "appairs", [[0, 2, 3, 4, 7, 11, 12, 14]]))
         assert run_cli(["search", "appairs", "14", "1"]) == 1
@@ -351,7 +352,7 @@ class TestRefutingWitnessExit:
 
     def test_twoap_witness_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "two_ap_general_scan",
+            mstd, "two_ap_general_scan",
             lambda span, diff, workers=1: self.fake_report(
                 "twoap", [[0, 2, 3, 4, 7, 11, 12, 14]]))
         assert run_cli(["search", "twoap", "14", "2"]) == 1
@@ -359,7 +360,7 @@ class TestRefutingWitnessExit:
 
     def test_minsize_small_witness_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "min_size_scan",
+            mstd, "min_size_scan",
             lambda diameter, workers=1: self.fake_report(
                 "minsize", [[0, 1, 2, 4, 5, 9, 12]]))
         assert run_cli(["search", "minsize", "12"]) == 1
@@ -415,7 +416,7 @@ class TestThreads:
             return SearchReport("minsize", {"max_diameter": diameter},
                                 0, [], 0.0)
 
-        monkeypatch.setattr(cli, "min_size_scan", recorder)
+        monkeypatch.setattr(mstd, "min_size_scan", recorder)
         assert run_cli(["search", "minsize", "5", "--threads", "3"]) == 0
         assert seen["workers"] == 3
         capsys.readouterr()
@@ -428,7 +429,7 @@ class TestThreads:
             return SearchReport("minsize", {"max_diameter": diameter},
                                 0, [], 0.0)
 
-        monkeypatch.setattr(cli, "min_size_scan", recorder)
+        monkeypatch.setattr(mstd, "min_size_scan", recorder)
         monkeypatch.setenv(cli.ENV_THREADS, "4")
         assert run_cli(["search", "minsize", "5"]) == 0
         assert seen["workers"] == 4
@@ -442,7 +443,7 @@ class TestThreads:
             return SearchReport("minsize", {"max_diameter": diameter},
                                 0, [], 0.0)
 
-        monkeypatch.setattr(cli, "min_size_scan", recorder)
+        monkeypatch.setattr(mstd, "min_size_scan", recorder)
         monkeypatch.setenv(cli.ENV_THREADS, "7")
         assert run_cli(["search", "minsize", "5", "--threads", "2"]) == 0
         assert seen["workers"] == 2
@@ -465,6 +466,31 @@ class TestThreads:
                             "--threads", t]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] == outs[2]
+
+
+# what a command may pull in: the engines, lemmas and constructions it does
+# not run, and the stdlib modules plain output and the records do not need
+WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "dataclasses", "json"}
+
+
+@pytest.mark.parametrize("statement, loads", [
+    ("from mstd import cli; cli.run(['classify', '{0,2,3,4,7,11,12,14}'])", set()),
+    ("from mstd import cli; cli.run(['search', 'largest', '16', '--format', 'json'])",
+     {"mstd.search", "json"}),
+    ("from mstd import cli; cli.run(['search', 'partition3', '145'])",
+     {"mstd.search", "mstd.constructions", "mstd.lemmas"}),
+    ("import mstd", set()),
+    ("import mstd; mstd.search", {"mstd.search"}),
+])
+def test_a_command_loads_only_what_it_runs(statement, loads):
+    code = ("import sys\nbefore = set(sys.modules)\n" + statement + "\n"
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    loaded = set(out.stdout.splitlines()[-1].split())
+    assert loaded & WATCHED == loads
+    if statement == "import mstd":
+        assert {name for name in loaded if name.startswith("mstd.")} == set()
 
 
 @pytest.mark.skipif(shutil.which("mstd") is None,

@@ -1,9 +1,11 @@
 """Set carrier, bitmask kernel, classification, notation round trips."""
 
+import inspect
 import random
 import subprocess
 import sys
 import timeit
+from importlib import import_module
 from types import ModuleType
 
 import pytest
@@ -385,6 +387,16 @@ class TestLargeSetKernel:
                 assert bits_of(elems) == want
                 assert bits_of(iter(elems)) == want
 
+    def test_pack_checks_the_range_first(self):
+        # both pack paths, from a sequence and from a one-shot iterator; a mask
+        # reaching 2**24 would otherwise be allocated unchecked
+        for head in ((), tuple(range(1, _PACK_MIN_CARD + 1))):
+            for bad, error, text in ((-1, InvalidParameterError, "negative"),
+                                     (UNIVERSE_CAP, UniverseOverflowError, "universe cap")):
+                for elems in ((*head, bad), iter((bad, *head))):
+                    with pytest.raises(error, match=text):
+                        bits_of(elems)
+
     def test_unpack_matches_reference(self):
         rng = random.Random(67)
         for width in (1, 9, 64, 1000, 50_000):
@@ -492,3 +504,102 @@ def test_public_names_resolve():
     assert "__version__" in mstd.__all__
     for name in mstd.__all__:
         assert not isinstance(getattr(mstd, name), ModuleType), name
+
+
+SUBMODULES = ("core", "errors", "lemmas", "constructions", "search", "cli")
+REQ = inspect.Parameter.empty  # a field without a default
+
+
+def test_package_surface():
+    # each public name is its home module's object, found on first use
+    for name in mstd.__all__[:-1]:
+        home = import_module(f"mstd.{mstd._HOME[name]}")
+        value = getattr(mstd, name)
+        assert value is getattr(home, name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home.__name__, name
+    star = {}
+    exec("from mstd import *", star)
+    assert set(mstd.__all__) <= set(star)
+    assert all(star[name] is getattr(mstd, name) for name in mstd.__all__)
+    assert set(mstd.__all__) <= set(dir(mstd))
+    for name in SUBMODULES:
+        assert getattr(mstd, name) is sys.modules[f"mstd.{name}"]
+    with pytest.raises(AttributeError, match="nonexistent"):
+        mstd.nonexistent
+    assert not hasattr(mstd, "_nonexistent")
+
+
+class TestRecords:
+    """Result records: fields, defaults, repr, equality, hash, immutability."""
+
+    A = IntSet([0, 2, 3])
+    # (record, each field's default or REQ, values, repr)
+    CASES = [
+        (Classification, {"kind": REQ, "sum_card": REQ, "diff_card": REQ},
+         (Kind.SUM_DOMINANT, 26, 25),
+         "Classification(kind=<Kind.SUM_DOMINANT: 'sum-dominant'>, sum_card=26, "
+         "diff_card=25)"),
+        (GapNotation, {"origin": REQ, "gaps": REQ}, (2, (1, 6)),
+         "GapNotation(origin=2, gaps=(1, 6))"),
+        (mstd.ArithProg, {"start": REQ, "diff": REQ, "length": REQ}, (1, 2, 3),
+         "ArithProg(start=1, diff=2, length=3)"),
+        (mstd.LemmaVerdict, {"applies": REQ, "guarantee": None},
+         (True, "not-sum-dominant"),
+         "LemmaVerdict(applies=True, guarantee='not-sum-dominant')"),
+        (mstd.Partition3Spec, {"m": REQ, "m1": REQ, "m2": REQ},
+         (21, IntSet([71, 72]), IntSet([67])),
+         "Partition3Spec(m=21, m1=IntSet({71, 72}), m2=IntSet({67}))"),
+        (mstd.SpecViolation, {"constraint": REQ, "positions": REQ, "message": REQ},
+         ("coverage", (1, 2), "differs"),
+         "SpecViolation(constraint='coverage', positions=(1, 2), message='differs')"),
+        (mstd.Partition3Result, {"a1": REQ, "a2": REQ, "s": REQ, "span": REQ},
+         (A, A, A, 5),
+         "Partition3Result(a1=IntSet({0, 2, 3}), a2=IntSet({0, 2, 3}), "
+         "s=IntSet({0, 2, 3}), span=5)"),
+        (mstd.SearchReport, {"search": REQ, "params": REQ, "examined": REQ,
+                             "witnesses": REQ, "elapsed": REQ, "classified": 0},
+         ("minsize", {"max_diameter": 3}, 7, [A], 0.5, 4),
+         "SearchReport(search='minsize', params={'max_diameter': 3}, examined=7, "
+         "witnesses=[IntSet({0, 2, 3})], elapsed=0.5, classified=4)"),
+        (mstd.LargestSubsetResult, {"n": REQ, "n_value": REQ, "witness": REQ},
+         (15, None, None), "LargestSubsetResult(n=15, n_value=None, witness=None)"),
+        (mstd.Partition3Feasibility, {"r": REQ, "status": REQ, "reason": None,
+                                      "witness": None, "examined": 0, "classified": 0},
+         (24, "feasible", None, (A, A, A), 9, 8),
+         "Partition3Feasibility(r=24, status='feasible', reason=None, "
+         "witness=(IntSet({0, 2, 3}), IntSet({0, 2, 3}), IntSet({0, 2, 3})), "
+         "examined=9, classified=8)"),
+    ]
+
+    @pytest.mark.parametrize("record, fields, values, text", CASES,
+                             ids=[case[0].__name__ for case in CASES])
+    def test_record(self, record, fields, values, text):
+        params = inspect.signature(record).parameters
+        assert list(params) == list(fields)
+        assert {name: p.default for name, p in params.items()} == fields
+        rec = record(*values)
+        assert repr(rec) == text
+        assert [getattr(rec, name) for name in fields] == list(values)
+        twin = record(**dict(zip(fields, values)))
+        assert rec == twin
+        if record is mstd.SearchReport:  # it holds a dict and a list
+            with pytest.raises(TypeError):
+                hash(rec)
+        else:
+            assert hash(rec) == hash(twin)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, values[0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: mstd.ArithProg(-1, 1, 1),
+        lambda: mstd.ArithProg(0, 0, 1),
+        lambda: mstd.ArithProg(0, 1, 0),
+        lambda: GapNotation(0, (1, 0)),
+        lambda: mstd.ArithProg(1, 1, 1)._replace(diff=0),
+        lambda: GapNotation(0, (1,))._replace(gaps=(0,)),
+    ])
+    def test_validation(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
