@@ -73,10 +73,8 @@ def k_set(m: int) -> IntSet:
     if m < 9:
         raise InvalidParameterError(f"k_set needs m >= 9, got {m}")
     _within_cap(m + 7, "k_set")
-    elems = [0, 1, 2, 4]
-    elems.extend(range(7, m + 1))
-    elems.extend((m + 4, m + 6, m + 7))
-    return IntSet(elems)
+    # {0,1,2,4}, the interval 7..m, {m+4, m+6, m+7}
+    return IntSet.from_bits(0b10111 | ((1 << (m - 6)) - 1) << 7 | 0b1101 << (m + 4))
 
 
 def nathanson_set(k: int) -> IntSet:
@@ -87,10 +85,9 @@ def nathanson_set(k: int) -> IntSet:
     if k < 5:
         raise InvalidParameterError(f"nathanson_set needs k >= 5, got {k}")
     _within_cap(4 * k + 2, "nathanson_set")
-    elems = [0, 2, 4]
-    elems.extend(range(3, 4 * k, 4))
-    elems.extend((4 * k, 4 * k + 2))
-    return IntSet(elems)
+    # {0,2,4}, the base-16 repunit 1 + 16 + ... + 16**(k-1) shifted to
+    # 3, 7, ..., 4k-1, and {4k, 4k+2}
+    return IntSet.from_bits(0b10101 | ((1 << 4 * k) - 1) // 15 << 3 | 0b101 << 4 * k)
 
 
 def union_two_aps(p1: ArithProg, p2: ArithProg) -> IntSet:

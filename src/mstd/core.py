@@ -26,31 +26,46 @@ iff a is in A. Then for each a in A
     bits(A) << a   contributes exactly the sums {a + b : b in A}
     bits(A) >> a   contributes the magnitudes {b - a : b in A, b >= a}
 
-so OR-accumulating |A| shifted copies yields bits(A+A) and bits(D), and
-popcounts give the cardinalities. This does |A| big-integer operations on
+so OR-accumulating the shifted copies yields bits(A+A) and bits(D), and
+popcounts give the cardinalities. This does big-integer operations on
 ~2M-bit words instead of |A|^2 Python-level pair loops, which is what
 makes the exhaustive searches in mstd.search feasible in pure Python.
 
-Shift-OR costs |A| passes over M bits, which is quadratic for dense sets.
-Large sets go through a second kernel, Kronecker substitution: write A
+sum_diff_cards on fewer than _SMALL_CARD elements, the search engines'
+sets, takes one shift per element. Every other call takes one per
+maximal run of consecutive elements: a run [u, u+L-1] contributes
+smear << u to the sums and smear >> (u+L-1) to the magnitudes, where
+smear ORs bits(A) << j over j < L. Each distinct run length builds its
+smear by doubling, in about log2(L) shift-ORs. The runs are read off
+bits ^ (bits << 1), whose set bits alternate between a run's start and
+the position just past its end. So a set of R runs costs R passes plus
+the doublings: the k_set family is five runs for every m, while a set
+with no two consecutive elements costs |A| passes, one per element.
+
+Shift-OR costs R passes over M bits, which is quadratic for dense sets
+with many runs (a random set of density p has about p(1-p)M of them).
+Such sets go through a second kernel, Kronecker substitution: write A
 as the polynomial A(x) = sum of x**a, evaluate it at x = 10**w, and the
 exact decimal product A(x)*A(x) (or A(x)*x**M*A(1/x) for differences)
 carries the coefficient of x**s, the number of ways to write s, in its
 w-digit block s. With 10**w > |A| no block overflows into the next, and
 the nonzero blocks are the support. libmpdec multiplies numbers this
 long with a number-theoretic transform, so one product costs about
-M*w*log(M) instead of |A|*M. The decimal context traps Inexact and
+M*w*log(M) instead of R*M. The decimal context traps Inexact and
 Rounded, so a product can never round silently, and the decimal module
 is imported only when the first product runs.
 
-Which kernel runs is decided per set from |A| and M: the product runs
-when |A| >= weight * w * (bit length of M), with weights fitted from measurements
-(_SUM_WEIGHT, _DIFF_WEIGHT). Parity sits near |A| ~ 5000-10000 for sums
-and ~25000-40000 for differences at M from 2**14 to 2**22, so wide
-sparse sets stay on shift-OR. The product's memory is the operands and
-the transform buffers, about 3 bytes per decimal digit for a sumset and
-5 for a difference set (the result's digits are read a million blocks
-at a time). A dense set at M = 2**22 (w = 7) peaks ~22 and ~35 bytes
+Which kernel runs is decided per set from its run count R, |A| and M:
+the product runs when R >= weight * w * (bit length of M), with weights
+fitted from measurements (_SUM_WEIGHT, _DIFF_WEIGHT). It takes over near
+R ~ 4500-12000 for sums and ~15000-40000 for differences as M goes from
+2**14 to 2**22, so wide sparse sets and sets of a few long runs stay on
+shift-OR. Shift-OR's memory is a few masks of 2M bits: sum_diff_cards
+on the k_set mask at M = 2**24 - 1 takes ~0.1 s and ~25 MB above its
+baseline. The product's memory is the operands and the transform
+buffers, about 3 bytes per decimal digit for a sumset and 5 for a
+difference set (the result's digits are read a million blocks at a
+time). A dense set at M = 2**22 (w = 7) peaks ~22 and ~35 bytes
 per universe position above its baseline, so near 2**24 (w = 8) a
 sumset takes about 400 MB and a difference set about 650 MB.
 
@@ -76,6 +91,7 @@ import enum
 import math
 import re
 from bisect import bisect_left
+from collections import defaultdict
 from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
@@ -94,12 +110,15 @@ UNIVERSE_CAP = 1 << 24
 # bitmask kernel
 
 
-# Fitted on a 2-core x86-64 host, Python 3.11, for M from 2**10 to 2**22:
-# the product beats |A| shift-ORs once |A| >= weight * w * (bit length of
-# M), w the digits of |A|. Right shifts are cheaper than left ones, hence
-# the larger weight for differences.
-_SUM_WEIGHT = 100
-_DIFF_WEIGHT = 330
+# Fitted on a 2-core x86-64 host, Python 3.11, on random sets of density
+# 1/128 to 1/2 at M from 2**13 to 2**20: the product beats one shift-OR per
+# run once the runs number >= weight * w * (bit length of M), w the digits
+# of |A|. Parity sits near weights 45-75 (sums) and 75-120 (differences)
+# at M <= 2**14, and near 75-125 and 185-325 from 2**15 up, where these
+# weights pick the faster kernel at every point measured. Right shifts
+# are cheaper than left ones, hence the larger weight for differences.
+_SUM_WEIGHT = 75
+_DIFF_WEIGHT = 250
 # below this many elements the product never pays, whatever M is
 _SMALL_CARD = 1024
 # below this many elements OR-ing single bits beats the digit buffer
@@ -172,8 +191,9 @@ def elements_of(bits: int) -> tuple[int, ...]:
 
 
 def _product_pays(bits: int, weight: int) -> bool:
-    card = bits.bit_count()
-    return 0 < card >= weight * len(str(card)) * bits.bit_length().bit_length()
+    # shift-OR makes one pass over the mask per run, the product ~w*log(M) per bit
+    runs = (bits & ~(bits << 1)).bit_count()
+    return 0 < runs >= weight * len(str(bits.bit_count())) * bits.bit_length().bit_length()
 
 
 def _kronecker(bits: int, reflect: bool) -> int:
@@ -216,24 +236,57 @@ def _kronecker(bits: int, reflect: bool) -> int:
     return out
 
 
+def _shift_or(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
+    """(bits(A+A), bits(D)) by one shift per maximal run of A, 0 where not asked for.
+
+    The run lengths go shortest first, so each length's smear (see the
+    module docstring) grows from the last one's by doubling.
+    """
+    # the bits where A changes, bits ^ bits << 1, alternate between a run's
+    # start and the position just past its end
+    edges = elements_of(bits ^ bits << 1)
+    starts_by_length = defaultdict(list)
+    for u, stop in zip(edges[::2], edges[1::2]):
+        starts_by_length[stop - u].append(u)
+    s = d = 0
+    smear, width = bits, 1  # smear ORs the shifts 0..width-1
+    for length in sorted(starts_by_length):
+        while 2 * width <= length:
+            smear |= smear << width
+            width *= 2
+        grown = smear | smear << (length - width)  # the shifts 0..length-1
+        starts = starts_by_length[length]
+        if sums:
+            for u in starts:
+                s |= grown << u
+        if mags:
+            grown >>= length - 1  # so that >> u shifts by the run's last element
+            for u in starts:
+                d |= grown >> u
+    return s, d
+
+
+def _sums_and_mags(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
+    # bits(A+A) and bits(D), 0 where not asked for, each from the kernel
+    # that pays for this set; the runs are unpacked once for both
+    run_sums = sums and not _product_pays(bits, _SUM_WEIGHT)
+    run_mags = mags and not _product_pays(bits, _DIFF_WEIGHT)
+    s, d = _shift_or(bits, run_sums, run_mags) if run_sums or run_mags else (0, 0)
+    if sums and not run_sums:
+        s = _kronecker(bits, reflect=False)
+    if mags and not run_mags:
+        d = _kronecker(bits, reflect=True)
+    return s, d
+
+
 def sumset_bits(bits: int) -> int:
     """Bitmask of A+A from the bitmask of A (0 for the empty set)."""
-    if _product_pays(_require_mask(bits), _SUM_WEIGHT):
-        return _kronecker(bits, reflect=False)
-    s = 0
-    for e in elements_of(bits):
-        s |= bits << e
-    return s
+    return _sums_and_mags(_require_mask(bits), sums=True, mags=False)[0]
 
 
 def diff_bits(bits: int) -> int:
     """Bitmask of the difference magnitudes of A (0 for the empty set)."""
-    if _product_pays(_require_mask(bits), _DIFF_WEIGHT):
-        return _kronecker(bits, reflect=True)
-    d = 0
-    for e in elements_of(bits):
-        d |= bits >> e
-    return d
+    return _sums_and_mags(_require_mask(bits), sums=False, mags=True)[1]
 
 
 def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[int, int]:
@@ -257,13 +310,13 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
     if bits <= 0:
         _require_mask(bits)
         raise EmptySetError("empty set has no sum or difference set")
-    if elements is None:
-        elements = elements_of(bits)
-    if len(elements) >= _SMALL_CARD:
-        return sumset_bits(bits).bit_count(), 2 * diff_bits(bits).bit_count() - 1
+    # counted, not unpacked: a large mask is never needed as elements
+    if (bits.bit_count() if elements is None else len(elements)) >= _SMALL_CARD:
+        s, d = _sums_and_mags(bits, sums=True, mags=True)
+        return s.bit_count(), 2 * d.bit_count() - 1
     s = 0
     d = 0
-    for e in elements:
+    for e in elements_of(bits) if elements is None else elements:
         s |= bits << e
         d |= bits >> e
     return s.bit_count(), 2 * d.bit_count() - 1

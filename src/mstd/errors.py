@@ -4,12 +4,19 @@ Every error deliberately raised by this package derives from Error, so
 callers can catch the whole family with one clause. Parse failures carry
 the byte offset of the offending token; constraint failures carry the
 structured violation list; budget exhaustion carries the partial report
-accumulated before the cutoff.
+accumulated before the cutoff. All of them survive pickling with their
+message and attributes, as a block process's error must.
 """
 
 
 class Error(Exception):
     """Base class for all mstd errors."""
+
+    def __reduce__(self):
+        # rebuilt by __new__ from the formatted message and the attributes:
+        # the subclasses' __init__ take more than the message, so the default
+        # reduce, which calls the class on args, cannot unpickle them
+        return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
 class EmptySetError(Error):

@@ -81,6 +81,13 @@ class TestKSet:
             c = classify(k_set(m))
             assert (c.sum_card, c.diff_card) == (sc, dc)
 
+    def test_mask_build_matches_the_element_list(self):
+        for m in [*range(9, 301), 4097, 123_457, 1_000_003]:
+            elems = [0, 1, 2, 4, *range(7, m + 1), m + 4, m + 6, m + 7]
+            kset = k_set(m)
+            assert kset.elements == tuple(elems)
+            assert kset == IntSet(elems)
+
 
 class TestNathanson:
     def test_smallest_member(self):
@@ -100,6 +107,13 @@ class TestNathanson:
             sc, dc = naive_cards(nathanson_set(k).elements)
             c = classify(nathanson_set(k))
             assert (c.sum_card, c.diff_card) == (sc, dc)
+
+    def test_mask_build_matches_the_element_list(self):
+        for k in [*range(5, 301), 4099, 250_001]:
+            elems = sorted({0, 2, 4, *range(3, 4 * k, 4), 4 * k, 4 * k + 2})
+            nset = nathanson_set(k)
+            assert nset.elements == tuple(elems)
+            assert nset == IntSet(elems)
 
 
 class TestUnionTwoAps:

@@ -4,7 +4,9 @@ import inspect
 import random
 import subprocess
 import sys
+import time
 import timeit
+from bisect import bisect_left
 from importlib import import_module
 from types import ModuleType
 
@@ -43,6 +45,7 @@ from mstd import core
 from mstd.core import (
     _DIFF_WEIGHT,
     _PACK_MIN_CARD,
+    _SMALL_CARD,
     _SPARSE_RATIO,
     _SUM_WEIGHT,
     _kronecker,
@@ -450,10 +453,12 @@ class TestLargeSetKernel:
             assert _kronecker(bits, reflect=True) == ref_diff_bits(bits)
 
     @pytest.mark.parametrize("top,size,on_product", [
-        (8191, 4000, (False, False)),     # dense, below both crossovers
-        (8191, 8000, (True, False)),      # dense, sums above the crossover
-        (32767, 32000, (True, True)),     # dense, both above
+        (8191, 4000, (False, False)),     # ~2000 runs, below both crossovers
+        (8191, 8000, (False, False)),     # nearly full: ~190 runs
+        (32767, 32000, (False, False)),   # nearly full: ~750 runs
         (1_000_000, 1000, (False, False)),  # wide and sparse
+        (32767, 16384, (True, False)),    # half full, ~8200 runs: sums above
+        (98303, 49152, (True, True)),     # half full, ~24600 runs: both above
     ])
     def test_public_kernel_on_both_sides_of_the_crossover(self, top, size, on_product):
         rng = random.Random(top + size)
@@ -473,8 +478,59 @@ class TestLargeSetKernel:
         sparse = ref_bits_of(rng.sample(range(2_000_000), 1000))
         assert not _product_pays(sparse, _SUM_WEIGHT)
         assert not _product_pays(sparse, _DIFF_WEIGHT)
-        dense = k_set(100_000).bits
+        # the cost is counted in runs: five of them, however wide the set
+        runs = k_set(100_000).bits
+        assert not _product_pays(runs, _SUM_WEIGHT) and not _product_pays(runs, _DIFF_WEIGHT)
+        dense = ref_bits_of(rng.sample(range(100_000), 50_000))
         assert _product_pays(dense, _SUM_WEIGHT) and _product_pays(dense, _DIFF_WEIGHT)
+
+    def test_run_kernel_matches_reference(self):
+        rng = random.Random(89)
+        cases = [1, 1 << 5, 1 << 1000, 0b1011]  # singletons and a short set
+        cases += [(1 << top) - 1 for top in (1, 2, 63, 64, 65, 1000, 4096)]  # all ones
+        for _ in range(150):  # runs of 1..64 elements, gaps of 1..64
+            bits, at = 0, rng.randrange(64)
+            for _ in range(rng.randint(1, 60)):
+                run = rng.randint(1, 64)
+                bits |= ((1 << run) - 1) << at
+                at += run + rng.randint(1, 64)
+            cases.append(bits)
+        # on both sides of the small-set loop of sum_diff_cards
+        for size in (_SMALL_CARD - 1, _SMALL_CARD):
+            cases.append(ref_bits_of(rng.sample(range(3 * size), size)))
+            cases.append(ref_bits_of(range(2 * size)[::2]))
+        for bits in cases:
+            sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+            assert sumset_bits(bits) == sums
+            assert diff_bits(bits) == mags
+            cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
+            assert sum_diff_cards(bits) == cards
+            assert sum_diff_cards(bits, elements_of(bits)) == cards
+
+    @pytest.mark.parametrize("weight", [_SUM_WEIGHT, _DIFF_WEIGHT])
+    def test_run_kernel_on_both_sides_of_the_crossover(self, weight):
+        def pairs(runs):  # runs of two elements, one apart: 0b11011...011
+            return int("011" * runs, 2)
+        # the fewest runs at which the product pays for this weight
+        at = bisect_left(range(1, 40_000), True, key=lambda r: _product_pays(pairs(r), weight)) + 1
+        assert not _product_pays(pairs(at - 1), weight) and _product_pays(pairs(at), weight)
+        for bits in (pairs(at - 1), pairs(at)):
+            sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+            assert sumset_bits(bits) == sums
+            assert diff_bits(bits) == mags
+            assert sum_diff_cards(bits) == (sums.bit_count(), 2 * mags.bit_count() - 1)
+
+    def test_large_masks_are_counted_not_unpacked(self, monkeypatch):
+        # the large path reads only the run edges of a mask, never its elements
+        m, unpacked = 100_000, []
+        bits = k_set(m).bits
+
+        def recording(mask):
+            unpacked.append(mask.bit_count())
+            return elements_of(mask)
+        monkeypatch.setattr(core, "elements_of", recording)
+        assert sum_diff_cards(bits) == (2 * m + 14, 2 * m + 13)
+        assert unpacked == [10]  # five runs, two edges each
 
     @pytest.mark.parametrize("m", [9, 1000, 20_000, 400_000])
     def test_k_set_closed_forms(self, m):
@@ -489,13 +545,26 @@ class TestLargeSetKernel:
             assert sums == ref_sumset_bits(kset.bits)
             assert mags == ref_diff_bits(kset.bits)
 
+    def test_k_set_mask_at_the_cap(self):
+        # {0..m+7} less 3, 5, 6, m+1, m+2, m+3, m+5, built without IntSet: its
+        # element tuple alone peaks near 800 MB
+        m = UNIVERSE_CAP - 8
+        bits = ((1 << (m + 8)) - 1) ^ sum(1 << e for e in (3, 5, 6, m + 1, m + 2, m + 3, m + 5))
+        start = time.perf_counter()
+        assert sum_diff_cards(bits) == (2 * m + 14, 2 * m + 13)
+        assert time.perf_counter() - start < 2
+        assert sumset_bits(bits) == ((1 << (2 * m + 15)) - 1) ^ (1 << (2 * m + 9))
+        assert diff_bits(bits) == ((1 << (m + 8)) - 1) ^ (1 << (m + 1))
+
     def test_decimal_is_imported_only_by_a_product(self):
-        code = ("import sys, mstd.cli; before = 'decimal' in sys.modules; "
-                "mstd.sumset_bits(mstd.k_set(100_000).bits); "
-                "print(before, 'decimal' in sys.modules)")
+        # k_set's five runs stay on shift-OR; 20000 single elements do not
+        code = ("import sys, mstd.cli; seen = lambda: 'decimal' in sys.modules; "
+                "before = seen(); mstd.sumset_bits(mstd.k_set(100_000).bits); "
+                "runs = seen(); mstd.sumset_bits(int('10' * 20_000, 2)); "
+                "print(before, runs, seen())")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["False", "True"]
+        assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_public_names_resolve():

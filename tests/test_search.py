@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import random
 import select
 import signal
@@ -14,12 +15,17 @@ import pytest
 
 from mstd import (
     BudgetExceededError,
+    ConstraintViolationError,
     IntSet,
     InvalidParameterError,
+    ParseError,
+    Partition3Spec,
     ap_pair_scan,
     largest_subset,
     largest_subset_scan,
     min_size_scan,
+    parse_set_literal,
+    partition3,
     partition3_feasible,
     two_ap_general_scan,
 )
@@ -880,6 +886,29 @@ class TestForkJoinFailures:
             raise ValueError(f"block {task}")
         with pytest.raises(ValueError, match="block "):
             self.run_pair(boom)
+        assert_no_children()
+
+    def test_package_errors_cross_from_a_child_whole(self, deadline):
+        # a child's exception comes back by pickle; these three take more
+        # than the message in __init__
+        with pytest.raises(BudgetExceededError) as budget:
+            largest_subset_scan(30, max_discard=2)
+        with pytest.raises(ConstraintViolationError) as spec:
+            partition3(Partition3Spec(21, IntSet([71, 72]), IntSet([71, 74, 75, 76, 79])))
+        with pytest.raises(ParseError) as parse:
+            parse_set_literal("{1, 2, x}")
+        for err, attr in ((budget.value, "report"), (spec.value, "violations"),
+                          (parse.value, "offset")):
+            copy = pickle.loads(pickle.dumps(err))
+            assert type(copy) is type(err) and str(copy) == str(err)
+            assert getattr(copy, attr) == getattr(err, attr)
+
+            def raise_it(task):
+                raise err
+            with pytest.raises(type(err)) as got:
+                self.run_pair(raise_it)
+            assert str(got.value) == str(err)
+            assert getattr(got.value, attr) == getattr(err, attr)
         assert_no_children()
 
     def test_a_child_that_dies_makes_the_caller_raise(self, deadline):
