@@ -28,14 +28,12 @@ partition3_feasible: can {1..r} split into three sum-dominant parts;
                      construction, and a caller-enabled exhaustive search
                      settles r <= 26.
 
-Combination scans (largest, minsize, both parts of the partition
-search) share one depth-first walk that takes the pool in a decision
-order: outside in for the normalized sets {0} u c u {K} (largest,
-minsize, the three-part catalogue), ascending only for the second parts
-of the partition search. The fixed elements (prefix and tail) enter the
-root, so a node holds, for its elements, the mask P, P reflected about
-the top element K as R, the sum mask S and the magnitude mask D. Adding
-x costs O(1) big-integer operations in any order: P |= 1<<x;
+Combination scans (largest, minsize, the three-part catalogue) walk
+normalized levels: a level (K, j) holds the sets {0} u c u {K}, c a
+j-subset of 1..K-1, and is one depth-first walk. The ends {0, K} enter
+the root, so a node holds, for its elements, the mask P, P reflected
+about the top element K as R, the sum mask S and the magnitude mask D.
+Adding x costs O(1) big-integer operations in any order: P |= 1<<x;
 R |= 1<<(K-x); S |= P<<x; D |= R>>(K-x) | P>>x, since R>>(K-x) holds
 x-a for every a up to x and P>>x holds t-x for every t from x on. A leaf
 is sum-dominant iff popcount(S) > 2*popcount(D) - 1.
@@ -46,9 +44,8 @@ bound is exact: the i-th element added makes at most m+i new sums (x+a
 for the m+i-1 elements a present, and 2x), S stays inside [0, 2K], and
 D only grows, so a node that fails it has no sum-dominant leaf below it.
 
-A normalized level {0} u c u {K}, |c| = j, is one mirror walk, which
-keeps one set per mirror class by deciding the middle pairs (i, K-i),
-i = 1, 2, ..., from the outside in, then the centre K/2.
+The walk keeps one set per mirror class by deciding the middle pairs
+(i, K-i), i = 1, 2, ..., from the outside in, then the centre K/2.
 - Mirror class: A -> K-A is affine, so it keeps |A+A| and |A-A|, and
   K-A is emitted with A. At the outermost pair that A holds one side
   of, K-i is the top bit where the masks of A and K-A differ, so the
@@ -65,17 +62,18 @@ i = 1, 2, ..., from the outside in, then the centre K/2.
 
 Three-part splits of {1..r}, r <= 26: a sum-dominant set has at least
 8 elements (Hegarty 2007), so every part has 8 or more and, as
-3*9 > 26, the smallest has exactly 8. Every sum-dominant 8-subset of
+3*9 > 26, the smallest has exactly 8. Every sum-dominant subset of
 {1..r} is a translate of a normalized one {0, ..., D}, D <= r-1, and
-those come from the 8-element slice of the minsize walk. Each
-translate P inside {1..r} is completed in two ways: sizes (8, 8, r-16)
-pair it with every later disjoint translate Q; sizes (8, b, c) with
-b, c >= 9 (only (8, 9, 9), at r = 26) walk the sum-dominant B that own
-the least element outside P. The last part is the complement, which is
-classified alone. Every split found is put as (the part with 1, the part
-with the least element left, the rest), and the witness is the one with
-the smallest first part, then the least triple: the first a walk over
-the first parts {1, ...} by size would meet.
+the catalogue walks the levels of sizes 8 and 9..r-17 (the wide sizes,
+only 9, at r = 26) for D < r. Each 8-element translate P inside {1..r}
+is completed in two ways: sizes (8, 8, r-16) pair it with every later
+disjoint 8-element translate Q; sizes (8, b, c) with b, c >= 9 pair it
+with every disjoint wide translate B that owns the least element
+outside P. The last part is the complement, which is classified alone.
+Every split found is put as (the part with 1, the part with the least
+element left, the rest), and the witness is the one with the smallest
+first part, then the least triple: the first a walk over the first
+parts {1, ...} by size would meet.
 
 Pair scans classify one row pair per translation class. `examined` stays
 the closed-form count (rows**2 ordered pairs per difference group),
@@ -126,7 +124,7 @@ import math
 import os
 import time
 from bisect import bisect_left
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 from .core import IntSet, bits_of, elements_of, sum_diff_cards
@@ -262,68 +260,50 @@ def _merged(results):
     return sum(c for c, _ in results), [w for _, ws in results for w in ws]
 
 
-def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
-    """Sum-dominant sets prefix + c + tail, c in combinations(pool, k).
+def _sum_dominant(top, k):
+    """Sum-dominant sets {0} u c u {top}, c a k-subset of 1..top-1, one per mirror pair.
 
-    Returns (found, leaves): the bitmasks of those sets in the order of
-    that loop, and how many candidates were classified (subtrees the
-    bounds cut are not). The pool is the decision order. Each of prefix,
-    pool and tail ascends, and every pool element lies above the prefix
-    and below the tail, so found is lexicographic. This is the walk of
-    the module docstring with K the top element and prefix and tail in
-    every node; its last level is a flat loop, and a node that must take
-    the rest of the pool takes it without branching.
-
-    mirror=True walks one set per mirror pair (0 in the prefix, the tail
-    K, all elements closed under x -> K-x) in its own decision order,
-    outside in (1, K-1, 2, K-2, ..., the centre), cut by the mirror rule
-    and the final fringe; found is unsorted, K-A after each A kept.
+    Returns (found, leaves): the bitmasks of those sets, unsorted with
+    K-A after each A kept, and how many candidates were classified
+    (subtrees the bounds cut and mirrors skipped are not). This is the
+    mirror walk of the module docstring with K = top: {0, K} is in the
+    root, the middles are decided outside in (1, K-1, 2, K-2, ..., the
+    centre), and a node is cut by the bound, the mirror rule and the
+    final fringe. Its last level is a flat loop, and a node that must
+    take the rest of the middles takes them without branching.
     """
-    top = max(chain(prefix, pool, tail), default=0)
-    if mirror:
-        pool = sorted(pool, key=lambda x: (min(x, top - x), x))
-    size = len(prefix) + k + len(tail)
+    pool = sorted(range(1, top), key=lambda x: (min(x, top - x), x))
+    size = k + 2
     cap = 2 * top + 1  # S lies in [0, 2K]
-
-    def grow(p, r, s, d, xs):
-        for x in xs:
-            p |= 1 << x
-            r |= 1 << (top - x)
-            s |= p << x
-            d |= r >> (top - x) | p >> x
-        return p, r, s, d
-
     items = [(x, 1 << x, 1 << (top - x), top - x) for x in pool]  # x, {x}, {K-x}, K-x
     m = len(items)
-    if mirror:
-        # open_[j]: the sums not yet final once pool[:j] is decided, those
-        # an undecided element makes with any element
-        whole = bits_of(tuple(chain(prefix, pool, tail)))
-        open_ = [0] * (m + 1)
-        for j in reversed(range(m)):
-            open_[j] = open_[j + 1] | whole << pool[j]
+    # open_[j]: the sums not yet final once pool[:j] is decided, those an
+    # undecided element makes with any element of {0..K}
+    open_ = [0] * (m + 1)
+    for j in reversed(range(m)):
+        open_[j] = open_[j + 1] | ((1 << top + 1) - 1) << pool[j]
     found = []
     leaves = 0
 
-    def emit(p, r):
-        if not mirror:
-            found.append(p)
-        elif r > p:  # A = K-A is balanced; K-A < A is the mirror of a set kept
-            found.extend((p, r))
-
     def walk(i, k, p, r, s, d):
+        # A = K-A is balanced, and r < p is the mirror of a set kept: emit r > p
         nonlocal leaves
         if k == 1:
             leaves += m - i
             for x, bx, rx, kx in items[i:]:
                 pj, rj = p | bx, r | rx
-                if (s | pj << x).bit_count() > 2 * (d | rj >> kx | pj >> x).bit_count() - 1:
-                    emit(pj, rj)
+                if rj > pj and (s | pj << x).bit_count() > 2 * (
+                        d | rj >> kx | pj >> x).bit_count() - 1:
+                    found.extend((pj, rj))
         elif k == 0 or i + k == m:  # no choice left
-            p, r, s, d = grow(p, r, s, d, pool[i:i + k])
+            for x in pool[i:i + k]:
+                p |= 1 << x
+                r |= 1 << (top - x)
+                s |= p << x
+                d |= r >> (top - x) | p >> x
             leaves += 1
-            if s.bit_count() > 2 * d.bit_count() - 1:
-                emit(p, r)
+            if r > p and s.bit_count() > 2 * d.bit_count() - 1:
+                found.extend((p, r))
         else:
             k -= 1
             gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
@@ -332,33 +312,32 @@ def _sum_dominant(prefix, pool, k, tail=(), mirror=False):
                 pj, rj = p | bx, r | rx
                 sj = s | pj << x
                 dj = d | rj >> kx | pj >> x
-                # the bound: min(|S| + gain, 2K+1) > 2|D| - 1
-                if sj.bit_count() + gain > 2 * dj.bit_count() - 1 < cap:
-                    # in a mirror walk, also the mirror rule and the final fringe
-                    if not mirror or rj >= pj and (
-                            (sj | open_[j + 1]).bit_count() > 2 * dj.bit_count() - 1):
-                        walk(j + 1, k, pj, rj, sj, dj)
+                # the bound min(|S| + gain, 2K+1) > 2|D| - 1, the mirror rule
+                # and the final fringe
+                if sj.bit_count() + gain > 2 * dj.bit_count() - 1 < cap and rj >= pj and (
+                        (sj | open_[j + 1]).bit_count() > 2 * dj.bit_count() - 1):
+                    walk(j + 1, k, pj, rj, sj, dj)
 
-    walk(0, k, *grow(0, 0, 0, 0, chain(prefix, tail)))
+    ends = 1 | 1 << top  # {0, K}: its own mirror, its sums {0, K, 2K}, its magnitudes {0, K}
+    walk(0, k, ends, ends, ends | 1 << 2 * top, ends)
     return found, leaves
 
 
 def _subset_worker(task):
-    # one block (prefix, pool, k, tail[, mirror]) of a combination scan
+    # one block (D, j) of a combination scan: the level {0} u c u {D}, |c| = j
     found, leaves = _sum_dominant(*task)
     return leaves, [elements_of(w) for w in found]
 
 
 def _block_count(task):
-    # the candidates of one combination block: C(|pool|, k)
-    return math.comb(len(task[1]), task[2])
+    # the candidates of one level (D, j): C(D-1, j)
+    return math.comb(task[0] - 1, task[1])
 
 
 def _normal_tasks(diameters, mids):
-    # blocks of the normalized sets {0} u c u {D}, D in diameters and c a
-    # j-subset of 1..D-1, one mirror block per (D, j) with j in mids
-    return [((0,), range(1, diameter), j, (diameter,), True)
-            for diameter in diameters for j in mids if j < diameter]
+    # the levels (D, j) of the normalized sets {0} u c u {D}, D in diameters
+    # and c a j-subset of 1..D-1, j in mids
+    return [(diameter, j) for diameter in diameters for j in mids if j < diameter]
 
 
 # ---------------------------------------------------------------------------
@@ -587,26 +566,22 @@ def two_ap_general_scan(max_span: int, max_diff: int, workers: int = 1) -> Searc
 
 def _completion_worker(task):
     # the splits of {1..r} with part places[i] and, besides it, a later
-    # disjoint placement (sizes 8, 8, r-16) or a part B of 9 or more that
-    # owns the least element left (sizes 8, b, c with b, c >= 9); the last
-    # part is the complement. Returns (candidates classified, splits).
-    r, places, i = task
+    # disjoint placement (sizes 8, 8, r-16) or a disjoint wide placement
+    # that owns the least element left (sizes 8, b, c with b, c >= 9); the
+    # last part is the complement. Returns (complements classified, splits).
+    r, places, wide, i = task
     whole = (1 << (r + 1)) - 2  # {1..r}
     p = places[i]
-    rest = elements_of(whole ^ p)
+    least = (whole ^ p) & -(whole ^ p)  # the least element outside P
     parts = [q for q in places[i + 1:] if not p & q]
-    classified = 0
-    for size_b in range(MIN_SD_CARD + 1, len(rest) - MIN_SD_CARD):
-        found, leaves = _sum_dominant(rest[:1], rest[1:], size_b - 1)
-        classified += leaves
-        parts += found
+    parts += [b for b in wide if b & least and not p & b]
     splits = []
     for q in parts:
         c = whole ^ p ^ q
         sc, dc = sum_diff_cards(c)
         if sc > dc:  # sorted by least element: (A with 1, B, C)
             splits.append(tuple(sorted(map(elements_of, (p, q, c)))))
-    return classified + len(parts), splits
+    return len(parts), splits
 
 
 SMALL_SEARCH_MAX_R = 26  # the smallest part has exactly 8 elements while 3*9 > r
@@ -621,14 +596,15 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     m = r - 124. In between the answer is unknown, except that setting
     exhaustive_small=True runs a complete search for r <= 26 (the flag
     is ignored above that bound). The search starts from the translates
-    of the 8-element sum-dominant sets (module docstring). The witness is
-    (the part with 1, the part with the least element left, the rest),
-    with the smallest first part and then the least triple. `examined`
+    of the sum-dominant sets of 8 and of 9..r-17 elements (module
+    docstring). The witness is (the part with 1, the part with the least
+    element left, the rest), with the smallest first part and then the
+    least triple. `examined`
     counts the first parts {1, ...} of every size a up to that of the
     witness, or up to r - 16 if there is none: the sum of C(r-1, a-1)
     (245157 at r = 24). `classified` counts the candidates the search
-    did classify: catalogue walk leaves (one set per mirror pair),
-    second parts walked and complements. Both are 0 on the other paths.
+    did classify: catalogue walk leaves (one set per mirror pair) and
+    complements. Both are 0 on the other paths.
     """
     _require(r, 1, f"r={r}")
     _require(workers, 1, f"workers={workers}")
@@ -641,13 +617,19 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
         return Partition3Feasibility(r, "feasible",
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:
+        # the catalogue: the normal forms of size 8, and of the wide sizes
+        # 9..r-17 that a second part beside an 8-element one can have
+        mids = range(MIN_SD_CARD - 2, max(MIN_SD_CARD - 1, r - 2 * MIN_SD_CARD - 2))
         classified, forms = _merged(_run_blocks(
-            _subset_worker, _normal_tasks(range(1, r), (MIN_SD_CARD - 2,)), _block_count, workers))
-        places = tuple(bits_of(form) << t for form in forms for t in range(1, r + 1 - form[-1]))
-        # placement i is paired with the placements after it
+            _subset_worker, _normal_tasks(range(1, r), mids), _block_count, workers))
+        shifted = [(len(form), bits_of(form) << t)
+                   for form in forms for t in range(1, r + 1 - form[-1])]
+        places = tuple(q for size, q in shifted if size == MIN_SD_CARD)
+        wide = tuple(q for size, q in shifted if size > MIN_SD_CARD)
+        # placement i is paired with the placements after it and the wide ones
         count, splits = _merged(_run_blocks(_completion_worker,
-                                            [(r, places, i) for i in range(len(places))],
-                                            lambda task: len(places) - task[2], workers))
+                                            [(r, places, wide, i) for i in range(len(places))],
+                                            lambda task: len(places) - task[3], workers))
         classified += count
         least = min(splits, key=lambda split: (len(split[0]), split), default=None)
         size_a = len(least[0]) if least else r - 2 * MIN_SD_CARD  # the old walk's last

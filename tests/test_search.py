@@ -1,5 +1,6 @@
 """Exhaustive search engines: frozen outcomes, closed-form counts, invariants."""
 
+import functools
 import math
 import os
 import pickle
@@ -142,10 +143,9 @@ class TestLargestMirrorWalk:
                 assert sc == dc
 
     def test_random_levels(self):
-        # one level (K, j): {0, K} and j middles. The mirror walk, handed the
-        # middles in any order, and the scan's block of the level find exactly
-        # the sets of a combinations loop, each set A as (A, K-A) with K-A the
-        # larger mask
+        # one level (K, j): {0, K} and j middles. The mirror walk and the
+        # scan's block of the level find exactly the sets of a combinations
+        # loop, each set A as (A, K-A) with K-A the larger mask
         rng = random.Random(131)
         cases = [(14, 7), (15, 8), (16, 8), (16, 9)]  # levels with witnesses
         while len(cases) < 40:
@@ -157,13 +157,12 @@ class TestLargestMirrorWalk:
         for top, kept in cases:
             want = [e for c in combinations(range(1, top), kept)
                     for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
-            middles = rng.sample(range(1, top), top - 1)
-            found, leaves = search._sum_dominant((0,), middles, kept, (top,), mirror=True)
+            found, leaves = search._sum_dominant(top, kept)
             assert leaves <= math.comb(top - 1, kept)
             assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
                        for a, b in zip(found[::2], found[1::2]))
             assert sorted(map(elements_of, found)) == want
-            [task] = search._normal_tasks((top,), (kept,))
+            assert search._normal_tasks((top,), (kept,)) == [task := (top, kept)]
             assert search._subset_worker(task) == (leaves, list(map(elements_of, found)))
             hits += len(want)
         assert hits >= 8
@@ -317,12 +316,22 @@ class TestPartition3Feasible:
         # mirror walk) and the complements of disjoint placement pairs
         assert out.classified == 62566 < 146931
 
-    def test_exhaustive_largest_gap_value(self):
+    def test_exhaustive_largest_gap_value(self, monkeypatch):
+        tasks = []
+        worker = search._completion_worker
+        monkeypatch.setattr(search, "_completion_worker",
+                            lambda task: tasks.append(task) or worker(task))
         out = partition3_feasible(26, exhaustive_small=True)
+        # each of the 24 placements meets the wide placements that
+        # test_partition3_second_parts checks against the oracle
+        assert len(tasks) == 24
+        assert {tuple(sorted(task[2])) for task in tasks} == {tuple(sorted(wide_placements(26)))}
         assert out.status == "infeasible" and out.witness is None
         # first parts of sizes 8, 9 and 10
         assert out.examined == sum(math.comb(25, a - 1) for a in (8, 9, 10)) == 3605250
-        assert out.classified == 531885 < 664045  # 664045: the catalogue without mirror
+        # the catalogue leaves of sizes 8 and 9 (one set per mirror pair) and
+        # the complements
+        assert out.classified == 343737
 
     def test_exhaustive_flag_ignored_above_bound(self):
         out = partition3_feasible(40, exhaustive_small=True)
@@ -346,9 +355,11 @@ class TestParallelDeterminism:
             assert docs[0] == docs[1] == docs[2]
 
     def test_partition_search_identical_across_workers(self):
-        outs = [partition3_feasible(24, exhaustive_small=True, workers=w)
-                for w in (1, 4)]
-        assert outs[0] == outs[1]
+        # r = 26 pairs the placements with the wide ones on the fork path too
+        for r, workers in ((24, (1, 4)), (26, (1, 2))):
+            outs = [partition3_feasible(r, exhaustive_small=True, workers=w)
+                    for w in workers]
+            assert outs[0] == outs[1]
 
     def test_only_the_fork_path_imports_pickle(self):
         code = ("import sys, mstd.cli\n"
@@ -380,6 +391,16 @@ def witness_lists(rep):
     return [w.elements for w in rep.witnesses]
 
 
+@functools.cache
+def wide_placements(r):
+    # the translates inside {1..r} of the walk's sum-dominant sets of 9..r-17
+    # elements: the partition search's second parts beside an 8-element part
+    forms = [w for task in search._normal_tasks(range(1, r), range(7, r - 18))
+             for w in search._subset_worker(task)[1]]
+    return tuple(ref_bits_of(x + t for x in form)
+                 for form in forms for t in range(1, r + 1 - form[-1]))
+
+
 # classified counts of largest(n) and minsize(bound): the walk's leaves
 LARGEST_CLASSIFIED = {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 2, 10: 7, 11: 16,
                       12: 51, 13: 108, 14: 286, 15: 321, 16: 716, 17: 853, 18: 989}
@@ -390,85 +411,86 @@ MINSIZE_CLASSIFIED = {1: 1, 2: 3, 3: 7, 4: 14, 5: 26, 6: 46, 7: 80, 8: 139, 9: 2
 
 
 class TestSumDominantWalk:
-    """The prefix-sharing walk against the combinations loop it replaces."""
+    """The mirror walk of one level (D, j) against the combinations loop it replaces.
+
+    A level is the prefix {0}, j middles from the pool 1..D-1 and the tail
+    {D}; the walk returns each sum-dominant set A as (A, D-A), D-A the
+    larger mask.
+    """
 
     @staticmethod
-    def check(prefix, pool, k, tail):
-        want = [e for c in combinations(pool, k)
-                for e in [tuple(prefix) + c + tuple(tail)] if ref_is_sum_dominant(e)]
-        found, leaves = search._sum_dominant(prefix, pool, k, tail)
-        got = [elements_of(w) for w in found]
+    def check(top, j):
+        want = [e for c in combinations(range(1, top), j)
+                for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
+        found, leaves = search._sum_dominant(top, j)
+        assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
+                   for a, b in zip(found[::2], found[1::2]))
+        got = sorted(map(elements_of, found))
         assert got == want
-        assert leaves <= math.comb(len(pool), k)
-        return got
+        assert leaves <= math.comb(top - 1, j)
+        return got, leaves
 
     def test_one_element_prefix_finds_the_eight_element_witnesses(self):
-        assert self.check((0,), range(1, 14), 6, (14,)) == [
+        # the two diameter-14 forms, one mirror pair
+        assert self.check(14, 6)[0] == [
             (0, 2, 3, 4, 7, 11, 12, 14), (0, 2, 3, 7, 10, 11, 12, 14)]
 
     def test_k_zero_is_prefix_and_tail(self):
-        assert self.check((0, 2, 3, 4, 7, 11), range(12, 14), 0, (12, 14)) == [
-            (0, 2, 3, 4, 7, 11, 12, 14)]
-        assert self.check((0, 2), range(3, 14), 0, (14,)) == []
-        assert self.check((0, 2, 3, 4, 7, 11, 12, 14), (), 0, ()) == [
-            (0, 2, 3, 4, 7, 11, 12, 14)]
+        # j = 0: {0, D} alone, one leaf and never sum-dominant
+        for top in range(1, 30):
+            assert self.check(top, 0) == ([], 1)
 
     def test_pool_of_exactly_k(self):
-        assert self.check((0, 2), (3, 7, 10, 11, 12), 5, (14,)) == [
-            (0, 2, 3, 7, 10, 11, 12, 14)]
-        assert self.check((0,), range(1, 8), 7, ()) == []
+        # j = D-1: the whole interval {0..D}, one leaf taken without branching
+        for top in range(1, 30):
+            assert self.check(top, top - 1) == ([], 1)
 
-    def test_empty_tail(self):
-        found = self.check((0,), range(1, 15), 7, ())
-        assert (0, 2, 3, 4, 7, 11, 12, 14) in found
+    def test_free_top_is_the_union_of_levels(self):
+        # the sum-dominant 8-sets with least element 0 inside {0..14}, whatever
+        # their top element, are the levels (D, 6), D <= 14, together
+        want = [e for c in combinations(range(1, 15), 7)
+                for e in [(0, *c)] if ref_is_sum_dominant(e)]
+        assert len(want) == 2
+        assert sorted(w for top in range(1, 15) for w in self.check(top, 6)[0]) == want
 
     def test_more_than_the_pool_holds(self):
-        assert self.check((0,), range(1, 4), 5, (9,)) == []
+        # j >= D: no j-subset of 1..D-1, so no set and no leaf
+        for top in range(1, 12):
+            for j in range(top, top + 3):
+                assert search._sum_dominant(top, j) == ([], 0)
+                assert search._block_count((top, j)) == 0
 
     def test_random_blocks(self):
         rng = random.Random(89)
-        for _ in range(300):
-            top = rng.randrange(1, 19)
-            cut1, cut2 = sorted(rng.sample(range(top + 2), 2))
-            prefix = tuple(sorted(rng.sample(range(cut1), rng.randint(0, min(2, cut1)))))
-            pool = [x for x in range(cut1, cut2) if rng.random() < 0.8]
-            tail = tuple(x for x in range(cut2, top + 1) if rng.random() < 0.3)
-            self.check(prefix, pool, rng.randint(0, len(pool) + 1), tail)
-
-    def test_random_blocks_with_long_tails(self):
-        # the tail enters every node's masks before the first pool element
-        rng = random.Random(97)
         for _ in range(150):
-            top = rng.randrange(6, 19)
-            tail = tuple(sorted(rng.sample(range(3, top + 1), rng.randint(2, 4))))
-            cut = rng.randrange(1, tail[0])
-            prefix = tuple(sorted(rng.sample(range(cut), rng.randint(0, min(2, cut)))))
-            pool = [x for x in range(cut, tail[0]) if rng.random() < 0.85]
-            self.check(prefix, pool, rng.randint(0, len(pool)), tail)
+            top = rng.randrange(1, 19)
+            self.check(top, rng.randint(0, top - 1))
+
+    def test_random_blocks_of_wide_diameter(self):
+        # diameters 19..26, far beyond the first middles; few or many middles
+        # keep the loop short
+        rng = random.Random(97)
+        for _ in range(40):
+            top = rng.randrange(19, 27)
+            self.check(top, rng.choice([rng.randint(0, 3), rng.randint(top - 5, top - 1)]))
 
     def test_random_largest_shaped_blocks(self):
-        # (0, first) + kept middles + (n-1) with 12 or more elements, where
-        # the bound cuts deep subtrees
+        # (n-1, n-2-d): a level of largest(n) with d <= 5 discards and 12 or
+        # more elements, where the bound cuts deep subtrees
         rng = random.Random(101)
         for _ in range(40):
-            n = rng.randrange(13, 21)
-            first = rng.randrange(1, 4)
-            pool = [x for x in range(first + 1, n - 1) if rng.random() < 0.85]
-            if len(pool) < 9:
-                continue
-            self.check((0, first), pool, rng.randrange(9, len(pool) + 1), (n - 1,))
+            n = rng.randrange(13, 23)
+            self.check(n - 1, n - 2 - rng.randrange(6))
 
     def test_bound_cuts_subtrees(self):
-        # the 8-element normal forms of diameter 14 and 24, and a largest(25)
-        # block; of their 1716, 100947 and 170544 candidates the walk
+        # the 8-element levels of diameter 14 and 24, and the productive level
+        # of largest(25); of their 1716, 100947 and 245157 candidates the walk
         # classifies only these
-        for (prefix, pool, k, tail), hits, leaves in [
-                (((0,), range(1, 14), 6, (14,)), 2, 1657),
-                (((0,), range(1, 24), 6, (24,)), 0, 41934),
-                (((0, 1), range(2, 24), 15, (24,)), 3, 68921)]:
-            found, got = search._sum_dominant(prefix, pool, k, tail)
+        for (top, j), hits, leaves in [((14, 6), 2, 332), ((24, 6), 0, 19445),
+                                       ((24, 16), 4, 2811)]:
+            found, got = search._sum_dominant(top, j)
             assert (len(found), got) == (hits, leaves)
-            assert leaves < math.comb(len(pool), k)
+            assert leaves < math.comb(top - 1, j)
 
 
 class TestMirrorFold:
@@ -483,7 +505,7 @@ class TestMirrorFold:
             for j in range(top):
                 want = [e for c in combinations(range(1, top), j)
                         for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
-                task = ((0,), range(1, top), j, (top,), True)
+                task = (top, j)
                 assert search._normal_tasks((top,), (j,)) == [task]
                 found, leaves = search._sum_dominant(*task)
                 assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
@@ -500,18 +522,19 @@ class TestMirrorFold:
     def test_tie_block(self):
         # the diameter-14 forms have first gap = last gap = 2, and the walk
         # emits the pair once
-        found, _ = search._sum_dominant((0,), range(1, 14), 6, (14,), True)
+        found, _ = search._sum_dominant(14, 6)
         assert list(map(elements_of, found)) == [
             (0, 2, 3, 4, 7, 11, 12, 14), (0, 2, 3, 7, 10, 11, 12, 14)]
 
     @pytest.mark.parametrize("r", [24, 25, 26])
     def test_catalogue_forms(self, r):
-        # the partition search's catalogue against the plain 8-element slice
+        # the partition search's 8-element catalogue against Hegarty's forms,
+        # and every level of diameter <= 17 against the combinations loop
         tasks = search._normal_tasks(range(1, r), (6,))
-        mirrored = [w for task in tasks for w in search._subset_worker(task)[1]]
-        plain = [elements_of(w) for task in tasks
-                 for w in search._sum_dominant(*task[:4])[0]]
-        assert sorted(mirrored) == plain == list(SD8_FORMS)
+        forms = sorted(w for task in tasks for w in search._subset_worker(task)[1])
+        loop = [e for top in range(1, 18) for c in combinations(range(1, top), 6)
+                for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
+        assert forms == list(SD8_FORMS) == loop
 
 
 class TestAgainstReferenceLoops:
@@ -532,11 +555,6 @@ class TestAgainstReferenceLoops:
             rep = min_size_scan(bound, workers=workers)
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
             assert rep.classified == MINSIZE_CLASSIFIED[bound] <= examined
-        # the mirror walk keeps one set per mirror pair: fewer leaves than the
-        # plain walk once a block has two middles to mirror (D >= 4)
-        plain = sum(search._sum_dominant(*task[:4])[1]
-                    for task in search._normal_tasks(range(1, bound + 1), range(7)))
-        assert rep.classified < plain if bound >= 4 else rep.classified == plain
 
     @pytest.mark.parametrize("scan,groups,span,max_diff", [
         (ap_pair_scan, [(1,)], 6, 1),
@@ -610,17 +628,18 @@ class TestAgainstReferenceLoops:
         assert len(witness[0]) == 8
         assert len(min(want)[0]) == {24: 8, 25: 9}[r]
 
-    @pytest.mark.parametrize("i", [4, 20])
+    @pytest.mark.parametrize("i", [0, 4, 6, 8, 10, 20, 22, 23])
     def test_partition3_second_parts(self, i, monkeypatch):
-        # at r = 26 these placements leave 9-element second parts that are
-        # sum-dominant; with every complement accepted they become splits
+        # at r = 26 every placement but 0 of these leaves 9-element second
+        # parts that are sum-dominant, and the wide placements hold them; with
+        # every complement accepted they become splits
         monkeypatch.setattr(search, "sum_diff_cards", lambda bits: (1, 0))
         places = ref_placements(26)
         _, splits = search._completion_worker(
-            (26, tuple(map(ref_bits_of, places)), i))
+            (26, tuple(map(ref_bits_of, places)), wide_placements(26), i))
         want = ref_completions(26, places, i)
         assert sorted(splits) == sorted(want)
-        assert any(len(part) == 9 for split in want for part in split)
+        assert any(len(part) == 9 for split in want for part in split) == (i != 0)
 
 
 class TestPairRecurrence:
