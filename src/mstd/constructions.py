@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import UNIVERSE_CAP, IntSet, elements_of
+from .core import UNIVERSE_CAP, IntSet, _progression_bits, elements_of
 from .errors import ConstraintViolationError, InvalidParameterError, UniverseOverflowError
 from .lemmas import ArithProg, is_arithmetic_progression
 
@@ -54,7 +54,7 @@ MIN_WINDOW_M = 21
 
 
 def _within_cap(top: int, what: str) -> None:
-    # from the parameter, before a list of up to `top` elements is built
+    # from the parameter, before a mask reaching `top` is built
     if top >= UNIVERSE_CAP:
         raise UniverseOverflowError(
             f"{what} reaches {top}, at or beyond the cap {UNIVERSE_CAP}")
@@ -74,7 +74,7 @@ def k_set(m: int) -> IntSet:
         raise InvalidParameterError(f"k_set needs m >= 9, got {m}")
     _within_cap(m + 7, "k_set")
     # {0,1,2,4}, the interval 7..m, {m+4, m+6, m+7}
-    return IntSet.from_bits(0b10111 | ((1 << (m - 6)) - 1) << 7 | 0b1101 << (m + 4))
+    return IntSet.from_bits(0b10111 | _progression_bits(7, 1, m - 6) | 0b1101 << (m + 4))
 
 
 def nathanson_set(k: int) -> IntSet:
@@ -85,9 +85,8 @@ def nathanson_set(k: int) -> IntSet:
     if k < 5:
         raise InvalidParameterError(f"nathanson_set needs k >= 5, got {k}")
     _within_cap(4 * k + 2, "nathanson_set")
-    # {0,2,4}, the base-16 repunit 1 + 16 + ... + 16**(k-1) shifted to
-    # 3, 7, ..., 4k-1, and {4k, 4k+2}
-    return IntSet.from_bits(0b10101 | ((1 << 4 * k) - 1) // 15 << 3 | 0b101 << 4 * k)
+    # {0,2,4}, 3, 7, ..., 4k-1, and {4k, 4k+2}
+    return IntSet.from_bits(0b10101 | _progression_bits(3, 4, k) | 0b101 << 4 * k)
 
 
 def union_two_aps(p1: ArithProg, p2: ArithProg) -> IntSet:
@@ -139,7 +138,7 @@ def middle_window(m: int) -> IntSet:
     if m < MIN_WINDOW_M:
         raise InvalidParameterError(f"window needs m >= {MIN_WINDOW_M}, got {m}")
     _within_cap(124 + m, "the three-part split")
-    return IntSet(range(66, 60 + m)) - CENTER_SET
+    return IntSet.from_bits(_progression_bits(66, 1, m - 6)) - CENTER_SET
 
 
 def _run_starts(s: IntSet, width: int) -> tuple[int, ...]:
@@ -253,7 +252,7 @@ def partition3(spec: Partition3Spec) -> Partition3Result:
         raise ConstraintViolationError([SpecViolation(
             "disjointness", shared.elements,
             "the assembled parts share these positions")])
-    mismatch = (a1 | a2 | CENTER_SET) ^ IntSet(range(1, span + 1))
+    mismatch = (a1 | a2 | CENTER_SET) ^ IntSet.from_bits(_progression_bits(1, 1, span))
     if len(mismatch):
         raise ConstraintViolationError([SpecViolation(
             "coverage", mismatch.elements,

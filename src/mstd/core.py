@@ -90,7 +90,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from bisect import bisect_left
 from collections import defaultdict
 from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
@@ -152,8 +151,9 @@ def bits_of(elements: Iterable[int]) -> int:
     if (low := min(elements)) < 0:
         raise InvalidParameterError(f"set element {low} is negative")
     if (top := max(elements)) >= UNIVERSE_CAP:
+        least = min(e for e in elements if e >= UNIVERSE_CAP)
         raise UniverseOverflowError(
-            f"element {top} is at or beyond the universe cap {UNIVERSE_CAP}")
+            f"element {least} is at or beyond the universe cap {UNIVERSE_CAP}")
     if small:
         bits = 0
         for e in elements:
@@ -164,6 +164,16 @@ def bits_of(elements: Iterable[int]) -> int:
         digits[e] = 49  # ord("1")
     digits.reverse()
     return int(digits, 2)
+
+
+def _progression_bits(start: int, diff: int, length: int) -> int:
+    # mask of start, start+diff, ..., start+(length-1)*diff, length >= 1, in
+    # about log2(length) shift-ORs that each copy the block built so far
+    bits, have = 1, 1  # the terms 0, diff, ..., (have-1)*diff
+    while 2 * have <= length:
+        bits |= bits << have * diff
+        have *= 2
+    return (bits | bits << (length - have) * diff) << start
 
 
 def _require_mask(bits: int) -> int:
@@ -297,8 +307,8 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
     bits : int
         Dense bitmask of a nonempty set A.
     elements : tuple of int, optional
-        The elements of A if the caller already has them; skips one
-        unpacking pass in hot loops.
+        A shortcut for callers that already hold the elements of A:
+        small sets then skip the one unpacking pass.
 
     Returns
     -------
@@ -329,42 +339,32 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
 class IntSet:
     """Immutable finite set of nonnegative integers below UNIVERSE_CAP.
 
-    Stores both the sorted element tuple and the dense bitmask; all
-    arithmetic in this package runs on the mask. Supports len, iteration,
-    membership, equality/hash, and the set operators | & - ^.
+    Holds only the dense bitmask, on which all arithmetic in this package
+    runs; elements and iteration unpack it on each call, linear in max(A).
+    Supports len, membership, equality/hash, and the set operators | & - ^.
     """
 
-    __slots__ = ("_elements", "_bits")
+    __slots__ = ("_bits",)
 
     def __init__(self, elements: Iterable[int] = ()):
         items = list(elements)
         for e in items:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InvalidParameterError(f"set element {e!r} is not an int")
-        elems = sorted(set(items))
-        if elems and elems[0] < 0:
-            raise InvalidParameterError(f"set element {elems[0]} is negative")
-        if elems and elems[-1] >= UNIVERSE_CAP:
-            e = elems[bisect_left(elems, UNIVERSE_CAP)]
-            raise UniverseOverflowError(
-                f"element {e} is at or beyond the universe cap {UNIVERSE_CAP}"
-            )
-        self._elements = tuple(elems)
-        self._bits = bits_of(self._elements)
+        self._bits = bits_of(items)
 
     @classmethod
     def from_bits(cls, bits: int) -> "IntSet":
-        """Rebuild an IntSet from a dense bitmask."""
+        """Wrap a dense bitmask as an IntSet."""
         if _require_mask(bits).bit_length() > UNIVERSE_CAP:
             raise UniverseOverflowError("bitmask extends beyond the universe cap")
         self = object.__new__(cls)
-        self._elements = elements_of(bits)
         self._bits = bits
         return self
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return self._elements
+        return elements_of(self._bits)
 
     @property
     def bits(self) -> int:
@@ -372,15 +372,15 @@ class IntSet:
 
     @property
     def min(self) -> int:
-        if not self._elements:
+        if not self._bits:
             raise EmptySetError("empty set has no minimum")
-        return self._elements[0]
+        return (self._bits & -self._bits).bit_length() - 1
 
     @property
     def max(self) -> int:
-        if not self._elements:
+        if not self._bits:
             raise EmptySetError("empty set has no maximum")
-        return self._elements[-1]
+        return self._bits.bit_length() - 1
 
     @property
     def diameter(self) -> int:
@@ -388,22 +388,23 @@ class IntSet:
         return self.max - self.min
 
     def shift(self, offset: int) -> "IntSet":
-        """Translate every element by offset (result must stay nonnegative)."""
-        if self._elements and self._elements[0] + offset < 0:
+        """Translate every element by offset (result must stay in [0, UNIVERSE_CAP))."""
+        bits = self._bits
+        if bits and self.min + offset < 0:
             raise InvalidParameterError(f"shift by {offset} goes negative")
-        return IntSet(e + offset for e in self._elements)
+        if bits and self.max + offset >= UNIVERSE_CAP:  # before a huge mask is built
+            raise UniverseOverflowError(f"shift by {offset} reaches the universe cap")
+        return IntSet.from_bits(bits << offset if offset >= 0 else bits >> -offset)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return self._bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._elements)
+        return iter(elements_of(self._bits))
 
     def __contains__(self, x: object) -> bool:
-        if not isinstance(x, int):
-            return False
-        i = bisect_left(self._elements, x)
-        return i < len(self._elements) and self._elements[i] == x
+        # a non-int is never a member, and neither is a negative int
+        return isinstance(x, int) and x >= 0 and self._bits >> x & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntSet):
@@ -429,7 +430,7 @@ class IntSet:
         return self._bits & other._bits == 0
 
     def __repr__(self) -> str:
-        return f"IntSet({{{', '.join(map(str, self._elements))}}})"
+        return f"IntSet({{{', '.join(map(str, self.elements))}}})"
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,7 @@ def classify(a: IntSet) -> Classification:
     """Classify A as sum-dominant, balanced, or difference-dominant."""
     if len(a) == 0:
         raise EmptySetError("cannot classify the empty set")
-    sc, dc = sum_diff_cards(a.bits, a.elements)
+    sc, dc = sum_diff_cards(a.bits)
     if sc > dc:
         kind = Kind.SUM_DOMINANT
     elif sc < dc:

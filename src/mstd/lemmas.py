@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IntSet, UNIVERSE_CAP, gaps_of, sumset_bits
+from .core import IntSet, UNIVERSE_CAP, _progression_bits, gaps_of, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 
 NOT_SUM_DOMINANT = "not-sum-dominant"
@@ -57,7 +57,7 @@ class ArithProg(NamedTuple("ArithProg", [("start", int), ("diff", int), ("length
             raise UniverseOverflowError(
                 f"progression reaches {self.last}, beyond the cap {UNIVERSE_CAP}"
             )
-        return IntSet(self.start + i * self.diff for i in range(self.length))
+        return IntSet.from_bits(_progression_bits(self.start, self.diff, self.length))
 
 
 class LemmaVerdict(NamedTuple):

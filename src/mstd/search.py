@@ -127,7 +127,7 @@ from bisect import bisect_left
 from itertools import accumulate, pairwise
 from typing import NamedTuple
 
-from .core import IntSet, bits_of, elements_of, sum_diff_cards
+from .core import IntSet, _progression_bits, bits_of, elements_of, sum_diff_cards
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
@@ -441,11 +441,6 @@ def _ap_runs(span: int, diffs) -> list[tuple[int, int, int]]:
             for d in diffs for length in range(1, span // d + 2)]
 
 
-def _ap_bits(diff: int, length: int) -> int:
-    # mask of {0, diff, ..., (length-1)*diff}: a repunit in base 2**diff
-    return ((1 << length * diff) - 1) // ((1 << diff) - 1)
-
-
 def _dominates(sc: int, dc: int) -> bool:
     # the pair worker's verdict on (|A+A|, |A-A|), under its own name so a
     # stand-in verdict can drive the witness path
@@ -459,7 +454,8 @@ def _pair_block_worker(task):
     # and the witnesses, each with all of its translates inside the span.
     span, diffs, lo, hi = task
     top = span  # K, the reflection point of the cross differences
-    runs = [(n, diff, length, _ap_bits(diff, length), _ap_bits(diff, 2 * length - 1))
+    runs = [(n, diff, length, _progression_bits(0, diff, length),
+             _progression_bits(0, diff, 2 * length - 1))
             for diff, length, n in _ap_runs(span, diffs)]  # AP(0, d, l), its sums
     found = set()
     unions = 0

@@ -98,6 +98,14 @@ class TestIntSet:
         assert IntSet([3, 5]).shift(-3).elements == (0, 2)
         with pytest.raises(InvalidParameterError):
             IntSet([3, 5]).shift(-4)
+        # checked before the mask is shifted
+        with pytest.raises(UniverseOverflowError):
+            IntSet([3, 5]).shift(UNIVERSE_CAP - 5)
+        with pytest.raises(UniverseOverflowError):
+            IntSet([3, 5]).shift(4 * UNIVERSE_CAP)
+        with pytest.raises(InvalidParameterError):
+            IntSet([3, 5]).shift(-4 * UNIVERSE_CAP)
+        assert IntSet([3, 5]).shift(UNIVERSE_CAP - 6).max == UNIVERSE_CAP - 1
 
     def test_min_max_diameter(self):
         a = IntSet([2, 9, 11])
@@ -399,6 +407,11 @@ class TestLargeSetKernel:
                 for elems in ((*head, bad), iter((bad, *head))):
                     with pytest.raises(error, match=text):
                         bits_of(elems)
+            # the error names the least element at or past the cap
+            bad = (UNIVERSE_CAP + 9, 1, UNIVERSE_CAP)
+            for elems in ((*head, *bad), iter((*bad, *head))):
+                with pytest.raises(UniverseOverflowError, match=f"element {UNIVERSE_CAP} "):
+                    bits_of(elems)
 
     def test_unpack_matches_reference(self):
         rng = random.Random(67)
@@ -546,8 +559,8 @@ class TestLargeSetKernel:
             assert mags == ref_diff_bits(kset.bits)
 
     def test_k_set_mask_at_the_cap(self):
-        # {0..m+7} less 3, 5, 6, m+1, m+2, m+3, m+5, built without IntSet: its
-        # element tuple alone peaks near 800 MB
+        # {0..m+7} less 3, 5, 6, m+1, m+2, m+3, m+5, built without IntSet so
+        # that only the kernel is timed
         m = UNIVERSE_CAP - 8
         bits = ((1 << (m + 8)) - 1) ^ sum(1 << e for e in (3, 5, 6, m + 1, m + 2, m + 3, m + 5))
         start = time.perf_counter()
@@ -555,6 +568,19 @@ class TestLargeSetKernel:
         assert time.perf_counter() - start < 2
         assert sumset_bits(bits) == ((1 << (2 * m + 15)) - 1) ^ (1 << (2 * m + 9))
         assert diff_bits(bits) == ((1 << (m + 8)) - 1) ^ (1 << (m + 1))
+
+    def test_cap_sized_sets_stay_small(self):
+        # an element tuple of k_set(2**24 - 8) alone takes ~800 MB, so the
+        # bound shows that none is built
+        code = ("import resource, mstd; m = 2**24 - 8; k = mstd.k_set(m); "
+                "assert (len(k), k.min, k.max) == (m + 1, 0, m + 7); "
+                "assert 2**24 - 1 in k and (k | k) == k; "
+                "assert mstd.classify(k).excess == 1; "
+                "assert mstd.classify(mstd.ap(0, 1, 2**24)).sum_card == 2**25 - 1; "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert int(out.stdout) < 250 * 1024  # KiB
 
     def test_decimal_is_imported_only_by_a_product(self):
         # k_set's five runs stay on shift-OR; 20000 single elements do not

@@ -27,6 +27,8 @@ class TestArithProg:
         assert ArithProg(3, 2, 5).expand().elements == (3, 5, 7, 9, 11)
         assert ArithProg(0, 1, 1).expand().elements == (0,)
         assert ArithProg(7, 4, 5).expand().elements == (7, 11, 15, 19, 23)
+        assert ArithProg(0, 2**23, 2).expand().elements == (0, 2**23)
+        assert ArithProg(5, 3, 37).expand().elements == tuple(5 + 3 * i for i in range(37))
 
     def test_last(self):
         assert ArithProg(3, 2, 5).last == 11
