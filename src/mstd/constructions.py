@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import UNIVERSE_CAP, IntSet, _progression_bits, elements_of
+from .core import UNIVERSE_CAP, IntSet, _progression_bits, _require_int, elements_of
 from .errors import ConstraintViolationError, InvalidParameterError, UniverseOverflowError
 from .lemmas import ArithProg, is_arithmetic_progression
 
@@ -70,7 +70,7 @@ def k_set(m: int) -> IntSet:
 
     Sum-dominant with excess exactly +1 for every m >= 9.
     """
-    if m < 9:
+    if _require_int(m, "k_set m") < 9:
         raise InvalidParameterError(f"k_set needs m >= 9, got {m}")
     _within_cap(m + 7, "k_set")
     # {0,1,2,4}, the interval 7..m, {m+4, m+6, m+7}
@@ -82,7 +82,7 @@ def nathanson_set(k: int) -> IntSet:
 
     Sum-dominant with excess exactly +1 for every k >= 5.
     """
-    if k < 5:
+    if _require_int(k, "nathanson_set k") < 5:
         raise InvalidParameterError(f"nathanson_set needs k >= 5, got {k}")
     _within_cap(4 * k + 2, "nathanson_set")
     # {0,2,4}, 3, 7, ..., 4k-1, and {4k, 4k+2}
@@ -135,7 +135,7 @@ class Partition3Result(NamedTuple):
 
 def middle_window(m: int) -> IntSet:
     """The free middle positions {66..59+m} minus the fixed center set."""
-    if m < MIN_WINDOW_M:
+    if _require_int(m, "window m") < MIN_WINDOW_M:
         raise InvalidParameterError(f"window needs m >= {MIN_WINDOW_M}, got {m}")
     _within_cap(124 + m, "the three-part split")
     return IntSet.from_bits(_progression_bits(66, 1, m - 6)) - CENTER_SET
@@ -267,7 +267,7 @@ def default_blocks(m: int) -> Partition3Spec:
     set, clipped to the window; M2 takes the rest. Raises
     ConstraintViolationError if the result fails validation.
     """
-    if m < MIN_WINDOW_M:
+    if _require_int(m, "default_blocks m") < MIN_WINDOW_M:
         raise InvalidParameterError(f"default_blocks needs m >= 21, got {m}")
     window = middle_window(m)
     center = CENTER_SET.bits

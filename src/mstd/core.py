@@ -176,6 +176,13 @@ def _progression_bits(start: int, diff: int, length: int) -> int:
     return (bits | bits << (length - have) * diff) << start
 
 
+def _require_int(value, what: str) -> int:
+    # a parameter that must be an int; a bool is not one
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{what} must be an int, not {type(value).__name__}")
+    return value
+
+
 def _require_mask(bits: int) -> int:
     # a negative int has no finite set of bits
     if bits < 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IntSet, UNIVERSE_CAP, _progression_bits, gaps_of, sumset_bits
+from .core import IntSet, UNIVERSE_CAP, _progression_bits, _require_int, gaps_of, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 
 NOT_SUM_DOMINANT = "not-sum-dominant"
@@ -37,11 +37,11 @@ class ArithProg(NamedTuple("ArithProg", [("start", int), ("diff", int), ("length
     __slots__ = ()
 
     def __new__(cls, start: int, diff: int, length: int):
-        if start < 0:
+        if _require_int(start, "start") < 0:
             raise InvalidParameterError(f"start {start} is negative")
-        if diff < 1:
+        if _require_int(diff, "diff") < 1:
             raise InvalidParameterError(f"diff {diff} is not positive")
-        if length < 1:
+        if _require_int(length, "length") < 1:
             raise InvalidParameterError(f"length {length} is not positive")
         return super().__new__(cls, start, diff, length)
 
@@ -114,7 +114,7 @@ def ms_condition2(a: IntSet, m: int) -> LemmaVerdict:
     """
     if len(a) == 0:
         raise EmptySetError("cannot check the empty set")
-    if m < 2:
+    if _require_int(m, "block gap m") < 2:
         raise InvalidParameterError(f"block gap m={m} must be at least 2")
     gaps = gaps_of(a)
     if any(g != 1 and g != m for g in gaps):
@@ -158,7 +158,7 @@ def new_sums_on_extend(base: IntSet, x: int) -> int:
     """
     if len(base) == 0:
         raise EmptySetError("cannot extend the empty set")
-    if x < 0:
+    if _require_int(x, "extension point") < 0:
         raise InvalidParameterError(f"extension point {x} is negative")
     if x >= UNIVERSE_CAP:
         raise UniverseOverflowError(f"extension point {x} is beyond the cap")

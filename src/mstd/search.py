@@ -106,16 +106,19 @@ are exactly the sum and magnitude masks of A0 u B, the last >> K
 keeping the nonnegative differences; A = A0 << t against B0 swaps the
 roles of A and B, and of X and Y. Only witnesses are unpacked.
 
-Parallelism: each engine splits its candidate space into contiguous
-blocks (one per normalized level (K, j), pair blocks are run ranges of
-about equal sweep length) and runs each task list fork-join: the caller
-forks min(workers, blocks) - 1 children, which inherit the tasks, and
-every process, the caller too, takes blocks one at a time, heaviest
-first by closed-form count, off one pipe. A child pickles back only its
-(index, result) pairs. Largest (one block per level) and any scan where
-os.fork is missing run in process. Blocks return (count, witness list),
-and merging sums the counts and sorts the witness union, both order-free,
-so reports are byte-identical for any worker count.
+Parallelism: each engine splits its candidate space into blocks, one per
+natural unit of work whatever the worker count (a normalized level
+(K, j), a progression shape of a pair scan weighted by its sweep length,
+a placement of the three-part search), and runs each task list
+fork-join: the caller forks min(workers, blocks) - 1 children, which
+inherit the tasks, and every process, the caller too, takes blocks one
+at a time, heaviest first, off one pipe. A child pickles back only its
+(index, result) pairs. Largest (one level at a time) and any scan where
+os.fork is missing run in process. A block returns (count, witness
+masks), and one merge sums the counts and sorts the distinct masks by
+their elements, both order-free, so reports are byte-identical for any
+worker count. Only the completion blocks return element-tuple splits,
+whose order is the witness rule.
 """
 
 from __future__ import annotations
@@ -123,11 +126,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from bisect import bisect_left
-from itertools import accumulate, pairwise
 from typing import NamedTuple
 
-from .core import IntSet, _progression_bits, bits_of, elements_of, sum_diff_cards
+from .core import IntSet, _progression_bits, _require_int, elements_of, sum_diff_cards
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
@@ -136,13 +137,13 @@ MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
 class SearchReport(NamedTuple):
     """Outcome of one exhaustive scan.
 
-    witnesses hold IntSets (or IntSet triples for the partition search),
-    sorted lexicographically by elements; examined is the closed-form
-    candidate count; classified counts the candidates actually classified
-    and stays out of as_dict: at most examined, fewer where the walk's
-    bounds cut a subtree (largest, minsize), one set per mirror pair is
-    walked (largest, minsize) or one union per translation class is
-    classified (pair scans). params echoes the search bounds.
+    witnesses hold IntSets, sorted lexicographically by elements;
+    examined is the closed-form candidate count; classified counts the
+    candidates actually classified and stays out of as_dict: at most
+    examined, fewer where the walk's bounds cut a subtree (largest,
+    minsize), one set per mirror pair is walked (largest, minsize) or
+    one union per translation class is classified (pair scans). params
+    echoes the search bounds.
     """
 
     search: str
@@ -154,17 +155,11 @@ class SearchReport(NamedTuple):
 
     def as_dict(self, elapsed_s: float | None = None) -> dict:
         """Schema form: {"search", "params", "examined", "witnesses", "elapsed_s"}."""
-        wit = []
-        for w in self.witnesses:
-            if isinstance(w, IntSet):
-                wit.append(list(w.elements))
-            else:
-                wit.append([list(part.elements) for part in w])
         return {
             "search": self.search,
             "params": dict(self.params),
             "examined": self.examined,
-            "witnesses": wit,
+            "witnesses": [list(w.elements) for w in self.witnesses],
             "elapsed_s": self.elapsed if elapsed_s is None else elapsed_s,
         }
 
@@ -190,9 +185,7 @@ class Partition3Feasibility(NamedTuple):
 
 def _require(value, least, what):
     # a scan bound or worker count: an int (not a bool) of at least `least`
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{what} must be an int, not {type(value).__name__}")
-    if value < least:
+    if _require_int(value, what) < least:
         raise InvalidParameterError(f"{what} must be at least {least}")
 
 
@@ -255,23 +248,26 @@ def _run_blocks(fn, tasks, weight, workers):
             os.close(fd)
 
 
-def _merged(results):
-    # block results (count, witness list) merged: counts summed, lists joined
-    return sum(c for c, _ in results), [w for _, ws in results for w in ws]
+def _merge_blocks(results):
+    # block results (count, witness masks): the counts summed, and the
+    # distinct masks as IntSets sorted by their elements
+    masks = sorted({w for _, ws in results for w in ws}, key=elements_of)
+    return sum(c for c, _ in results), [IntSet.from_bits(w) for w in masks]
 
 
-def _sum_dominant(top, k):
-    """Sum-dominant sets {0} u c u {top}, c a k-subset of 1..top-1, one per mirror pair.
+def _sum_dominant(level):
+    """The block of level (top, k): the sets {0} u c u {top}, c a k-subset of 1..top-1.
 
-    Returns (found, leaves): the bitmasks of those sets, unsorted with
-    K-A after each A kept, and how many candidates were classified
-    (subtrees the bounds cut and mirrors skipped are not). This is the
-    mirror walk of the module docstring with K = top: {0, K} is in the
-    root, the middles are decided outside in (1, K-1, 2, K-2, ..., the
-    centre), and a node is cut by the bound, the mirror rule and the
-    final fringe. Its last level is a flat loop, and a node that must
-    take the rest of the middles takes them without branching.
+    Returns (leaves, masks): how many candidates were classified
+    (subtrees the bounds cut and mirrors skipped are not), and the
+    bitmasks of the sum-dominant sets, unsorted with K-A after each A
+    kept. This is the mirror walk of the module docstring with K = top:
+    {0, K} is in the root, the middles are decided outside in (1, K-1,
+    2, K-2, ..., the centre), and a node is cut by the bound, the mirror
+    rule and the final fringe. Its last level is a flat loop, and a node
+    that must take the rest of the middles takes them without branching.
     """
+    top, k = level
     pool = sorted(range(1, top), key=lambda x: (min(x, top - x), x))
     size = k + 2
     cap = 2 * top + 1  # S lies in [0, 2K]
@@ -320,13 +316,7 @@ def _sum_dominant(top, k):
 
     ends = 1 | 1 << top  # {0, K}: its own mirror, its sums {0, K, 2K}, its magnitudes {0, K}
     walk(0, k, ends, ends, ends | 1 << 2 * top, ends)
-    return found, leaves
-
-
-def _subset_worker(task):
-    # one block (D, j) of a combination scan: the level {0} u c u {D}, |c| = j
-    found, leaves = _sum_dominant(*task)
-    return leaves, [elements_of(w) for w in found]
+    return leaves, found
 
 
 def _block_count(task):
@@ -365,22 +355,19 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     limit = min(max_discard, meaningful)
 
     examined = classified = 0
-    hits: list[tuple[int, ...]] = []
+    witnesses: list[IntSet] = []
     hit_d = None
     for d in range(limit + 1):
         kept = (n - 2) - d
         examined += math.comb(n - 2, kept)
-        tasks = _normal_tasks((n - 1,), (kept,))
-        leaves, found = _merged(_run_blocks(_subset_worker, tasks, _block_count, workers))
+        leaves, witnesses = _merge_blocks([_sum_dominant((n - 1, kept))])
         classified += leaves
-        hits = sorted(found)
-        if hits:
+        if witnesses:
             hit_d = d
             break
 
     elapsed = time.perf_counter() - t0
     params = {"n": n, "max_discard": max_discard}
-    witnesses = [IntSet(w) for w in hits]
     report = SearchReport("largest", params, examined, witnesses, elapsed,
                           classified=classified)
     if hit_d is not None:
@@ -422,8 +409,7 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     t0 = time.perf_counter()
     tasks = _normal_tasks(range(1, max_diameter + 1), range(MIN_SD_CARD - 1))
     examined = sum(map(_block_count, tasks))
-    classified, hits = _merged(_run_blocks(_subset_worker, tasks, _block_count, workers))
-    witnesses = [IntSet(w) for w in sorted(hits)]
+    classified, witnesses = _merge_blocks(_run_blocks(_sum_dominant, tasks, _block_count, workers))
     elapsed = time.perf_counter() - t0
     return SearchReport("minsize", {"max_diameter": max_diameter},
                         examined, witnesses, elapsed, classified=classified)
@@ -433,12 +419,20 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
 # two-progression scans
 
 
-def _ap_runs(span: int, diffs) -> list[tuple[int, int, int]]:
-    # (diff, length, rows) for every shape of progression inside {0..span},
-    # diffs in the given order, then length ascending; a run's rows are
-    # its starts 0..rows-1
-    return [(d, length, span - (length - 1) * d + 1)
-            for d in diffs for length in range(1, span // d + 2)]
+def _ap_runs(span: int, diffs) -> tuple[tuple[int, int, int, int, int], ...]:
+    # (rows, diff, length, AP(0, diff, length), its sums AP(0, diff, 2*length-1))
+    # for every shape of progression inside {0..span}, diffs in the given
+    # order, then length ascending; a run's rows are its starts 0..rows-1
+    return tuple((span - (length - 1) * d + 1, d, length, _progression_bits(0, d, length),
+                  _progression_bits(0, d, 2 * length - 1))
+                 for d in diffs for length in range(1, span // d + 2))
+
+
+def _sweep(task):
+    # the unions run r classifies: every row of the runs from r on, and its
+    # later rows against each later run
+    _, runs, r = task
+    return sum(run[0] for run in runs[r:]) + (runs[r][0] - 1) * (len(runs) - r - 1)
 
 
 def _dominates(sc: int, dc: int) -> bool:
@@ -448,77 +442,55 @@ def _dominates(sc: int, dc: int) -> bool:
 
 
 def _pair_block_worker(task):
-    # runs lo..hi against every run from themselves on, one pair per
-    # translation class: the first row of one run against every row of the
-    # other, both ways between different runs. Returns the unions classified
-    # and the witnesses, each with all of its translates inside the span.
-    span, diffs, lo, hi = task
+    # run r against every run from itself on, one pair per translation
+    # class: the first row of one run against every row of the other, both
+    # ways between different runs. Returns the unions classified and the
+    # witness masks, each with all of its translates inside the span.
+    span, runs, r = task
     top = span  # K, the reflection point of the cross differences
-    runs = [(n, diff, length, _progression_bits(0, diff, length),
-             _progression_bits(0, diff, 2 * length - 1))
-            for diff, length, n in _ap_runs(span, diffs)]  # AP(0, d, l), its sums
+    n1, _, l1, a, sa = runs[r]
     found = set()
     unions = 0
-    for r, (n1, d1, l1, a, sa) in enumerate(runs[lo:hi], lo):
-        ra = a << top - (l1 - 1) * d1  # {K - a}
-        for r2, (n2, d2, l2, b, sb) in enumerate(runs[r:], r):
-            c = x = y = 0  # A0+B0, {K+a-b} and {K+b-a}
-            if l1 <= l2:
-                rb = b << top - (l2 - 1) * d2
-                for e in range(0, l1 * d1, d1):
-                    c |= b << e
-                    x |= rb << e
-                    y |= b << top - e
-            else:
-                for e in range(0, l2 * d2, d2):
-                    c |= a << e
-                    x |= a << top - e
-                    y |= ra << e
-            dab = a | b
-            # B0 << t against A0, then A0 << t against B0 (t >= 1, other runs only)
-            sweeps = [(a, sa, b, sb, x, y, 0, n2)]
-            if r2 != r:
-                sweeps.append((b, sb, a, sa, y, x, 1, n1))
-            for fixed, sf, moving, sm, x, y, t0, n in sweeps:
-                unions += n - t0
-                for t in range(t0, n):  # moving << t: x >> K+t | y >> K-t
-                    s = sf | sm << 2 * t | c << t
-                    d = dab | x >> top + t | y >> top - t
-                    if _dominates(s.bit_count(), 2 * d.bit_count() - 1):
-                        u = fixed | moving << t
-                        found.update(elements_of(u << v)
-                                     for v in range(span + 2 - u.bit_length()))
-    return unions, sorted(found)
-
-
-def _even_blocks(weights, blocks):
-    # contiguous index ranges of about equal total weight: a cut after each item
-    # that carries the running total to a next share; b skips the shares in one item
-    acc = list(accumulate(weights))
-    cuts, b = {0, len(acc)}, 1
-    while b < blocks:
-        i = bisect_left(acc, acc[-1] * b / blocks)
-        cuts.add(i + 1)
-        b = max(b + 1, acc[i] * blocks // acc[-1] + 1) if acc[-1] else blocks
-    return list(pairwise(sorted(cuts)))
+    for r2 in range(r, len(runs)):
+        n2, _, l2, b, sb = runs[r2]
+        # one loop over the terms e of the shorter progression p, q the other
+        swap = l2 < l1
+        _, dp, lp, _, _ = runs[r2] if swap else runs[r]
+        _, dq, lq, q, _ = runs[r] if swap else runs[r2]
+        rq = q << top - (lq - 1) * dq  # {K - q}
+        c = x = y = 0  # A0+B0, {K+p-q} and {K+q-p}
+        for e in range(0, lp * dp, dp):
+            c |= q << e
+            x |= rq << e
+            y |= q << top - e
+        if swap:  # p is B0: x and y become {K+a-b} and {K+b-a}
+            x, y = y, x
+        dab = a | b
+        # B0 << t against A0, then A0 << t against B0 (t >= 1, other runs only)
+        sweeps = [(a, sa, b, sb, x, y, 0, n2)]
+        if r2 != r:
+            sweeps.append((b, sb, a, sa, y, x, 1, n1))
+        for fixed, sf, moving, sm, x, y, t0, n in sweeps:
+            unions += n - t0
+            for t in range(t0, n):  # moving << t: x >> K+t | y >> K-t
+                s = sf | sm << 2 * t | c << t
+                d = dab | x >> top + t | y >> top - t
+                if _dominates(s.bit_count(), 2 * d.bit_count() - 1):
+                    u = fixed | moving << t
+                    found.update(u << v for v in range(span + 2 - u.bit_length()))
+    return unions, found
 
 
 def _scan_pairs(name, span, max_diff, diff_groups, workers):
     # diff_groups: list of diff-tuples; progressions within one group are
-    # paired with each other only
+    # paired with each other only. One block per run, whatever the workers.
     t0 = time.perf_counter()
-    examined, tasks, sweeps = 0, [], {}
+    examined, tasks = 0, []
     for diffs in diff_groups:
         runs = _ap_runs(span, diffs)
-        total = sum(n for _, _, n in runs)
-        examined += total * total  # ordered row pairs
-        # run r sweeps every run from itself on, and the later ones back
-        sweep = sweeps[diffs] = [sum(n for _, _, n in runs[r:]) + (n1 - 1) * (len(runs) - r - 1)
-                                 for r, (_, _, n1) in enumerate(runs)]
-        tasks += [(span, diffs, lo, hi) for lo, hi in _even_blocks(sweep, workers * 4)]
-    classified, hits = _merged(_run_blocks(_pair_block_worker, tasks,
-                                           lambda t: sum(sweeps[t[1]][t[2]:t[3]]), workers))
-    witnesses = [IntSet(w) for w in sorted(set(hits))]
+        examined += sum(run[0] for run in runs) ** 2  # ordered row pairs
+        tasks += [(span, runs, r) for r in range(len(runs))]
+    classified, witnesses = _merge_blocks(_run_blocks(_pair_block_worker, tasks, _sweep, workers))
     elapsed = time.perf_counter() - t0
     return SearchReport(name, {"max_span": span, "max_diff": max_diff},
                         examined, witnesses, elapsed, classified=classified)
@@ -616,18 +588,18 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
         # the catalogue: the normal forms of size 8, and of the wide sizes
         # 9..r-17 that a second part beside an 8-element one can have
         mids = range(MIN_SD_CARD - 2, max(MIN_SD_CARD - 1, r - 2 * MIN_SD_CARD - 2))
-        classified, forms = _merged(_run_blocks(
-            _subset_worker, _normal_tasks(range(1, r), mids), _block_count, workers))
-        shifted = [(len(form), bits_of(form) << t)
-                   for form in forms for t in range(1, r + 1 - form[-1])]
+        classified, forms = _merge_blocks(_run_blocks(
+            _sum_dominant, _normal_tasks(range(1, r), mids), _block_count, workers))
+        shifted = [(len(form), form.bits << t)
+                   for form in forms for t in range(1, r + 1 - form.max)]
         places = tuple(q for size, q in shifted if size == MIN_SD_CARD)
         wide = tuple(q for size, q in shifted if size > MIN_SD_CARD)
         # placement i is paired with the placements after it and the wide ones
-        count, splits = _merged(_run_blocks(_completion_worker,
-                                            [(r, places, wide, i) for i in range(len(places))],
-                                            lambda task: len(places) - task[3], workers))
-        classified += count
-        least = min(splits, key=lambda split: (len(split[0]), split), default=None)
+        done = _run_blocks(_completion_worker, [(r, places, wide, i) for i in range(len(places))],
+                           lambda task: len(places) - task[3], workers)
+        classified += sum(count for count, _ in done)
+        least = min((split for _, splits in done for split in splits),
+                    key=lambda split: (len(split[0]), split), default=None)
         size_a = len(least[0]) if least else r - 2 * MIN_SD_CARD  # the old walk's last
         examined = sum(math.comb(r - 1, a - 1) for a in range(MIN_SD_CARD, size_a + 1))
         if least:

@@ -10,21 +10,29 @@ import signal
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations, count, pairwise, product
+from itertools import combinations, count, product
 
 import pytest
 
 from mstd import (
+    ArithProg,
     BudgetExceededError,
     ConstraintViolationError,
     IntSet,
     InvalidParameterError,
     ParseError,
     Partition3Spec,
+    ap,
     ap_pair_scan,
+    default_blocks,
+    k_set,
     largest_subset,
     largest_subset_scan,
+    middle_window,
     min_size_scan,
+    ms_condition2,
+    nathanson_set,
+    new_sums_on_extend,
     parse_set_literal,
     partition3,
     partition3_feasible,
@@ -46,6 +54,7 @@ from tests._oracles import (
     ref_pair_scan,
     ref_partition3_search,
     ref_placements,
+    ref_sumset_bits,
 )
 
 
@@ -157,13 +166,13 @@ class TestLargestMirrorWalk:
         for top, kept in cases:
             want = [e for c in combinations(range(1, top), kept)
                     for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
-            found, leaves = search._sum_dominant(top, kept)
+            leaves, found = search._sum_dominant((top, kept))
             assert leaves <= math.comb(top - 1, kept)
             assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
                        for a, b in zip(found[::2], found[1::2]))
             assert sorted(map(elements_of, found)) == want
-            assert search._normal_tasks((top,), (kept,)) == [task := (top, kept)]
-            assert search._subset_worker(task) == (leaves, list(map(elements_of, found)))
+            # the merge of the level's block: its leaves and its sets, sorted
+            assert search._merge_blocks([(leaves, found)]) == (leaves, list(map(IntSet, want)))
             hits += len(want)
         assert hits >= 8
 
@@ -395,8 +404,8 @@ def witness_lists(rep):
 def wide_placements(r):
     # the translates inside {1..r} of the walk's sum-dominant sets of 9..r-17
     # elements: the partition search's second parts beside an 8-element part
-    forms = [w for task in search._normal_tasks(range(1, r), range(7, r - 18))
-             for w in search._subset_worker(task)[1]]
+    forms = [elements_of(w) for task in search._normal_tasks(range(1, r), range(7, r - 18))
+             for w in search._sum_dominant(task)[1]]
     return tuple(ref_bits_of(x + t for x in form)
                  for form in forms for t in range(1, r + 1 - form[-1]))
 
@@ -422,7 +431,7 @@ class TestSumDominantWalk:
     def check(top, j):
         want = [e for c in combinations(range(1, top), j)
                 for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
-        found, leaves = search._sum_dominant(top, j)
+        leaves, found = search._sum_dominant((top, j))
         assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
                    for a, b in zip(found[::2], found[1::2]))
         got = sorted(map(elements_of, found))
@@ -457,7 +466,7 @@ class TestSumDominantWalk:
         # j >= D: no j-subset of 1..D-1, so no set and no leaf
         for top in range(1, 12):
             for j in range(top, top + 3):
-                assert search._sum_dominant(top, j) == ([], 0)
+                assert search._sum_dominant((top, j)) == (0, [])
                 assert search._block_count((top, j)) == 0
 
     def test_random_blocks(self):
@@ -488,7 +497,7 @@ class TestSumDominantWalk:
         # classifies only these
         for (top, j), hits, leaves in [((14, 6), 2, 332), ((24, 6), 0, 19445),
                                        ((24, 16), 4, 2811)]:
-            found, got = search._sum_dominant(top, j)
+            got, found = search._sum_dominant((top, j))
             assert (len(found), got) == (hits, leaves)
             assert leaves < math.comb(top - 1, j)
 
@@ -507,7 +516,7 @@ class TestMirrorFold:
                         for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
                 task = (top, j)
                 assert search._normal_tasks((top,), (j,)) == [task]
-                found, leaves = search._sum_dominant(*task)
+                leaves, found = search._sum_dominant(task)
                 assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
                            for a, b in zip(found[::2], found[1::2]))
                 assert sorted(map(elements_of, found)) == want
@@ -522,7 +531,7 @@ class TestMirrorFold:
     def test_tie_block(self):
         # the diameter-14 forms have first gap = last gap = 2, and the walk
         # emits the pair once
-        found, _ = search._sum_dominant(14, 6)
+        _, found = search._sum_dominant((14, 6))
         assert list(map(elements_of, found)) == [
             (0, 2, 3, 4, 7, 11, 12, 14), (0, 2, 3, 7, 10, 11, 12, 14)]
 
@@ -531,7 +540,7 @@ class TestMirrorFold:
         # the partition search's 8-element catalogue against Hegarty's forms,
         # and every level of diameter <= 17 against the combinations loop
         tasks = search._normal_tasks(range(1, r), (6,))
-        forms = sorted(w for task in tasks for w in search._subset_worker(task)[1])
+        forms = sorted(elements_of(w) for task in tasks for w in search._sum_dominant(task)[1])
         loop = [e for top in range(1, 18) for c in combinations(range(1, top), 6)
                 for e in [(0, *c, top)] if ref_is_sum_dominant(e)]
         assert forms == list(SD8_FORMS) == loop
@@ -571,6 +580,15 @@ class TestAgainstReferenceLoops:
             assert (rep.examined, witness_lists(rep)) == (examined, hits)
         assert rep.classified == sum(canonical_count(span, diffs) for diffs in groups)
         assert rep.classified < sum(rows) * (sum(rows) + 1) // 2  # unordered row pairs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_benchmark_pair_counts(self, workers):
+        # the pair calls of the benchmark's scan mix: ordered pairs, and one
+        # union classified per translation class
+        for scan, span, max_diff, counts in ((ap_pair_scan, 34, 4, (580401, 31235)),
+                                             (two_ap_general_scan, 26, 5, (811801, 54810))):
+            rep = scan(span, max_diff, workers=workers)
+            assert (rep.examined, rep.classified) == counts and rep.witnesses == []
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_unordered_pairs_reach_every_union(self, workers, monkeypatch):
@@ -645,21 +663,25 @@ class TestAgainstReferenceLoops:
 class TestPairRecurrence:
     """The pair worker's (|A+A|, |A-A|) for every canonical pair, against ref_cards.
 
-    A canonical pair has one start 0. The worker hands each pair's cards to
-    search._dominates in its order, run r1 against every run r2 >= r1: the
-    first row of r1 with each row of r2, then, for r2 != r1, each later row
-    of r1 with the first of r2; a recorder in its place collects them.
+    A canonical pair has one start 0. The worker's block is one run r1: it
+    hands each pair's cards to search._dominates in its order, r1 against
+    every run r2 >= r1: the first row of r1 with each row of r2, then, for
+    r2 != r1, each later row of r1 with the first of r2; a recorder in its
+    place collects them.
     """
 
     @staticmethod
-    def worker_cards(monkeypatch, span, diffs, cuts):
+    def worker_cards(monkeypatch, span, diffs, blocks):
+        # the cards of the given runs' blocks, one block after the other
         seen = []
         monkeypatch.setattr(search, "_dominates", lambda sc, dc: seen.append((sc, dc)))
-        classified = 0
-        for lo, hi in pairwise(cuts):
-            unions, _ = search._pair_block_worker((span, diffs, lo, hi))
-            classified += unions
-        assert classified == len(seen)
+        runs = search._ap_runs(span, diffs)  # (rows, diff, length, first row, its sums)
+        assert [(rows, a, sums) for rows, _, _, a, sums in runs] == [
+            (len(run), run[0], ref_sumset_bits(run[0])) for run in ref_ap_runs(span, diffs)]
+        for r in blocks:
+            before = len(seen)
+            unions, _ = search._pair_block_worker((span, runs, r))
+            assert unions == len(seen) - before
         return seen
 
     @staticmethod
@@ -687,10 +709,8 @@ class TestPairRecurrence:
         runs = ref_ap_runs(span, diffs)
         canon = self.canonical(runs, 0, len(runs))
         want = self.ref_cards_of(runs, canon)
-        assert self.worker_cards(monkeypatch, span, diffs, [0, len(runs)]) == want
-        # blocks of runs give the same sequence
-        cuts = sorted({0, 1, len(runs) // 3, len(runs) // 2 + 1, len(runs)})
-        assert self.worker_cards(monkeypatch, span, diffs, cuts) == want
+        # the blocks one run at a time, concatenated, give the canonical order
+        assert self.worker_cards(monkeypatch, span, diffs, range(len(runs))) == want
         # every unordered row pair, shifted down by its least start, is
         # exactly one canonical pair
         count = Counter(canon)
@@ -718,12 +738,15 @@ class TestPairRecurrence:
         for r2, v in later:
             low = min(4, v)
             assert ((r, 4 - low), (r2, v - low)) in canon
-        assert (self.worker_cards(monkeypatch, span, diffs, [r, r + 1])
+        assert (self.worker_cards(monkeypatch, span, diffs, [r])
                 == self.ref_cards_of(runs, canon))
 
 
 class TestParameterChecks:
-    """Every public scan wants int bounds and worker counts of at least 1."""
+    """Every public scan wants int bounds and worker counts of at least 1.
+
+    The constructions and lemmas want int parameters as well.
+    """
 
     SCANS = {
         "largest": lambda w: largest_subset(10, workers=w),
@@ -769,6 +792,25 @@ class TestParameterChecks:
         with pytest.raises(InvalidParameterError, match="must be an int"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: k_set(20.0),
+        lambda: nathanson_set(6.0),
+        lambda: ap(0, 1.0, 3),
+        lambda: ap(0, True, 3),
+        lambda: ap("0", 1, 3),
+        lambda: middle_window(25.0),
+        lambda: default_blocks(25.0),
+        lambda: new_sums_on_extend(IntSet([0, 1]), 3.0),
+        lambda: ArithProg(0, 1.5, 3),
+        lambda: ArithProg(0, 1, 3)._replace(length=2.0),
+        lambda: ms_condition2(IntSet([0, 1, 2]), 2.5),
+    ])
+    def test_non_int_library_parameters(self, call):
+        # the constructions and lemmas check their int parameters as the
+        # scans do
+        with pytest.raises(InvalidParameterError, match="must be an int"):
+            call()
+
 
 class TestScanPlumbing:
     def test_no_fork_at_one_worker_or_one_block(self, monkeypatch):
@@ -801,35 +843,31 @@ class TestScanPlumbing:
             assert len(forks) == children
         assert_no_children()
 
-    def test_even_blocks_cover_runs_in_balance(self):
-        rng = random.Random(7)
-        cases = [([1], 8), ([3] * 5, 8), ([120 - i for i in range(120)], 8),
-                 ([0, 0, 5, 0], 3), ([50, 1, 1, 1], 4)]
-        cases += [([rng.randrange(40) for _ in range(rng.randrange(1, 90))], rng.randrange(1, 12))
-                  for _ in range(200)]
-        for weights, blocks in cases:
-            ranges = search._even_blocks(weights, blocks)
-            assert [lo for lo, _ in ranges] + [len(weights)] == [0] + [hi for _, hi in ranges]
-            assert all(lo < hi for lo, hi in ranges) and len(ranges) <= blocks
-            # no block exceeds its share by a whole item or more
-            work = [sum(weights[lo:hi]) for lo, hi in ranges]
-            assert max(work) < sum(weights) / blocks + max(weights) or max(work) == 0
-        # the pair scans' run weights at 2 workers: 8 blocks within 10% of a share
-        runs = [len(run) for run in ref_ap_runs(34, (1, 2, 3, 4, 5))]
-        sweep = [sum(runs[r:]) + (n - 1) * (len(runs) - r - 1) for r, n in enumerate(runs)]
-        work = [sum(sweep[lo:hi]) for lo, hi in search._even_blocks(sweep, 8)]
-        assert len(work) == 8 and max(work) <= 1.1 * sum(sweep) / 8
+    def test_pair_blocks_are_the_run_shapes_at_any_worker_count(self, monkeypatch):
+        # one block per progression shape (difference, length), weighted by
+        # the unions it classifies, and the same list at every worker count;
+        # the stand-in runner runs the blocks in process, so nothing forks
+        forks = counting_fork(monkeypatch, cap=0)
+        lists = []
 
-    def test_even_blocks_at_a_huge_block_count_return_at_once(self, monkeypatch):
-        calls = []
-        real = search.bisect_left
-        monkeypatch.setattr(search, "bisect_left", lambda *a: calls.append(1) or real(*a))
-        weights = list(range(60, 0, -1))
-        assert search._even_blocks(weights, 4 * 10 ** 6) == [(i, i + 1) for i in range(60)]
-        assert len(calls) <= 2 * len(weights)
-        calls.clear()
-        assert search._even_blocks([0] * 60, 10 ** 9) == [(0, 1), (1, 60)]
-        assert len(calls) == 1
+        def run_in_process(fn, tasks, weight, workers):
+            out = [fn(t) for t in tasks]
+            assert [weight(t) for t in tasks] == [count for count, _ in out]
+            lists.append(tasks)
+            return out
+        monkeypatch.setattr(search, "_run_blocks", run_in_process)
+        for scan, span, max_diff, groups in (
+                (ap_pair_scan, 34, 4, [(1,), (2,), (3,), (4,)]),
+                (two_ap_general_scan, 26, 5, [(1, 2, 3, 4, 5)])):
+            lists.clear()
+            for workers in (1, 2, 10 ** 5):
+                scan(span, max_diff, workers=workers)
+            shapes = [(len(run), run[0]) for diffs in groups for run in ref_ap_runs(span, diffs)]
+            tasks = lists[0]
+            assert len(tasks) == len(shapes) == {34: 74, 26: 63}[span]
+            assert [(runs[r][0], runs[r][3]) for _, runs, r in tasks] == shapes
+            assert lists[0] == lists[1] == lists[2]
+        assert forks == []
 
     def test_blocks_go_out_heaviest_first_and_return_in_task_order(self):
         # each process draws its blocks in falling weight (its own counter
