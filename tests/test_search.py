@@ -843,6 +843,58 @@ class TestScanPlumbing:
             assert len(forks) == children
         assert_no_children()
 
+    def test_even_blocks_cover_runs_in_balance(self, monkeypatch):
+        # the pair scans of the benchmark's mix: the blocks cover each run of
+        # each difference group once, their weights are the reference sweep
+        # lengths and sum to the unions classified, and dealt heaviest first
+        # to 2..8 processes no process gets more than 1% over an even share
+        lists = []
+
+        def run_in_process(fn, tasks, weight, workers):
+            lists.append((tasks, [weight(t) for t in tasks]))
+            return [fn(t) for t in tasks]
+        monkeypatch.setattr(search, "_run_blocks", run_in_process)
+        for scan, span, max_diff, groups in (
+                (ap_pair_scan, 34, 4, [(1,), (2,), (3,), (4,)]),
+                (two_ap_general_scan, 26, 5, [(1, 2, 3, 4, 5)])):
+            lists.clear()
+            rep = scan(span, max_diff, workers=2)
+            [(tasks, weights)] = lists
+            want_runs, want_sweep = [], []
+            for diffs in groups:
+                rows = [len(run) for run in ref_ap_runs(span, diffs)]
+                want_runs += [(len(rows), r) for r in range(len(rows))]
+                want_sweep += [sum(rows[r:]) + (n - 1) * (len(rows) - r - 1)
+                               for r, n in enumerate(rows)]
+            assert [(len(runs), r) for _, runs, r in tasks] == want_runs
+            assert weights == want_sweep and sum(weights) == rep.classified
+            assert max(weights) < 0.06 * sum(weights)
+            for procs in range(2, 9):
+                loads = [0] * procs
+                for w in sorted(weights, reverse=True):
+                    loads[loads.index(min(loads))] += w
+                assert max(loads) <= 1.01 * sum(weights) / procs
+
+    def test_even_blocks_at_a_huge_block_count_return_at_once(self, monkeypatch):
+        # a worker count far past the block count changes neither the task
+        # list nor the work: one run table per difference group, one block
+        # per run, and never more processes than blocks
+        tables, lists = [], []
+        real_runs, real_blocks = search._ap_runs, search._run_blocks
+        monkeypatch.setattr(search, "_ap_runs", lambda *a: tables.append(a) or real_runs(*a))
+        monkeypatch.setattr(search, "_run_blocks",
+                            lambda fn, tasks, *a: lists.append(tasks) or real_blocks(fn, tasks, *a))
+        forks = counting_fork(monkeypatch, cap=5)
+        want = ap_pair_scan(3, 2).as_dict(elapsed_s=0.0)
+        for workers in (10 ** 5, 10 ** 9):
+            tables.clear()
+            forks.clear()
+            assert ap_pair_scan(3, 2, workers=workers).as_dict(elapsed_s=0.0) == want
+            assert tables == [(3, (1,)), (3, (2,))]
+            assert len(lists[-1]) == 6 == len(lists[0]) and lists[-1] == lists[0]
+            assert len(forks) == 5
+        assert_no_children()
+
     def test_pair_blocks_are_the_run_shapes_at_any_worker_count(self, monkeypatch):
         # one block per progression shape (difference, length), weighted by
         # the unions it classifies, and the same list at every worker count;
