@@ -147,7 +147,12 @@ def bits_of(elements: Iterable[int]) -> int:
         small = len(elements) < _PACK_MIN_CARD
     if not elements:
         return 0
-    # checked before packing: a huge element would allocate its whole mask
+    # checked before packing: a non-int has no bit, and a huge element
+    # would allocate its whole mask
+    if set(map(type, elements)) != {int}:
+        for e in elements:
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise InvalidParameterError(f"set element {e!r} is not an int")
     if (low := min(elements)) < 0:
         raise InvalidParameterError(f"set element {low} is negative")
     if (top := max(elements)) >= UNIVERSE_CAP:
@@ -184,7 +189,9 @@ def _require_int(value, what: str) -> int:
 
 
 def _require_mask(bits: int) -> int:
-    # a negative int has no finite set of bits
+    # a nonnegative int; an exact int skips the costlier _require_int
+    if type(bits) is not int:
+        _require_int(bits, "bitmask")
     if bits < 0:
         raise InvalidParameterError("bitmask is negative")
     return bits
@@ -324,8 +331,7 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
         The empty mask raises EmptySetError, a negative one
         InvalidParameterError.
     """
-    if bits <= 0:
-        _require_mask(bits)
+    if not _require_mask(bits):
         raise EmptySetError("empty set has no sum or difference set")
     # counted, not unpacked: a large mask is never needed as elements
     if (bits.bit_count() if elements is None else len(elements)) >= _SMALL_CARD:
@@ -354,11 +360,7 @@ class IntSet:
     __slots__ = ("_bits",)
 
     def __init__(self, elements: Iterable[int] = ()):
-        items = list(elements)
-        for e in items:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise InvalidParameterError(f"set element {e!r} is not an int")
-        self._bits = bits_of(items)
+        self._bits = bits_of(elements)
 
     @classmethod
     def from_bits(cls, bits: int) -> "IntSet":
@@ -396,6 +398,7 @@ class IntSet:
 
     def shift(self, offset: int) -> "IntSet":
         """Translate every element by offset (result must stay in [0, UNIVERSE_CAP))."""
+        _require_int(offset, "shift offset")
         bits = self._bits
         if bits and self.min + offset < 0:
             raise InvalidParameterError(f"shift by {offset} goes negative")
@@ -539,8 +542,9 @@ class GapNotation(NamedTuple("GapNotation", [("origin", int), ("gaps", tuple)]))
     __slots__ = ()
 
     def __new__(cls, origin: int, gaps: tuple[int, ...]):
+        _require_int(origin, "origin")
         for g in gaps:
-            if g < 1:
+            if _require_int(g, "gap") < 1:
                 raise InvalidParameterError(f"gap {g} is not positive")
         return super().__new__(cls, origin, gaps)
 

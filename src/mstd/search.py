@@ -6,8 +6,7 @@ witnesses that satisfy the target predicate. Nothing is sampled and
 no enumeration level stops at its first witness. `examined` is always
 the closed-form count implied by the bounds, so re-runs are exactly
 reproducible; SearchReport.classified counts the candidates the engine
-actually classified, fewer where an exact bound or a symmetry settles
-the rest.
+reached, fewer where an exact bound or a symmetry settles the rest.
 
 largest_subset(n):   largest sum-dominant subset of {0..n-1} containing
                      both endpoints, found by discarding d = 0, 1, 2, ...
@@ -138,12 +137,13 @@ class SearchReport(NamedTuple):
     """Outcome of one exhaustive scan.
 
     witnesses hold IntSets, sorted lexicographically by elements;
-    examined is the closed-form candidate count; classified counts the
-    candidates actually classified and stays out of as_dict: at most
-    examined, fewer where the walk's bounds cut a subtree (largest,
-    minsize), one set per mirror pair is walked (largest, minsize) or
-    one union per translation class is classified (pair scans). params
-    echoes the search bounds.
+    examined is the closed-form candidate count; classified stays out
+    of as_dict and is at most examined. For largest and minsize it
+    counts the walk's leaves: every middle that a node with one middle
+    left can take, the mirror leaves the walk then skips included, and
+    nothing below a node the bounds cut. For the pair scans it counts
+    the unions classified, one per translation class. params echoes the
+    search bounds.
     """
 
     search: str
@@ -175,8 +175,8 @@ class Partition3Feasibility(NamedTuple):
     status: str  # "infeasible" | "feasible" | "unknown"
     reason: str | None = None
     witness: tuple[IntSet, IntSet, IntSet] | None = None
-    examined: int = 0  # these two: see partition3_feasible
-    classified: int = 0  # kept out of the CLI report
+    examined: int = 0  # see partition3_feasible; in the CLI's JSON report
+    classified: int = 0  # see partition3_feasible; library only
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +258,19 @@ def _merge_blocks(results):
 def _sum_dominant(level):
     """The block of level (top, k): the sets {0} u c u {top}, c a k-subset of 1..top-1.
 
-    Returns (leaves, masks): how many candidates were classified
-    (subtrees the bounds cut and mirrors skipped are not), and the
-    bitmasks of the sum-dominant sets, unsorted with K-A after each A
-    kept. This is the mirror walk of the module docstring with K = top:
-    {0, K} is in the root, the middles are decided outside in (1, K-1,
-    2, K-2, ..., the centre), and a node is cut by the bound, the mirror
-    rule and the final fringe. Its last level is a flat loop, and a node
-    that must take the rest of the middles takes them without branching.
+    Returns (leaves, masks): the leaves reached, and the bitmasks of the
+    sum-dominant sets, unsorted with K-A after each A kept. This is the
+    mirror walk of the module docstring with K = top: {0, K} is in the
+    root, the middles are decided outside in (1, K-1, 2, K-2, ..., the
+    centre), and every node below the root is cut by the bound, the
+    mirror rule and the final fringe. Its last level is a flat loop that
+    counts a leaf for every middle a node with one left can take, the
+    mirror leaves it then skips too; a cut subtree counts none, and the
+    level (K, 0), {0, K} alone, counts one.
     """
     top, k = level
+    if k == 0:  # {0, K} alone: its own mirror, so balanced
+        return 1, []
     pool = sorted(range(1, top), key=lambda x: (min(x, top - x), x))
     size = k + 2
     cap = 2 * top + 1  # S lies in [0, 2K]
@@ -291,15 +294,6 @@ def _sum_dominant(level):
                 if rj > pj and (s | pj << x).bit_count() > 2 * (
                         d | rj >> kx | pj >> x).bit_count() - 1:
                     found.extend((pj, rj))
-        elif k == 0 or i + k == m:  # no choice left
-            for x in pool[i:i + k]:
-                p |= 1 << x
-                r |= 1 << (top - x)
-                s |= p << x
-                d |= r >> (top - x) | p >> x
-            leaves += 1
-            if r > p and s.bit_count() > 2 * d.bit_count() - 1:
-                found.extend((p, r))
         else:
             k -= 1
             gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
@@ -570,9 +564,9 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     least triple. `examined`
     counts the first parts {1, ...} of every size a up to that of the
     witness, or up to r - 16 if there is none: the sum of C(r-1, a-1)
-    (245157 at r = 24). `classified` counts the candidates the search
-    did classify: catalogue walk leaves (one set per mirror pair) and
-    complements. Both are 0 on the other paths.
+    (245157 at r = 24). `classified` counts the leaves of the walk
+    that builds the catalogue, as SearchReport counts them for minsize,
+    and the complements classified. Both are 0 on the other paths.
     """
     _require(r, 1, f"r={r}")
     _require(workers, 1, f"workers={workers}")

@@ -134,6 +134,31 @@ class TestIntSet:
         with pytest.raises(InvalidParameterError):
             IntSet([1, "a"])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: bits_of([1.5]), "set element 1.5 is not an int"),
+        (lambda: bits_of(["a"]), "set element 'a' is not an int"),
+        (lambda: bits_of([True, 3]), "set element True is not an int"),
+        (lambda: bits_of(iter([2, 3.0])), "set element 3.0 is not an int"),
+        (lambda: bits_of([*range(_PACK_MIN_CARD), None]), "set element None is not an int"),
+        (lambda: IntSet([3, False]), "set element False is not an int"),
+        (lambda: sumset_bits(2.0), "bitmask must be an int, not float"),
+        (lambda: diff_bits(2.0), "bitmask must be an int, not float"),
+        (lambda: sum_diff_cards(None), "bitmask must be an int, not NoneType"),
+        (lambda: sum_diff_cards(5.0), "bitmask must be an int, not float"),
+        (lambda: elements_of(1.5), "bitmask must be an int, not float"),
+        (lambda: IntSet.from_bits(5.0), "bitmask must be an int, not float"),
+        (lambda: IntSet.from_bits(True), "bitmask must be an int, not bool"),
+        (lambda: IntSet([1]).shift(1.5), "shift offset must be an int, not float"),
+        (lambda: IntSet().shift(True), "shift offset must be an int, not bool"),
+        (lambda: GapNotation("a", (1,)), "origin must be an int, not str"),
+        (lambda: GapNotation(0.5, (1,)), "origin must be an int, not float"),
+        (lambda: GapNotation(0, ("x",)), "gap must be an int, not str"),
+    ])
+    def test_non_int_inputs_raise_invalid_parameter(self, call, message):
+        # inside the mstd.Error family, never a TypeError or AttributeError
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            call()
+
     def test_universe_cap(self):
         IntSet([UNIVERSE_CAP - 1])
         with pytest.raises(UniverseOverflowError):
