@@ -143,7 +143,7 @@ def bits_of(elements: Iterable[int]) -> int:
     try:
         small = len(elements) < _PACK_MIN_CARD
     except TypeError:  # a one-shot iterable
-        elements = tuple(elements)
+        elements = _require_iterable(elements, "set elements")
         small = len(elements) < _PACK_MIN_CARD
     if not elements:
         return 0
@@ -186,6 +186,16 @@ def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParameterError(f"{what} must be an int, not {type(value).__name__}")
     return value
+
+
+def _require_iterable(value, what: str) -> tuple:
+    # a parameter that must be iterable, as a tuple
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{what} must be an iterable, not {type(value).__name__}") from None
+    return tuple(items)
 
 
 def _require_mask(bits: int) -> int:
@@ -349,6 +359,16 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
 # set carrier
 
 
+def _set_operator(op):
+    # IntSet op IntSet on the masks; any other operand is handed back to
+    # Python, which raises TypeError, as it does for ==
+    def method(self, other):
+        if isinstance(other, IntSet):
+            return IntSet.from_bits(op(self._bits, other._bits))
+        return NotImplemented
+    return method
+
+
 class IntSet:
     """Immutable finite set of nonnegative integers below UNIVERSE_CAP.
 
@@ -424,19 +444,15 @@ class IntSet:
     def __hash__(self) -> int:
         return hash(self._bits)
 
-    def __or__(self, other: "IntSet") -> "IntSet":
-        return IntSet.from_bits(self._bits | other._bits)
-
-    def __and__(self, other: "IntSet") -> "IntSet":
-        return IntSet.from_bits(self._bits & other._bits)
-
-    def __sub__(self, other: "IntSet") -> "IntSet":
-        return IntSet.from_bits(self._bits & ~other._bits)
-
-    def __xor__(self, other: "IntSet") -> "IntSet":
-        return IntSet.from_bits(self._bits ^ other._bits)
+    __or__ = _set_operator(int.__or__)
+    __and__ = _set_operator(int.__and__)
+    __sub__ = _set_operator(lambda a, b: a & ~b)
+    __xor__ = _set_operator(int.__xor__)
 
     def isdisjoint(self, other: "IntSet") -> bool:
+        if not isinstance(other, IntSet):
+            raise InvalidParameterError(
+                f"isdisjoint wants an IntSet, not {type(other).__name__}")
         return self._bits & other._bits == 0
 
     def __repr__(self) -> str:
@@ -543,6 +559,7 @@ class GapNotation(NamedTuple("GapNotation", [("origin", int), ("gaps", tuple)]))
 
     def __new__(cls, origin: int, gaps: tuple[int, ...]):
         _require_int(origin, "origin")
+        gaps = _require_iterable(gaps, "gaps")
         for g in gaps:
             if _require_int(g, "gap") < 1:
                 raise InvalidParameterError(f"gap {g} is not positive")

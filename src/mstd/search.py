@@ -74,17 +74,40 @@ element left, the rest), and the witness is the one with the smallest
 first part, then the least triple: the first a walk over the first
 parts {1, ...} by size would meet.
 
-Pair scans classify one row pair per translation class. `examined` stays
-the closed-form count (rows**2 ordered pairs per difference group),
-while SearchReport.classified counts the unions actually classified.
-The rows come in runs, one per difference d and length l, whose starts
-0, 1, 2, ... make each row the previous one shifted by 1.
-- Translation class: shifted down by its least start, a pair inside
-  {0..span} stays inside it and keeps |A+A| and |A-A|. So for runs
-  r1 <= r2 the scan unions the first row A0 of r1 with each row B0 << t
-  of r2 and, if r1 != r2, each row A0 << t (t >= 1) with B0: every
-  unordered row pair is a translate of exactly one of these.
-- A witness u is emitted as u << v for every v with max(u)+v <= span.
+Pair scans classify one row pair per translation-and-mirror class, and
+only the primitive ones. `examined` stays the closed-form count
+(rows**2 ordered pairs per difference group), while
+SearchReport.classified counts the unions actually classified. The rows
+come in runs, one per difference d and length l, whose starts 0, 1, 2,
+... make each row the previous one shifted by 1; run r has n_r rows.
+For runs r1 <= r2 with first rows A0 = AP(0, d1, l1) and B0 = AP(0, d2,
+l2), let o be the offset of B's start from A's.
+- Translation: shifted down by its least start, a pair inside
+  {0..span} stays inside it and keeps |A+A| and |A-A|. So every
+  unordered row pair is a translate of A0 u B0 << o (o >= 0) or of
+  A0 << -o u B0 (o < 0) for exactly one o in [-(n1-1), n2-1], o >= 0
+  in a same-run pair.
+- Mirror: x -> max - x is affine, so it keeps both cards, and it maps
+  the pair at o to the pair of the same runs at c - o, where
+  c = (l1-1)d1 - (l2-1)d2 = n2 - n1; the scan takes 2o >= c only. A
+  same-run pair has c = 0, so this is o >= 0 again.
+- Residue: let g = gcd(d1, d2), s = o mod g, and s, 2s != 0 mod g. Mod
+  g, A+A, B+B and A+B lie in the distinct classes 2a, 2a+2s and 2a+s,
+  and A-B, B-A in -s and s, apart from A-A u B-B in 0. -B is a translate
+  of B, so |A-B| = |B-A| = |A+B| >= l1+l2-1, and |S| - |D| = (2l1-1) +
+  (2l2-1) - |(A-A) u (B-B)| - |A-B| <= (2l1-1) + (2l2-1) - (2max(l1,
+  l2)-1) - (l1+l2-1) = min(l1, l2) - max(l1, l2) <= 0.
+- Dilation: x -> hx is a Freiman isomorphism (Tao & Vu, Additive
+  Combinatorics, ch. 5), so it keeps both cards. At s = 0 the union is
+  g times a pair of differences d1/g, d2/g with gcd 1; at s = g/2 it is
+  g/2 times a pair of gcd 2 at an odd offset. Both fit the span and have
+  differences in the scan's groups (appairs: d = 1 and d = 2).
+So the kernel sees gcd-1 pairs and odd-offset gcd-2 pairs only, stepping
+o by 2 at gcd 2; run pairs of gcd 3 or more classify nothing. A witness
+u, least element 0, is emitted with its mirror and the dilates h*u of
+both whose differences stay at most max_diff, each as w << v for every
+v with max(w)+v <= span: every union the cuts skip, bar the residue
+ones, is one of these images of a union classified.
 A union costs O(1) big-integer operations and no unpacking, because
 every term of
 
@@ -107,8 +130,9 @@ roles of A and B, and of X and Y. Only witnesses are unpacked.
 
 Parallelism: each engine splits its candidate space into blocks, one per
 natural unit of work whatever the worker count (a normalized level
-(K, j), a progression shape of a pair scan weighted by its sweep length,
-a placement of the three-part search), and runs each task list
+(K, j), a progression shape of a pair scan and the parity of the runs it
+meets, weighted by its sweep length, a placement of the three-part
+search), and runs each task list
 fork-join: the caller forks min(workers, blocks) - 1 children, which
 inherit the tasks, and every process, the caller too, takes blocks one
 at a time, heaviest first, off one pipe. A child pickles back only its
@@ -142,8 +166,10 @@ class SearchReport(NamedTuple):
     counts the walk's leaves: every middle that a node with one middle
     left can take, the mirror leaves the walk then skips included, and
     nothing below a node the bounds cut. For the pair scans it counts
-    the unions classified, one per translation class. params echoes the
-    search bounds.
+    the unions classified: one per translation-and-mirror class of
+    differences with gcd 1, or with gcd 2 at an odd offset, the rest
+    settled by dilation and the residue bound. params echoes the search
+    bounds.
     """
 
     search: str
@@ -423,10 +449,18 @@ def _ap_runs(span: int, diffs) -> tuple[tuple[int, int, int, int, int], ...]:
 
 
 def _sweep(task):
-    # the unions run r classifies: every row of the runs from r on, and its
-    # later rows against each later run
-    _, runs, r = task
-    return sum(run[0] for run in runs[r:]) + (runs[r][0] - 1) * (len(runs) - r - 1)
+    # the unions the block classifies: the worker's offsets counted, (n1 +
+    # n2) // 2 of them at gcd 1 and the odd ones at gcd 2
+    _, _, runs, r, half = task
+    n1, d1 = runs[r][:2]
+    out = 0
+    for n2, d2, _, _, _ in runs[r + half::2]:
+        g = math.gcd(d1, d2)
+        if g == 1:
+            out += (n1 + n2) // 2
+        elif g == 2:
+            out += n2 // 2 - (n2 - n1) // 4
+    return out
 
 
 def _dominates(sc: int, dc: int) -> bool:
@@ -435,22 +469,42 @@ def _dominates(sc: int, dc: int) -> bool:
     return sc > dc
 
 
+def _images(u, diff, span, max_diff):
+    # the union u, least element 0 and largest difference diff, with its
+    # mirror and the dilates h*u of both whose differences stay at most
+    # max_diff, each with every translate inside {0..span}
+    out = []
+    for w in (u, int(f"{u:b}"[::-1], 2)):
+        elems = elements_of(w)
+        for h in range(1, max_diff // diff + 1):
+            if h * elems[-1] > span:
+                break
+            hw = sum(1 << h * e for e in elems)
+            out += (hw << v for v in range(span + 1 - h * elems[-1]))
+    return out
+
+
 def _pair_block_worker(task):
-    # run r against every run from itself on, one pair per translation
-    # class: the first row of one run against every row of the other, both
-    # ways between different runs. Returns the unions classified and the
-    # witness masks, each with all of its translates inside the span.
-    span, runs, r = task
+    # run r against every other run from itself on, those at an even or an
+    # odd distance, one union per translation-and-mirror class of gcd 1, or
+    # of gcd 2 and an odd offset (module docstring). Returns the unions
+    # classified and the witness masks with all of their _images.
+    span, max_diff, runs, r, half = task
     top = span  # K, the reflection point of the cross differences
-    n1, _, l1, a, sa = runs[r]
+    n1, d1, l1, a, sa = runs[r]
     found = set()
     unions = 0
-    for r2 in range(r, len(runs)):
-        n2, _, l2, b, sb = runs[r2]
+    for n2, d2, l2, b, sb in runs[r + half::2]:
+        g = math.gcd(d1, d2)
+        if g > 2:
+            continue
+        # the offsets o of B0's start from A0's with 2o >= n2 - n1, odd at
+        # gcd 2: B0 << t for o = t >= 0, A0 << t for o = -t < 0
+        ahead = range(max(0, (n2 - n1 + 1) // 2) | g - 1, n2, g)
+        behind = range(1, min(n1 - 1, (n1 - n2) // 2) + 1, g)
         # one loop over the terms e of the shorter progression p, q the other
         swap = l2 < l1
-        _, dp, lp, _, _ = runs[r2] if swap else runs[r]
-        _, dq, lq, q, _ = runs[r] if swap else runs[r2]
+        (dp, lp), (dq, lq, q) = ((d2, l2), (d1, l1, a)) if swap else ((d1, l1), (d2, l2, b))
         rq = q << top - (lq - 1) * dq  # {K - q}
         c = x = y = 0  # A0+B0, {K+p-q} and {K+q-p}
         for e in range(0, lp * dp, dp):
@@ -460,30 +514,27 @@ def _pair_block_worker(task):
         if swap:  # p is B0: x and y become {K+a-b} and {K+b-a}
             x, y = y, x
         dab = a | b
-        # B0 << t against A0, then A0 << t against B0 (t >= 1, other runs only)
-        sweeps = [(a, sa, b, sb, x, y, 0, n2)]
-        if r2 != r:
-            sweeps.append((b, sb, a, sa, y, x, 1, n1))
-        for fixed, sf, moving, sm, x, y, t0, n in sweeps:
-            unions += n - t0
-            for t in range(t0, n):  # moving << t: x >> K+t | y >> K-t
+        for fixed, sf, moving, sm, x, y, shifts in ((a, sa, b, sb, x, y, ahead),
+                                                    (b, sb, a, sa, y, x, behind)):
+            unions += len(shifts)
+            for t in shifts:  # moving << t: x >> K+t | y >> K-t
                 s = sf | sm << 2 * t | c << t
                 d = dab | x >> top + t | y >> top - t
                 if _dominates(s.bit_count(), 2 * d.bit_count() - 1):
-                    u = fixed | moving << t
-                    found.update(u << v for v in range(span + 2 - u.bit_length()))
+                    found.update(_images(fixed | moving << t, max(d1, d2), span, max_diff))
     return unions, found
 
 
 def _scan_pairs(name, span, max_diff, diff_groups, workers):
     # diff_groups: list of diff-tuples; progressions within one group are
-    # paired with each other only. One block per run, whatever the workers.
+    # paired with each other only. Two blocks per run, whatever the
+    # workers: the runs from it on at an even and at an odd distance.
     t0 = time.perf_counter()
     examined, tasks = 0, []
     for diffs in diff_groups:
         runs = _ap_runs(span, diffs)
         examined += sum(run[0] for run in runs) ** 2  # ordered row pairs
-        tasks += [(span, runs, r) for r in range(len(runs))]
+        tasks += [(span, max_diff, runs, r, half) for r in range(len(runs)) for half in (0, 1)]
     classified, witnesses = _merge_blocks(_run_blocks(_pair_block_worker, tasks, _sweep, workers))
     elapsed = time.perf_counter() - t0
     return SearchReport(name, {"max_span": span, "max_diff": max_diff},

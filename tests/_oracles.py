@@ -158,23 +158,40 @@ def ref_ap_runs(span, diffs):
 
 
 def ref_ap_rows(span, diffs):
-    # the rows of every run, one run after the other
-    return [row for run in ref_ap_runs(span, diffs) for row in run]
+    # (difference, start, mask) of every progression inside {0..span} with
+    # a difference in diffs
+    return [(d, start, ref_bits_of(range(start, start + length * d, d)))
+            for d in diffs for length in range(1, span // d + 2)
+            for start in range(span - (length - 1) * d + 1)]
 
 
-def ref_pair_scan(span, diff_groups, accept=lambda sc, dc: sc > dc):
+def is_residue_pair(d1, d2, offset):
+    """Whether s = offset mod gcd(d1, d2) has s and 2s both nonzero.
+
+    Then the union of two progressions with these differences, the second
+    starting `offset` after the first, has |A+A| - |A-A| <= min(l1, l2) -
+    max(l1, l2) <= 0 (search's module docstring), so it is never sum-dominant.
+    """
+    g = math.gcd(d1, d2)
+    return offset % g != 0 and 2 * offset % g != 0
+
+
+def ref_pair_scan(span, diff_groups, accept=lambda sc, dc: sc > dc, residue=False):
     """(examined, sorted witnesses) over every ordered pair of rows per group.
 
     A union is a witness when accept(|A+A|, |A-A|) holds, the cards coming
-    from ref_cards.
+    from ref_cards. With residue=True the pairs that is_residue_pair
+    settles are not asked: a stand-in verdict does not know the bound.
     """
     examined = 0
     hits = set()
     for diffs in diff_groups:
         rows = ref_ap_rows(span, diffs)
-        for m1 in rows:
-            for m2 in rows:
+        for d1, s1, m1 in rows:
+            for d2, s2, m2 in rows:
                 examined += 1
+                if residue and is_residue_pair(d1, d2, s2 - s1):
+                    continue
                 if accept(*ref_cards(m1 | m2)):
                     hits.add(ref_elements_of(m1 | m2))
     return examined, sorted(hits)

@@ -1,6 +1,7 @@
 """Set carrier, bitmask kernel, classification, notation round trips."""
 
 import inspect
+import operator
 import random
 import subprocess
 import sys
@@ -93,6 +94,20 @@ class TestIntSet:
         assert not a.isdisjoint(b)
         assert a.isdisjoint(IntSet([9]))
 
+    @pytest.mark.parametrize("other", [3, {1}, frozenset(), [1], None])
+    def test_operators_want_an_intset(self, other):
+        # like ==, the operators hand a foreign operand back to Python, which
+        # raises TypeError; isdisjoint is a method, so it raises a package error
+        a = IntSet([1, 2])
+        for op in (operator.or_, operator.and_, operator.sub, operator.xor):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+        with pytest.raises(InvalidParameterError, match="isdisjoint wants an IntSet, not "):
+            a.isdisjoint(other)
+        assert (a == other) is False
+
     def test_shift(self):
         assert IntSet([3, 5]).shift(4).elements == (7, 9)
         assert IntSet([3, 5]).shift(-3).elements == (0, 2)
@@ -153,11 +168,23 @@ class TestIntSet:
         (lambda: GapNotation("a", (1,)), "origin must be an int, not str"),
         (lambda: GapNotation(0.5, (1,)), "origin must be an int, not float"),
         (lambda: GapNotation(0, ("x",)), "gap must be an int, not str"),
+        (lambda: IntSet(5), "set elements must be an iterable, not int"),
+        (lambda: bits_of(None), "set elements must be an iterable, not NoneType"),
+        (lambda: GapNotation(0, 5), "gaps must be an iterable, not int"),
     ])
     def test_non_int_inputs_raise_invalid_parameter(self, call, message):
         # inside the mstd.Error family, never a TypeError or AttributeError
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             call()
+
+    def test_gaps_are_kept_as_a_tuple(self):
+        # any iterable of gaps is stored as a tuple, so equal notations hash equal
+        g = GapNotation(0, [1, 2])
+        assert g.gaps == (1, 2) and type(g.gaps) is tuple
+        assert g == GapNotation(0, (1, 2)) == GapNotation(0, iter([1, 2]))
+        assert hash(GapNotation(0, [1])) == hash(GapNotation(0, (1,)))
+        assert g._replace(gaps=[3]).gaps == (3,)
+        assert g.to_intset() == IntSet([0, 1, 3])
 
     def test_universe_cap(self):
         IntSet([UNIVERSE_CAP - 1])

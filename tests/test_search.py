@@ -224,12 +224,27 @@ class TestMinSize:
         assert rep.params == {"max_diameter": 6}
 
 
+def run_shapes(span, diffs):
+    # (rows, difference) of each run of ref_ap_runs, in its order
+    return [(span - (length - 1) * d + 1, d) for d in diffs for length in range(1, span // d + 2)]
+
+
+def canonical_offsets(n1, d1, n2, d2):
+    # the offsets o of a row of the second run from the first's row whose
+    # unions the pair scan classifies, for runs of n1 and n2 rows: o in
+    # [-(n1-1), n2-1] with 2o >= n2 - n1, one per mirror class, and of
+    # differences with gcd 1, or with gcd 2 and o odd; dilation and the
+    # residue bound settle the rest
+    g = math.gcd(d1, d2)
+    return [o for o in range(1 - n1, n2)
+            if 2 * o >= n2 - n1 and (g == 1 or g == 2 and o % 2)]
+
+
 def canonical_count(span, diffs):
-    # row pairs with one start 0: for runs r1 <= r2, the first row of r1
-    # with every row of r2, and its later rows with the first of r2
-    runs = [len(run) for run in ref_ap_runs(span, diffs)]
-    return sum(runs[r2] + (r2 > r1) * (runs[r1] - 1)
-               for r1 in range(len(runs)) for r2 in range(r1, len(runs)))
+    # the unions classified: the canonical offsets of every run pair r1 <= r2
+    shapes = run_shapes(span, diffs)
+    return sum(len(canonical_offsets(*shapes[r1], *shapes[r2]))
+               for r1 in range(len(shapes)) for r2 in range(r1, len(shapes)))
 
 
 def ap_count(span, diff):
@@ -247,8 +262,8 @@ class TestApPairScan:
         rep = ap_pair_scan(12, 2)
         closed = sum(ap_count(12, d) ** 2 for d in (1, 2))
         assert rep.examined == closed == 10682
-        # one row pair per translation class
-        assert rep.classified == sum(canonical_count(12, (d,)) for d in (1, 2)) == 1427
+        # one row pair per translation-and-mirror class, of gcd 1 or odd offset
+        assert rep.classified == sum(canonical_count(12, (d,)) for d in (1, 2)) == 706
         assert rep.witnesses == []
 
     def test_small_spans_empty(self):
@@ -275,7 +290,7 @@ class TestTwoApGeneralScan:
         rep = two_ap_general_scan(10, 3)
         rows = sum(ap_count(10, d) for d in (1, 2, 3))
         assert rep.examined == rows * rows == 16384
-        assert rep.classified == canonical_count(10, (1, 2, 3)) == 2478
+        assert rep.classified == canonical_count(10, (1, 2, 3)) == 1227
         assert rep.witnesses == []
 
     def test_is_square_of_row_count(self):
@@ -398,6 +413,36 @@ class TestReportSerialization:
 
 def witness_lists(rep):
     return [w.elements for w in rep.witnesses]
+
+
+def stand_in_verdict(sc, dc):
+    # accepts about a third of the progression unions, which are never
+    # sum-dominant, so that the pair scans' witness path has work
+    return (sc + dc) % 3 == 0
+
+
+def small_verdict(sc, dc):
+    # accepts the unions of at most three elements, {0} alone too
+    return sc <= 6
+
+
+@functools.cache
+def stand_in_pair_scan(span, groups, verdict=stand_in_verdict):
+    # the per-union reference under a stand-in verdict, without the pairs
+    # the residue bound settles
+    return ref_pair_scan(span, groups, verdict, residue=True)
+
+
+def assert_pair_witnesses(monkeypatch, verdict, workers):
+    # both pair scans of span 10 and differences up to 4 under the verdict
+    # report the reference's witnesses
+    monkeypatch.setattr(search, "_dominates", verdict)
+    for scan, groups in ((ap_pair_scan, ((1,), (2,), (3,), (4,))),
+                         (two_ap_general_scan, ((1, 2, 3, 4),))):
+        examined, hits = stand_in_pair_scan(10, groups, verdict)
+        rep = scan(10, 4, workers=workers)
+        assert len(hits) > 100 and ((0,) in hits) == (verdict is small_verdict)
+        assert (rep.examined, witness_lists(rep)) == (examined, hits)
 
 
 @functools.cache
@@ -587,25 +632,71 @@ class TestAgainstReferenceLoops:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_benchmark_pair_counts(self, workers):
         # the pair calls of the benchmark's scan mix: ordered pairs, and one
-        # union classified per translation class
-        for scan, span, max_diff, counts in ((ap_pair_scan, 34, 4, (580401, 31235)),
-                                             (two_ap_general_scan, 26, 5, (811801, 54810))):
+        # union classified per translation-and-mirror class of gcd 1, or of
+        # gcd 2 and an odd offset
+        for scan, span, max_diff, counts in ((ap_pair_scan, 34, 4, (580401, 12681)),
+                                             (two_ap_general_scan, 26, 5, (811801, 25519))):
             rep = scan(span, max_diff, workers=workers)
             assert (rep.examined, rep.classified) == counts and rep.witnesses == []
+
+    def test_larger_pair_boxes(self):
+        # the paper's first result and its conjecture past the benchmark's mix
+        for scan, span, max_diff, groups, counts in (
+                (ap_pair_scan, 100, 6, [(d,) for d in range(1, 7)], (40081121, 294901)),
+                (two_ap_general_scan, 60, 8, [tuple(range(1, 9))], (28132416, 391216))):
+            rep = scan(span, max_diff, workers=2)
+            assert (rep.examined, rep.classified) == counts and rep.witnesses == []
+            assert rep.classified == sum(canonical_count(span, diffs) for diffs in groups)
+
+    @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS"),
+                        reason="about 2 s of scanning; set MSTD_SLOW_TESTS=1 to run")
+    def test_conjecture_span_100_diff_12(self):
+        # every pair of progressions with differences up to 12 inside {0..100}
+        rep = two_ap_general_scan(100, 12, workers=2)
+        assert (rep.examined, rep.classified) == (270306481, 2226245)
+        assert rep.witnesses == []
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_unordered_pairs_reach_every_union(self, workers, monkeypatch):
         # progression unions are never sum-dominant, so a stand-in verdict
-        # that accepts about a third of them checks the witness path: each
-        # translation class classified once, every translate re-emitted
-        def accept(sc, dc):
-            return (sc + dc) % 3 == 0
-        monkeypatch.setattr(search, "_dominates", accept)
-        for scan, groups in ((ap_pair_scan, [(1,), (2,)]), (two_ap_general_scan, [(1, 2)])):
-            examined, hits = ref_pair_scan(9, groups, accept)
-            rep = scan(9, 2, workers=workers)
-            assert len(hits) > 100
-            assert (rep.examined, witness_lists(rep)) == (examined, hits)
+        # that accepts about a third of them checks the witness path: one
+        # union classified per translation-and-mirror class, its mirror,
+        # translates and dilates re-emitted; the reference does not ask the
+        # pairs that the residue bound settles, as the scan does not
+        assert_pair_witnesses(monkeypatch, stand_in_verdict, workers)
+
+    def test_small_unions_reach_every_image(self, monkeypatch):
+        # {0} and the other unions of at most three elements: {0} is its own
+        # mirror and every dilate of it
+        assert_pair_witnesses(monkeypatch, small_verdict, 2)
+
+    def test_mirrors_and_dilates_are_emitted(self, monkeypatch):
+        # under the stand-in verdict the translates of the unions classified
+        # are only part of the witnesses; every other one is a translate of
+        # the mirror or a dilate h*u of a union classified or of its mirror,
+        # and each kind is needed
+        classified, images = [], search._images
+
+        def spy(u, *args):
+            classified.append(u)
+            return images(u, *args)
+        monkeypatch.setattr(search, "_dominates", stand_in_verdict)
+        monkeypatch.setattr(search, "_images", spy)
+        for scan, groups in ((ap_pair_scan, ((1,), (2,), (3,), (4,))),
+                             (two_ap_general_scan, ((1, 2, 3, 4),))):
+            classified.clear()
+            witnesses = scan(10, 4).witnesses
+            mirrors = [ref_bits_of(u.bit_length() - 1 - x for x in elements_of(u))
+                       for u in classified]
+            # the first kind that reaches a set wins: translates, mirrors, dilates
+            kinds = {}
+            for kind, h, ws in [("translate", 1, classified), ("mirror", 1, mirrors)] + [
+                    ("dilate", h, classified + mirrors) for h in range(2, 11)]:
+                for w in ws:
+                    kinds.setdefault(ref_bits_of(h * x for x in elements_of(w)), kind)
+            got = Counter(kinds.get(w.bits >> w.min) for w in witnesses)
+            assert set(got) == {"translate", "mirror", "dilate"}
+            assert stand_in_pair_scan(10, groups)[1] == [w.elements for w in witnesses]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partition3(self, workers):
@@ -666,36 +757,39 @@ class TestAgainstReferenceLoops:
 class TestPairRecurrence:
     """The pair worker's (|A+A|, |A-A|) for every canonical pair, against ref_cards.
 
-    A canonical pair has one start 0. The worker's block is one run r1: it
-    hands each pair's cards to search._dominates in its order, r1 against
-    every run r2 >= r1: the first row of r1 with each row of r2, then, for
-    r2 != r1, each later row of r1 with the first of r2; a recorder in its
-    place collects them.
+    A canonical pair is a row of one run at a canonical offset from the
+    first row of another, or of the same, run (canonical_offsets). The
+    worker's block is one run r1 and one parity: it hands each pair's cards
+    to search._dominates in its order, r1 against the runs r2 = r1 + half,
+    r1 + half + 2, ...: the first row of r1 with the rows at offsets o >= 0
+    of r2, then, going out, its rows -o for o < 0 with the first of r2; a
+    recorder in its place collects them.
     """
 
     @staticmethod
     def worker_cards(monkeypatch, span, diffs, blocks):
-        # the cards of the given runs' blocks, one block after the other
+        # the cards of the given (run, half) blocks, one block after the other
         seen = []
         monkeypatch.setattr(search, "_dominates", lambda sc, dc: seen.append((sc, dc)))
         runs = search._ap_runs(span, diffs)  # (rows, diff, length, first row, its sums)
         assert [(rows, a, sums) for rows, _, _, a, sums in runs] == [
             (len(run), run[0], ref_sumset_bits(run[0])) for run in ref_ap_runs(span, diffs)]
-        for r in blocks:
+        for r, half in blocks:
             before = len(seen)
-            unions, _ = search._pair_block_worker((span, runs, r))
+            unions, _ = search._pair_block_worker((span, max(diffs), runs, r, half))
             assert unions == len(seen) - before
         return seen
 
     @staticmethod
-    def canonical(runs, lo, hi):
-        # ((run, start), (run, start)) in the worker's order, runs lo..hi first
+    def canonical(span, diffs, blocks):
+        # ((run, start), (run, start)) in the worker's order for these blocks
+        shapes = run_shapes(span, diffs)
         out = []
-        for r1 in range(lo, hi):
-            for r2 in range(r1, len(runs)):
-                out += [((r1, 0), (r2, t)) for t in range(len(runs[r2]))]
-                if r2 != r1:
-                    out += [((r1, t), (r2, 0)) for t in range(1, len(runs[r1]))]
+        for r1, half in blocks:
+            for r2 in range(r1 + half, len(shapes), 2):
+                offsets = canonical_offsets(*shapes[r1], *shapes[r2])
+                out += [((r1, 0), (r2, o)) for o in offsets if o >= 0]
+                out += [((r1, -o), (r2, 0)) for o in reversed(offsets) if o < 0]
         return out
 
     @staticmethod
@@ -707,41 +801,59 @@ class TestPairRecurrence:
           for diffs in ((1,), (2,), (3,), (1, 2, 3))],
         (9, (1, 2, 3, 4, 5)),
         (20, (1, 2, 3, 4)),
+        (14, (2, 4, 6)),
     ])
     def test_every_pair(self, monkeypatch, span, diffs):
         runs = ref_ap_runs(span, diffs)
-        canon = self.canonical(runs, 0, len(runs))
+        shapes = run_shapes(span, diffs)
+        blocks = [(r, half) for r in range(len(runs)) for half in (0, 1)]
+        canon = self.canonical(span, diffs, blocks)
         want = self.ref_cards_of(runs, canon)
-        # the blocks one run at a time, concatenated, give the canonical order
-        assert self.worker_cards(monkeypatch, span, diffs, range(len(runs))) == want
-        # every unordered row pair, shifted down by its least start, is
-        # exactly one canonical pair
+        # the blocks in task order, concatenated, give the canonical order
+        assert self.worker_cards(monkeypatch, span, diffs, blocks) == want
         count = Counter(canon)
+        assert sum(count.values()) == len(count)
+
+        def key(r1, r2, o):  # the row pair of runs r1, r2 at offset o, least start 0
+            return (r1, max(0, -o)), (r2, max(0, o))
+        # every unordered row pair of differences with gcd 1, or gcd 2 and an
+        # odd offset, is a translate of one canonical pair or of the mirror of
+        # one, exactly; no other row pair is canonical
         rows = [(r, t) for r, run in enumerate(runs) for t in range(len(run))]
         for i, (r1, s1) in enumerate(rows):
             for r2, s2 in rows[i:]:
-                low = min(s1, s2)
-                assert runs[r1][s1] | runs[r2][s2] == (
-                    runs[r1][s1 - low] | runs[r2][s2 - low]) << low
-                assert count[(r1, s1 - low), (r2, s2 - low)] == 1
-        assert sum(count.values()) == len(count)
+                (n1, d1), (n2, d2) = shapes[r1], shapes[r2]
+                o, c = s2 - s1, n2 - n1
+                (a1, b1), (a2, b2) = key(r1, r2, o), key(r1, r2, c - o)
+                union = runs[a1[0]][a1[1]] | runs[b1[0]][b1[1]]
+                assert runs[r1][s1] | runs[r2][s2] == union << min(s1, s2)
+                top = union.bit_length() - 1
+                # the mirror top - (A u B) is the pair of the same runs at c - o
+                assert ref_bits_of(top - x for x in elements_of(union)) == (
+                    runs[a2[0]][a2[1]] | runs[b2[0]][b2[1]])
+                classes = count[key(r1, r2, o)] + (c != 2 * o) * count[key(r1, r2, c - o)]
+                g = math.gcd(d1, d2)
+                assert classes == (g == 1 or g == 2 and o % 2 == 1)
 
     def test_mid_run_row_longer_than_later_rows(self, monkeypatch):
         # span 9, diffs 1..5: run 1 holds the rows {s, s+1}, longer than the
-        # 40 singletons of differences 2 to 5 in later runs. The pairs of
-        # {4, 5} with them are {0, 1} with {v - 4} for v >= 4, and
-        # {4 - v, 5 - v} with {0} below: both sweeps of run 1's block
+        # 40 singletons of differences 2 to 5 in later runs. The pair of
+        # {4, 5} with {v} is at offset o = v - 4, and its mirror at 1 - o;
+        # the larger of the two is canonical, {0, 1} against {o} in run 1's
+        # even or odd block, and the blocks also sweep run 1's later rows
+        # against shorter runs
         span, diffs, r = 9, (1, 2, 3, 4, 5), 1
         runs = ref_ap_runs(span, diffs)
         assert elements_of(runs[r][4]) == (4, 5)
         later = [(r2, v) for r2 in range(r + 1, len(runs))
                  for v in range(len(runs[r2])) if runs[r2][v].bit_count() < 2]
         assert len(later) == 40
-        canon = self.canonical(runs, r, r + 1)
+        canon = self.canonical(span, diffs, [(r, 0), (r, 1)])
         for r2, v in later:
-            low = min(4, v)
-            assert ((r, 4 - low), (r2, v - low)) in canon
-        assert (self.worker_cards(monkeypatch, span, diffs, [r])
+            o = max(v - 4, 5 - v)
+            assert ((r, 0), (r2, o)) in canon
+        assert any(s1 > 0 for (_, s1), _ in canon)
+        assert (self.worker_cards(monkeypatch, span, diffs, [(r, 0), (r, 1)])
                 == self.ref_cards_of(runs, canon))
 
 
@@ -848,9 +960,10 @@ class TestScanPlumbing:
 
     def test_even_blocks_cover_runs_in_balance(self, monkeypatch):
         # the pair scans of the benchmark's mix: the blocks cover each run of
-        # each difference group once, their weights are the reference sweep
-        # lengths and sum to the unions classified, and dealt heaviest first
-        # to 2..8 processes no process gets more than 1% over an even share
+        # each difference group twice, its partner runs split between them
+        # by parity, their weights are the reference sweep lengths and sum
+        # to the unions classified, and dealt heaviest first to 2..8
+        # processes no process gets more than 1% over an even share
         lists = []
 
         def run_in_process(fn, tasks, weight, workers):
@@ -865,11 +978,14 @@ class TestScanPlumbing:
             [(tasks, weights)] = lists
             want_runs, want_sweep = [], []
             for diffs in groups:
-                rows = [len(run) for run in ref_ap_runs(span, diffs)]
-                want_runs += [(len(rows), r) for r in range(len(rows))]
-                want_sweep += [sum(rows[r:]) + (n - 1) * (len(rows) - r - 1)
-                               for r, n in enumerate(rows)]
-            assert [(len(runs), r) for _, runs, r in tasks] == want_runs
+                shapes = run_shapes(span, diffs)
+                for r in range(len(shapes)):
+                    for half in (0, 1):
+                        want_runs.append((len(shapes), r, half))
+                        want_sweep.append(sum(
+                            len(canonical_offsets(*shapes[r], *shapes[r2]))
+                            for r2 in range(r + half, len(shapes), 2)))
+            assert [(len(runs), r, half) for _, _, runs, r, half in tasks] == want_runs
             assert weights == want_sweep and sum(weights) == rep.classified
             assert max(weights) < 0.06 * sum(weights)
             for procs in range(2, 9):
@@ -880,7 +996,7 @@ class TestScanPlumbing:
 
     def test_even_blocks_at_a_huge_block_count_return_at_once(self, monkeypatch):
         # a worker count far past the block count changes neither the task
-        # list nor the work: one run table per difference group, one block
+        # list nor the work: one run table per difference group, two blocks
         # per run, and never more processes than blocks
         tables, lists = [], []
         real_runs, real_blocks = search._ap_runs, search._run_blocks
@@ -888,19 +1004,20 @@ class TestScanPlumbing:
         monkeypatch.setattr(search, "_run_blocks",
                             lambda fn, tasks, *a: lists.append(tasks) or real_blocks(fn, tasks, *a))
         forks = counting_fork(monkeypatch, cap=5)
-        want = ap_pair_scan(3, 2).as_dict(elapsed_s=0.0)
+        want = ap_pair_scan(1, 2).as_dict(elapsed_s=0.0)
         for workers in (10 ** 5, 10 ** 9):
             tables.clear()
             forks.clear()
-            assert ap_pair_scan(3, 2, workers=workers).as_dict(elapsed_s=0.0) == want
-            assert tables == [(3, (1,)), (3, (2,))]
+            assert ap_pair_scan(1, 2, workers=workers).as_dict(elapsed_s=0.0) == want
+            assert tables == [(1, (1,)), (1, (2,))]
             assert len(lists[-1]) == 6 == len(lists[0]) and lists[-1] == lists[0]
             assert len(forks) == 5
         assert_no_children()
 
     def test_pair_blocks_are_the_run_shapes_at_any_worker_count(self, monkeypatch):
-        # one block per progression shape (difference, length), weighted by
-        # the unions it classifies, and the same list at every worker count;
+        # two blocks per progression shape (difference, length), one per
+        # parity of the partner runs, each weighted by the unions it
+        # classifies, and the same list at every worker count;
         # the stand-in runner runs the blocks in process, so nothing forks
         forks = counting_fork(monkeypatch, cap=0)
         lists = []
@@ -919,8 +1036,9 @@ class TestScanPlumbing:
                 scan(span, max_diff, workers=workers)
             shapes = [(len(run), run[0]) for diffs in groups for run in ref_ap_runs(span, diffs)]
             tasks = lists[0]
-            assert len(tasks) == len(shapes) == {34: 74, 26: 63}[span]
-            assert [(runs[r][0], runs[r][3]) for _, runs, r in tasks] == shapes
+            assert len(tasks) == 2 * len(shapes) == {34: 148, 26: 126}[span]
+            assert [(runs[r][0], runs[r][3], half) for _, _, runs, r, half in tasks] == [
+                (*shape, half) for shape in shapes for half in (0, 1)]
             assert lists[0] == lists[1] == lists[2]
         assert forks == []
 
