@@ -82,7 +82,12 @@ being a sensible encoding and construction raises UniverseOverflowError.
 Gap notation describes a set by its first element and the run of
 consecutive gaps: {2, 3, 9, 10, 15} is written "(2 | 1, 6, 1, 5)" and a
 singleton {7} is "(7 |)". Parsing and formatting are exact inverses on
-canonical text.
+canonical text. Both notations are read as one list of tokens: after any
+whitespace, a token is an optionally signed decimal integer or any other
+single character, and the end of the text is the empty token. Each
+parser is its grammar over that list, and a ParseError's offset is where
+the offending token starts, also for a number with more digits than
+int() converts.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ import enum
 import math
 import re
 from collections import defaultdict
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -599,21 +604,26 @@ def format_set_literal(a: IntSet) -> str:
     return f"{{{', '.join(map(str, a.elements))}}}"
 
 
-_INT_RE = re.compile(r"-?\d+")
+# after any whitespace, an optionally signed decimal integer or any other
+# character; _TOKEN.findall(text) lists a text's tokens, then '' (or two
+# after trailing whitespace) for its end
+_TOKEN = re.compile(r"\s*(-?\d+|\S?)")
 
 
-def _scan_int(text: str, pos: int) -> tuple[int, int]:
-    # returns (value, end); pos must point at the token start
-    m = _INT_RE.match(text, pos)
-    if not m:
-        raise ParseError(f"expected integer, found {text[pos:pos + 1]!r}", pos)
-    return int(m.group()), m.end()
+def _offset(text: str, i: int) -> int:
+    # where token i starts: found again only for an error, which keeps the
+    # token list a single findall
+    return next(islice(_TOKEN.finditer(text), i, None)).start(1)
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+def _int(text: str, tokens: list[str], i: int) -> int:
+    tok = tokens[i]
+    try:
+        return int(tok)
+    except ValueError:  # not a number, or more digits than int() converts
+        what = (f"integer of {len(tok.lstrip('-'))} digits is too long" if tok[-1:].isdecimal()
+                else f"expected integer, found {tok!r}")
+        raise ParseError(what, _offset(text, i)) from None
 
 
 def parse_set_literal(text: str) -> IntSet:
@@ -624,46 +634,36 @@ def parse_set_literal(text: str) -> IntSet:
     the empty set. Raises ParseError with the byte offset of the first
     offending token.
     """
-    pos = _skip_ws(text, 0)
-    closing = -1
-    if pos < len(text) and text[pos] == "{":
-        depth_open = pos
-        pos += 1
-        closing = text.rfind("}")
-        if closing < depth_open:
-            raise ParseError("unbalanced '{'", depth_open)
-        tail = _skip_ws(text, closing + 1)
-        if tail != len(text):
-            raise ParseError("trailing input after '}'", tail)
-        end = closing
+    tokens = _TOKEN.findall(text)
+    if tokens[0] == "{":  # the elements run to the last '}'
+        if "}" not in tokens:
+            raise ParseError("unbalanced '{'", _offset(text, 0))
+        end = len(tokens) - 1 - tokens[::-1].index("}")
+        if tokens[end + 1]:
+            raise ParseError("trailing input after '}'", _offset(text, end + 1))
+    elif "}" in text:
+        raise ParseError("unbalanced '}'", text.index("}"))
     else:
-        if "}" in text:
-            raise ParseError("unbalanced '}'", text.index("}"))
-        end = len(text)
+        end = tokens.index("")
 
     elems = []
     want_item = True
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= end:
-            break
-        ch = text[pos]
-        if ch == ",":
+    for i in range(tokens[0] == "{", end):
+        tok = tokens[i]
+        if tok == ",":
             if want_item:
-                raise ParseError("expected integer before ','", pos)
+                raise ParseError("expected integer before ','", _offset(text, i))
             want_item = True
-            pos += 1
-            continue
-        if ch == "-":
-            raise ParseError("negative elements are not allowed", pos)
-        if not ch.isdigit():
-            raise ParseError(f"unexpected token {ch!r}", pos)
-        value, pos = _scan_int(text, pos)
-        elems.append(value)
-        want_item = False
+        elif tok[0] == "-":
+            raise ParseError("negative elements are not allowed", _offset(text, i))
+        elif tok.isdigit():
+            elems.append(_int(text, tokens, i))
+            want_item = False
+        else:
+            raise ParseError(f"unexpected token {tok!r}", _offset(text, i))
     if want_item and elems:
-        raise ParseError("dangling ','", end)
-    if closing == -1 and not elems:
+        raise ParseError("dangling ','", _offset(text, end))
+    if tokens[end] == "" and not elems:
         raise ParseError("no elements found", 0)
     return IntSet(elems)
 
@@ -674,47 +674,35 @@ def parse_gap_notation(text: str) -> GapNotation:
     Gaps must be positive integers. Raises ParseError with the byte
     offset of the first offending token.
     """
-    pos = _skip_ws(text, 0)
-    if pos >= len(text) or text[pos] != "(":
-        raise ParseError("expected '('", pos)
-    pos = _skip_ws(text, pos + 1)
-    if pos < len(text) and text[pos] == "-":
-        raise ParseError("origin must be nonnegative", pos)
-    origin, pos = _scan_int(text, pos)
-    pos = _skip_ws(text, pos)
-    if pos >= len(text) or text[pos] != "|":
-        raise ParseError("expected '|'", pos)
-    pos += 1
+    tokens = _TOKEN.findall(text)
+    if tokens[0] != "(":
+        raise ParseError("expected '('", _offset(text, 0))
+    if tokens[1][:1] == "-":
+        raise ParseError("origin must be nonnegative", _offset(text, 1))
+    origin = _int(text, tokens, 1)
+    if tokens[2] != "|":
+        raise ParseError("expected '|'", _offset(text, 2))
 
     gaps = []
     want_item = True
-    first = True
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise ParseError("expected ')'", pos)
-        ch = text[pos]
-        if ch == ")":
-            if want_item and not first:
-                raise ParseError("dangling ','", pos)
-            pos += 1
-            break
-        if ch == ",":
+    i = 3
+    while (tok := tokens[i]) != ")":
+        if not tok:
+            raise ParseError("expected ')'", _offset(text, i))
+        if tok == ",":
             if want_item:
-                raise ParseError("expected gap before ','", pos)
+                raise ParseError("expected gap before ','", _offset(text, i))
             want_item = True
-            pos += 1
-            continue
-        if not want_item:
-            raise ParseError("expected ',' between gaps", pos)
-        gap_at = pos
-        value, pos = _scan_int(text, pos)
-        if value < 1:
-            raise ParseError(f"gap {value} is not positive", gap_at)
-        gaps.append(value)
-        want_item = False
-        first = False
-    tail = _skip_ws(text, pos)
-    if tail != len(text):
-        raise ParseError("trailing input after ')'", tail)
+        elif not want_item:
+            raise ParseError("expected ',' between gaps", _offset(text, i))
+        else:
+            if (value := _int(text, tokens, i)) < 1:
+                raise ParseError(f"gap {value} is not positive", _offset(text, i))
+            gaps.append(value)
+            want_item = False
+        i += 1
+    if want_item and gaps:
+        raise ParseError("dangling ','", _offset(text, i))
+    if tokens[i + 1]:
+        raise ParseError("trailing input after ')'", _offset(text, i + 1))
     return GapNotation(origin, tuple(gaps))

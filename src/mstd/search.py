@@ -130,18 +130,17 @@ roles of A and B, and of X and Y. Only witnesses are unpacked.
 
 Parallelism: each engine splits its candidate space into blocks, one per
 natural unit of work whatever the worker count (a normalized level
-(K, j), a progression shape of a pair scan and the parity of the runs it
-meets, weighted by its sweep length, a placement of the three-part
-search), and runs each task list
+(K, j), or a progression shape of a pair scan and the parity of the runs
+it meets, weighted by its sweep length), and runs each task list
 fork-join: the caller forks min(workers, blocks) - 1 children, which
 inherit the tasks, and every process, the caller too, takes blocks one
 at a time, heaviest first, off one pipe. A child pickles back only its
-(index, result) pairs. Largest (one level at a time) and any scan where
-os.fork is missing run in process. A block returns (count, witness
-masks), and one merge sums the counts and sorts the distinct masks by
-their elements, both order-free, so reports are byte-identical for any
-worker count. Only the completion blocks return element-tuple splits,
-whose order is the witness rule.
+(index, result) pairs. Largest (one level at a time), the three-part
+search's completions (under a millisecond for all 20-24 placements) and
+any scan where os.fork is missing run in process. A block returns
+(count, witness masks), and one merge sums the counts and sorts the
+distinct masks by their elements, both order-free, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -639,9 +638,9 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
                    for form in forms for t in range(1, r + 1 - form.max)]
         places = tuple(q for size, q in shifted if size == MIN_SD_CARD)
         wide = tuple(q for size, q in shifted if size > MIN_SD_CARD)
-        # placement i is paired with the placements after it and the wide ones
-        done = _run_blocks(_completion_worker, [(r, places, wide, i) for i in range(len(places))],
-                           lambda task: len(places) - task[3], workers)
+        # placement i is paired with the placements after it and the wide ones,
+        # in process: the 20-24 placements are too little work to fork for
+        done = [_completion_worker((r, places, wide, i)) for i in range(len(places))]
         classified += sum(count for count, _ in done)
         least = min((split for _, splits in done for split in splits),
                     key=lambda split: (len(split[0]), split), default=None)

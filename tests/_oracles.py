@@ -5,12 +5,18 @@ loops. The ref_ functions are the original shift-OR kernel, one shifted
 copy of the mask per element. Neither shares code with the package's
 bitmask arithmetic. The ref_*_worker and ref_*_scan functions are the
 search engines' candidate loops as plain combinations loops over the
-shift-OR reference.
+shift-OR reference. The ref_parse_ functions are the character-by-
+character scanners that read the two set notations before the token
+regex did.
 """
 
 import math
+import re
 from functools import cache
 from itertools import combinations
+
+from mstd.core import GapNotation, IntSet
+from mstd.errors import ParseError
 
 
 def naive_sumset(elements):
@@ -273,3 +279,129 @@ def ref_least_split(r, splits):
     """
     a, b, c = min(splits, key=lambda split: (len(split[0]), split))
     return sum(math.comb(r - 1, n - 1) for n in range(8, len(a) + 1)), (a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# text notations: the two character scanners the tokenizer replaced, kept
+# as they stood so a test can compare outcomes, errors and offsets included
+
+
+_INT_RE = re.compile(r"-?\d+")
+
+
+def _scan_int(text: str, pos: int) -> tuple[int, int]:
+    # returns (value, end); pos must point at the token start
+    m = _INT_RE.match(text, pos)
+    if not m:
+        raise ParseError(f"expected integer, found {text[pos:pos + 1]!r}", pos)
+    return int(m.group()), m.end()
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def ref_parse_set_literal(text: str) -> IntSet:
+    """Parse "{1, 2, 3}", "1,2,3", or "1 2 3" into an IntSet.
+
+    Elements must be nonnegative decimal integers; separators are commas
+    and/or whitespace; braces are optional but must be balanced. "{}" is
+    the empty set. Raises ParseError with the byte offset of the first
+    offending token.
+    """
+    pos = _skip_ws(text, 0)
+    closing = -1
+    if pos < len(text) and text[pos] == "{":
+        depth_open = pos
+        pos += 1
+        closing = text.rfind("}")
+        if closing < depth_open:
+            raise ParseError("unbalanced '{'", depth_open)
+        tail = _skip_ws(text, closing + 1)
+        if tail != len(text):
+            raise ParseError("trailing input after '}'", tail)
+        end = closing
+    else:
+        if "}" in text:
+            raise ParseError("unbalanced '}'", text.index("}"))
+        end = len(text)
+
+    elems = []
+    want_item = True
+    while True:
+        pos = _skip_ws(text, pos)
+        if pos >= end:
+            break
+        ch = text[pos]
+        if ch == ",":
+            if want_item:
+                raise ParseError("expected integer before ','", pos)
+            want_item = True
+            pos += 1
+            continue
+        if ch == "-":
+            raise ParseError("negative elements are not allowed", pos)
+        if not ch.isdigit():
+            raise ParseError(f"unexpected token {ch!r}", pos)
+        value, pos = _scan_int(text, pos)
+        elems.append(value)
+        want_item = False
+    if want_item and elems:
+        raise ParseError("dangling ','", end)
+    if closing == -1 and not elems:
+        raise ParseError("no elements found", 0)
+    return IntSet(elems)
+
+
+def ref_parse_gap_notation(text: str) -> GapNotation:
+    """Parse "(ORIGIN | GAP, GAP, ...)" or the singleton form "(ORIGIN |)".
+
+    Gaps must be positive integers. Raises ParseError with the byte
+    offset of the first offending token.
+    """
+    pos = _skip_ws(text, 0)
+    if pos >= len(text) or text[pos] != "(":
+        raise ParseError("expected '('", pos)
+    pos = _skip_ws(text, pos + 1)
+    if pos < len(text) and text[pos] == "-":
+        raise ParseError("origin must be nonnegative", pos)
+    origin, pos = _scan_int(text, pos)
+    pos = _skip_ws(text, pos)
+    if pos >= len(text) or text[pos] != "|":
+        raise ParseError("expected '|'", pos)
+    pos += 1
+
+    gaps = []
+    want_item = True
+    first = True
+    while True:
+        pos = _skip_ws(text, pos)
+        if pos >= len(text):
+            raise ParseError("expected ')'", pos)
+        ch = text[pos]
+        if ch == ")":
+            if want_item and not first:
+                raise ParseError("dangling ','", pos)
+            pos += 1
+            break
+        if ch == ",":
+            if want_item:
+                raise ParseError("expected gap before ','", pos)
+            want_item = True
+            pos += 1
+            continue
+        if not want_item:
+            raise ParseError("expected ',' between gaps", pos)
+        gap_at = pos
+        value, pos = _scan_int(text, pos)
+        if value < 1:
+            raise ParseError(f"gap {value} is not positive", gap_at)
+        gaps.append(value)
+        want_item = False
+        first = False
+    tail = _skip_ws(text, pos)
+    if tail != len(text):
+        raise ParseError("trailing input after ')'", tail)
+    return GapNotation(origin, tuple(gaps))

@@ -98,6 +98,12 @@ class TestSetArithmetic:
         assert run_cli(["sumset", "{0,,3}"]) == 65
         assert "error:" in capsys.readouterr().err
 
+    def test_integer_too_long_to_read(self, capsys):
+        # more digits than int() converts: one error line and exit 65
+        assert run_cli(["classify", "{" + "1" * 5000 + "}"]) == 65
+        assert capsys.readouterr().err == \
+            "error: integer of 5000 digits is too long (offset 1)\n"
+
 
 class TestSpohn:
     def test_parse(self, capsys):
@@ -125,6 +131,11 @@ class TestSpohn:
     def test_bad_notation(self, capsys):
         assert run_cli(["spohn", "parse", "(0 | 2 1)"]) == 65
         assert "error:" in capsys.readouterr().err
+
+    def test_integer_too_long_to_read(self, capsys):
+        assert run_cli(["spohn", "parse", "(0 | " + "1" * 5000 + ")"]) == 65
+        assert capsys.readouterr().err == \
+            "error: integer of 5000 digits is too long (offset 5)\n"
 
 
 class TestLemma:

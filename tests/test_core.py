@@ -3,6 +3,7 @@
 import inspect
 import operator
 import random
+import re
 import subprocess
 import sys
 import time
@@ -59,6 +60,8 @@ from tests._oracles import (
     ref_bits_of,
     ref_diff_bits,
     ref_elements_of,
+    ref_parse_gap_notation,
+    ref_parse_set_literal,
     ref_sumset_bits,
 )
 
@@ -423,6 +426,95 @@ class TestSetLiteral:
         for _ in range(200):
             a = IntSet(rng.sample(range(80), rng.randint(0, 12)))
             assert parse_set_literal(format_set_literal(a)) == a
+
+
+# the fuzz alphabet: both notations' punctuation, a letter, a digit that is
+# not decimal (superscript two), a decimal digit that is not ASCII
+# (Arabic-Indic three), and whitespace beyond ASCII (no-break space, em
+# space, and the file separator, which str.isspace counts)
+_NOTATION_CHARS = "0123456789,{}()|- \t\nx\u00b2\u0663\u00a0\u2003\x1c"
+
+
+def _parse_outcome(parse, text):
+    # the elements or the gap notation read, or the error's type, message
+    # and offset
+    try:
+        out = parse(text)
+    except Exception as exc:  # the scanners let int()'s ValueError through
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None)
+    return "read", getattr(out, "elements", out)
+
+
+class TestNotationTokens:
+    @pytest.mark.parametrize("parse,text,offset", [
+        (parse_set_literal, "{" + "1" * 5000 + "}", 1),
+        (parse_set_literal, "7, " + "9" * 4301, 3),
+        (parse_gap_notation, "(0 | " + "1" * 5000 + ")", 5),
+        (parse_gap_notation, "(" + "1" * 5000 + " |)", 1),
+        (parse_gap_notation, "(0 | 2, -" + "1" * 5000 + ")", 8),
+    ], ids=["literal", "bare-literal", "gap", "origin", "negative-gap"])
+    def test_integer_too_long_to_read(self, parse, text, offset):
+        # int() refuses more than 4300 digits; a ParseError, not ValueError
+        with pytest.raises(ParseError, match=r"integer of \d+ digits is too long") as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_long_readable_integers_keep_their_errors(self):
+        with pytest.raises(UniverseOverflowError,
+                           match="element 123456789 is at or beyond the universe cap 16777216"):
+            parse_set_literal("{123456789}")
+        with pytest.raises(ParseError, match=r"negative elements are not allowed \(offset 1\)"):
+            parse_set_literal("{-" + "1" * 5000 + "}")
+        with pytest.raises(ParseError, match=r"gap -2 is not positive \(offset 5\)"):
+            parse_gap_notation("(0 | -2)")
+        with pytest.raises(ParseError, match=r"expected integer, found '\u00b2' \(offset 4\)"):
+            parse_set_literal("{1, \u00b2}")
+
+    def test_matches_the_character_scanners(self):
+        # 24000 mutants of valid texts of both notations, each read by both
+        # parsers against the scanners they replaced: the same elements, or
+        # the same error type, message and offset
+        rng = random.Random(18)
+        seeds = ["1 2 3", "1,2,3", "{}", "(7 |)", "  ( 0 | 3 )  ", "{16777215, 16777216}"]
+        for _ in range(40):
+            a = IntSet(rng.sample(range(300), rng.randint(1, 9)))
+            seeds += [format_set_literal(a), format_gap_notation(a)]
+        pairs = ((parse_set_literal, ref_parse_set_literal),
+                 (parse_gap_notation, ref_parse_gap_notation))
+        seen = {parse: set() for parse, _ in pairs}
+        for _ in range(24000):
+            text = list(rng.choice(seeds))
+            for _ in range(rng.randint(1, 4)):
+                at, ch = rng.randint(0, len(text)), rng.choice(_NOTATION_CHARS)
+                op = rng.randrange(3) if text else 0
+                if op == 0:
+                    text.insert(at, ch)
+                elif op == 1:
+                    del text[at - 1]
+                else:
+                    text[at - 1] = ch
+            text = "".join(text)
+            for parse, ref in pairs:
+                got = _parse_outcome(parse, text)
+                assert got == _parse_outcome(ref, text), text
+                # the message with its numbers and quoted token blanked
+                seen[parse].add(got[0] if got[0] == "read" else
+                                re.sub(r"(?<=found |token )'.*'|-?\d+", "_", got[1]))
+        # every message of both grammars comes up, and so do the reads
+        both = {"read", "dangling ',' (offset _)", "expected integer, found _ (offset _)"}
+        assert seen == {
+            parse_set_literal: both | {
+                "unbalanced '{' (offset _)", "unbalanced '}' (offset _)",
+                "trailing input after '}' (offset _)", "no elements found (offset _)",
+                "expected integer before ',' (offset _)", "unexpected token _ (offset _)",
+                "negative elements are not allowed (offset _)",
+                "element _ is at or beyond the universe cap _"},
+            parse_gap_notation: both | {
+                "expected '(' (offset _)", "origin must be nonnegative (offset _)",
+                "expected '|' (offset _)", "expected ')' (offset _)",
+                "expected gap before ',' (offset _)", "expected ',' between gaps (offset _)",
+                "gap _ is not positive (offset _)", "trailing input after ')' (offset _)"},
+        }
 
 
 class TestLargeSetKernel:

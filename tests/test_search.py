@@ -934,7 +934,8 @@ class TestScanPlumbing:
             (lambda w: largest_subset_scan(16, workers=w), 0),  # one block per level
             (lambda w: min_size_scan(10, workers=w), 1),
             (lambda w: ap_pair_scan(10, 3, workers=w), 1),  # all differences in one list
-            (lambda w: partition3_feasible(25, exhaustive_small=True, workers=w), 2),
+            # the catalogue walk forks; the completions run in process
+            (lambda w: partition3_feasible(25, exhaustive_small=True, workers=w), 1),
         ]
         for scan, lists in scans:
             forks.clear()
