@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import UNIVERSE_CAP, IntSet, _progression_bits, _require_int, elements_of
+from .core import UNIVERSE_CAP, IntSet, _num, _progression_bits, _require_int, elements_of
 from .errors import ConstraintViolationError, InvalidParameterError, UniverseOverflowError
 from .lemmas import ArithProg, is_arithmetic_progression
 
@@ -57,7 +57,7 @@ def _within_cap(top: int, what: str) -> None:
     # from the parameter, before a mask reaching `top` is built
     if top >= UNIVERSE_CAP:
         raise UniverseOverflowError(
-            f"{what} reaches {top}, at or beyond the cap {UNIVERSE_CAP}")
+            f"{what} reaches {_num(top)}, at or beyond the cap {UNIVERSE_CAP}")
 
 
 def ap(start: int, diff: int, length: int) -> IntSet:
@@ -71,7 +71,7 @@ def k_set(m: int) -> IntSet:
     Sum-dominant with excess exactly +1 for every m >= 9.
     """
     if _require_int(m, "k_set m") < 9:
-        raise InvalidParameterError(f"k_set needs m >= 9, got {m}")
+        raise InvalidParameterError(f"k_set needs m >= 9, got {_num(m)}")
     _within_cap(m + 7, "k_set")
     # {0,1,2,4}, the interval 7..m, {m+4, m+6, m+7}
     return IntSet.from_bits(0b10111 | _progression_bits(7, 1, m - 6) | 0b1101 << (m + 4))
@@ -83,7 +83,7 @@ def nathanson_set(k: int) -> IntSet:
     Sum-dominant with excess exactly +1 for every k >= 5.
     """
     if _require_int(k, "nathanson_set k") < 5:
-        raise InvalidParameterError(f"nathanson_set needs k >= 5, got {k}")
+        raise InvalidParameterError(f"nathanson_set needs k >= 5, got {_num(k)}")
     _within_cap(4 * k + 2, "nathanson_set")
     # {0,2,4}, 3, 7, ..., 4k-1, and {4k, 4k+2}
     return IntSet.from_bits(0b10101 | _progression_bits(3, 4, k) | 0b101 << 4 * k)
@@ -136,7 +136,7 @@ class Partition3Result(NamedTuple):
 def middle_window(m: int) -> IntSet:
     """The free middle positions {66..59+m} minus the fixed center set."""
     if _require_int(m, "window m") < MIN_WINDOW_M:
-        raise InvalidParameterError(f"window needs m >= {MIN_WINDOW_M}, got {m}")
+        raise InvalidParameterError(f"window needs m >= {MIN_WINDOW_M}, got {_num(m)}")
     _within_cap(124 + m, "the three-part split")
     return IntSet.from_bits(_progression_bits(66, 1, m - 6)) - CENTER_SET
 
@@ -183,7 +183,7 @@ def validate_partition_spec(spec: Partition3Spec) -> list[SpecViolation]:
     m = spec.m
     if m < MIN_WINDOW_M:
         out.append(SpecViolation(
-            "m-range", (m,), f"m must be at least {MIN_WINDOW_M}, got {m}"))
+            "m-range", (m,), f"m must be at least {MIN_WINDOW_M}, got {_num(m)}"))
         return out
 
     overlap = spec.m1 & spec.m2
@@ -268,7 +268,7 @@ def default_blocks(m: int) -> Partition3Spec:
     ConstraintViolationError if the result fails validation.
     """
     if _require_int(m, "default_blocks m") < MIN_WINDOW_M:
-        raise InvalidParameterError(f"default_blocks needs m >= 21, got {m}")
+        raise InvalidParameterError(f"default_blocks needs m >= 21, got {_num(m)}")
     window = middle_window(m)
     center = CENTER_SET.bits
     hi = 59 + m

@@ -159,11 +159,11 @@ def bits_of(elements: Iterable[int]) -> int:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InvalidParameterError(f"set element {e!r} is not an int")
     if (low := min(elements)) < 0:
-        raise InvalidParameterError(f"set element {low} is negative")
+        raise InvalidParameterError(f"set element {_num(low)} is negative")
     if (top := max(elements)) >= UNIVERSE_CAP:
         least = min(e for e in elements if e >= UNIVERSE_CAP)
         raise UniverseOverflowError(
-            f"element {least} is at or beyond the universe cap {UNIVERSE_CAP}")
+            f"element {_num(least)} is at or beyond the universe cap {UNIVERSE_CAP}")
     if small:
         bits = 0
         for e in elements:
@@ -184,6 +184,16 @@ def _progression_bits(start: int, diff: int, length: int) -> int:
         bits |= bits << have * diff
         have *= 2
     return (bits | bits << (length - have) * diff) << start
+
+
+def _num(value) -> str:
+    # a value as a message shows it; an int too long for str() shows its length
+    try:
+        return str(value)
+    except ValueError:
+        digits = int(abs(value).bit_length() * 0.30103)  # the count, or one short
+        digits += abs(value) >= 10 ** digits
+        return f"{'-' * (value < 0)}<int of {digits} digits>"
 
 
 def _require_int(value, what: str) -> int:
@@ -426,9 +436,9 @@ class IntSet:
         _require_int(offset, "shift offset")
         bits = self._bits
         if bits and self.min + offset < 0:
-            raise InvalidParameterError(f"shift by {offset} goes negative")
+            raise InvalidParameterError(f"shift by {_num(offset)} goes negative")
         if bits and self.max + offset >= UNIVERSE_CAP:  # before a huge mask is built
-            raise UniverseOverflowError(f"shift by {offset} reaches the universe cap")
+            raise UniverseOverflowError(f"shift by {_num(offset)} reaches the universe cap")
         return IntSet.from_bits(bits << offset if offset >= 0 else bits >> -offset)
 
     def __len__(self) -> int:
@@ -567,14 +577,14 @@ class GapNotation(NamedTuple("GapNotation", [("origin", int), ("gaps", tuple)]))
         gaps = _require_iterable(gaps, "gaps")
         for g in gaps:
             if _require_int(g, "gap") < 1:
-                raise InvalidParameterError(f"gap {g} is not positive")
+                raise InvalidParameterError(f"gap {_num(g)} is not positive")
         return super().__new__(cls, origin, gaps)
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates
 
     def to_intset(self) -> IntSet:
         if self.origin < 0:
-            raise InvalidParameterError(f"origin {self.origin} is negative")
+            raise InvalidParameterError(f"origin {_num(self.origin)} is negative")
         out = [self.origin]
         for g in self.gaps:
             out.append(out[-1] + g)

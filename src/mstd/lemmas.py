@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IntSet, UNIVERSE_CAP, _progression_bits, _require_int, gaps_of, sumset_bits
+from .core import IntSet, UNIVERSE_CAP, _num, _progression_bits, _require_int, gaps_of, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 
 NOT_SUM_DOMINANT = "not-sum-dominant"
@@ -38,11 +38,11 @@ class ArithProg(NamedTuple("ArithProg", [("start", int), ("diff", int), ("length
 
     def __new__(cls, start: int, diff: int, length: int):
         if _require_int(start, "start") < 0:
-            raise InvalidParameterError(f"start {start} is negative")
+            raise InvalidParameterError(f"start {_num(start)} is negative")
         if _require_int(diff, "diff") < 1:
-            raise InvalidParameterError(f"diff {diff} is not positive")
+            raise InvalidParameterError(f"diff {_num(diff)} is not positive")
         if _require_int(length, "length") < 1:
-            raise InvalidParameterError(f"length {length} is not positive")
+            raise InvalidParameterError(f"length {_num(length)} is not positive")
         return super().__new__(cls, start, diff, length)
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates
@@ -55,7 +55,7 @@ class ArithProg(NamedTuple("ArithProg", [("start", int), ("diff", int), ("length
         # cap check before materializing; length can be huge
         if self.last >= UNIVERSE_CAP:
             raise UniverseOverflowError(
-                f"progression reaches {self.last}, beyond the cap {UNIVERSE_CAP}"
+                f"progression reaches {_num(self.last)}, beyond the cap {UNIVERSE_CAP}"
             )
         return IntSet.from_bits(_progression_bits(self.start, self.diff, self.length))
 
@@ -115,7 +115,7 @@ def ms_condition2(a: IntSet, m: int) -> LemmaVerdict:
     if len(a) == 0:
         raise EmptySetError("cannot check the empty set")
     if _require_int(m, "block gap m") < 2:
-        raise InvalidParameterError(f"block gap m={m} must be at least 2")
+        raise InvalidParameterError(f"block gap m={_num(m)} must be at least 2")
     gaps = gaps_of(a)
     if any(g != 1 and g != m for g in gaps):
         return _NO_CLAIM
@@ -159,9 +159,9 @@ def new_sums_on_extend(base: IntSet, x: int) -> int:
     if len(base) == 0:
         raise EmptySetError("cannot extend the empty set")
     if _require_int(x, "extension point") < 0:
-        raise InvalidParameterError(f"extension point {x} is negative")
+        raise InvalidParameterError(f"extension point {_num(x)} is negative")
     if x >= UNIVERSE_CAP:
-        raise UniverseOverflowError(f"extension point {x} is beyond the cap")
+        raise UniverseOverflowError(f"extension point {_num(x)} is beyond the cap")
     if x in base:
         raise InvalidParameterError(f"extension point {x} is already in the set")
     old = sumset_bits(base.bits)

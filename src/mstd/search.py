@@ -131,16 +131,18 @@ roles of A and B, and of X and Y. Only witnesses are unpacked.
 Parallelism: each engine splits its candidate space into blocks, one per
 natural unit of work whatever the worker count (a normalized level
 (K, j), or a progression shape of a pair scan and the parity of the runs
-it meets, weighted by its sweep length), and runs each task list
-fork-join: the caller forks min(workers, blocks) - 1 children, which
-inherit the tasks, and every process, the caller too, takes blocks one
-at a time, heaviest first, off one pipe. A child pickles back only its
-(index, result) pairs. Largest (one level at a time), the three-part
-search's completions (under a millisecond for all 20-24 placements) and
-any scan where os.fork is missing run in process. A block returns
-(count, witness masks), and one merge sums the counts and sorts the
-distinct masks by their elements, both order-free, so reports are
-byte-identical for any worker count.
+it meets), and lists them heaviest first: the levels by falling diameter,
+then falling size, and the pair blocks in run-table order, where a run
+meets fewer partners than the runs before it. One _scan runs each task
+list fork-join and reports it: the caller forks min(workers, blocks) - 1
+children, which inherit the tasks, and every process, the caller too,
+takes blocks one at a time, in task order, off one pipe. A child pickles
+back only its (index, result) pairs. Largest (one level at a time), the
+three-part search's completions (under a millisecond for all 20-24
+placements) and any scan where os.fork is missing run in process. A
+block returns (count, witness masks), and one merge sums the counts and
+sorts the distinct masks by their elements, both order-free, so reports
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ import os
 import time
 from typing import NamedTuple
 
-from .core import IntSet, _progression_bits, _require_int, elements_of, sum_diff_cards
+from .core import IntSet, _num, _progression_bits, _require_int, elements_of, sum_diff_cards
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
@@ -209,20 +211,23 @@ class Partition3Feasibility(NamedTuple):
 
 
 def _require(value, least, what):
-    # a scan bound or worker count: an int (not a bool) of at least `least`
-    if _require_int(value, what) < least:
-        raise InvalidParameterError(f"{what} must be at least {least}")
+    # a scan bound or worker count: an int (not a bool) of at least `least`;
+    # a "{}" in `what` shows the value, put in only when the check fails
+    if type(value) is not int or value < least:
+        what = what.format(_num(value))
+        if _require_int(value, what) < least:
+            raise InvalidParameterError(f"{what} must be at least {least}")
 
 
-def _run_blocks(fn, tasks, weight, workers):
-    # [fn(task) for task in tasks], run fork-join as the module docstring says
+def _run_blocks(fn, tasks, workers):
+    # [fn(task) for task in tasks], run fork-join as the module docstring
+    # says; the processes take the blocks in task order
     procs = min(workers, len(tasks))
     if procs <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
     import pickle
     import signal  # only the fork path pays these imports
-    order = sorted(range(len(tasks)), key=lambda i: weight(tasks[i]), reverse=True)
-    feed = b"".join(i.to_bytes(4, "little") for i in order)
+    feed = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
     feed_r, feed_w = os.pipe()
     fds, kids = [feed_r, feed_w], []
 
@@ -273,11 +278,15 @@ def _run_blocks(fn, tasks, weight, workers):
             os.close(fd)
 
 
-def _merge_blocks(results):
-    # block results (count, witness masks): the counts summed, and the
-    # distinct masks as IntSets sorted by their elements
+def _scan(name, params, examined, fn, tasks, workers):
+    # the report of one task list, its blocks run and timed: of the block
+    # results (count, witness masks) the counts summed, and the distinct
+    # masks as IntSets sorted by their elements
+    t0 = time.perf_counter()
+    results = _run_blocks(fn, tasks, workers)
     masks = sorted({w for _, ws in results for w in ws}, key=elements_of)
-    return sum(c for c, _ in results), [IntSet.from_bits(w) for w in masks]
+    return SearchReport(name, params, examined, [IntSet.from_bits(w) for w in masks],
+                        time.perf_counter() - t0, classified=sum(c for c, _ in results))
 
 
 def _sum_dominant(level):
@@ -345,8 +354,9 @@ def _block_count(task):
 
 def _normal_tasks(diameters, mids):
     # the levels (D, j) of the normalized sets {0} u c u {D}, D in diameters
-    # and c a j-subset of 1..D-1, j in mids
-    return [(diameter, j) for diameter in diameters for j in mids if j < diameter]
+    # and c a j-subset of 1..D-1, j in mids, heaviest first: D falling, then j
+    return sorted(((diameter, j) for diameter in diameters for j in mids if j < diameter),
+                  reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -366,32 +376,24 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     definitive once they are all scanned; if max_discard cuts the scan
     short of that, BudgetExceededError carries the partial report.
     """
-    _require(n, 2, f"interval length n={n}")
+    _require(n, 2, "interval length n={}")
     _require(max_discard, 0, "max_discard")
-    _require(workers, 1, f"workers={workers}")
-    t0 = time.perf_counter()
+    _require(workers, 1, "workers={}")
     meaningful = min(n - 2, max(0, n - MIN_SD_CARD))
     limit = min(max_discard, meaningful)
-
-    examined = classified = 0
-    witnesses: list[IntSet] = []
-    hit_d = None
-    for d in range(limit + 1):
-        kept = (n - 2) - d
-        examined += math.comb(n - 2, kept)
-        leaves, witnesses = _merge_blocks([_sum_dominant((n - 1, kept))])
-        classified += leaves
-        if witnesses:
-            hit_d = d
-            break
-
-    elapsed = time.perf_counter() - t0
     params = {"n": n, "max_discard": max_discard}
-    report = SearchReport("largest", params, examined, witnesses, elapsed,
-                          classified=classified)
-    if hit_d is not None:
-        result = LargestSubsetResult(n, n - hit_d, witnesses[0])
-        return result, report
+
+    examined = classified = elapsed = 0
+    for d in range(limit + 1):  # one block per level, so it runs in process
+        examined += math.comb(n - 2, d)
+        report = _scan("largest", params, examined, _sum_dominant, [(n - 1, n - 2 - d)], workers)
+        classified += report.classified
+        elapsed += report.elapsed
+        if report.witnesses:
+            break
+    report = report._replace(classified=classified, elapsed=elapsed)  # every level's
+    if report.witnesses:
+        return LargestSubsetResult(n, n - d, report.witnesses[0]), report
     if limit >= meaningful:
         return LargestSubsetResult(n, None, None), report
     raise BudgetExceededError(
@@ -424,14 +426,10 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     8 elements are necessary within the bound.
     """
     _require(max_diameter, 1, "max_diameter")
-    _require(workers, 1, f"workers={workers}")
-    t0 = time.perf_counter()
+    _require(workers, 1, "workers={}")
     tasks = _normal_tasks(range(1, max_diameter + 1), range(MIN_SD_CARD - 1))
-    examined = sum(map(_block_count, tasks))
-    classified, witnesses = _merge_blocks(_run_blocks(_sum_dominant, tasks, _block_count, workers))
-    elapsed = time.perf_counter() - t0
-    return SearchReport("minsize", {"max_diameter": max_diameter},
-                        examined, witnesses, elapsed, classified=classified)
+    return _scan("minsize", {"max_diameter": max_diameter}, sum(map(_block_count, tasks)),
+                 _sum_dominant, tasks, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -445,21 +443,6 @@ def _ap_runs(span: int, diffs) -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple((span - (length - 1) * d + 1, d, length, _progression_bits(0, d, length),
                   _progression_bits(0, d, 2 * length - 1))
                  for d in diffs for length in range(1, span // d + 2))
-
-
-def _sweep(task):
-    # the unions the block classifies: the worker's offsets counted, (n1 +
-    # n2) // 2 of them at gcd 1 and the odd ones at gcd 2
-    _, _, runs, r, half = task
-    n1, d1 = runs[r][:2]
-    out = 0
-    for n2, d2, _, _, _ in runs[r + half::2]:
-        g = math.gcd(d1, d2)
-        if g == 1:
-            out += (n1 + n2) // 2
-        elif g == 2:
-            out += n2 // 2 - (n2 - n1) // 4
-    return out
 
 
 def _dominates(sc: int, dc: int) -> bool:
@@ -524,20 +507,22 @@ def _pair_block_worker(task):
     return unions, found
 
 
-def _scan_pairs(name, span, max_diff, diff_groups, workers):
-    # diff_groups: list of diff-tuples; progressions within one group are
-    # paired with each other only. Two blocks per run, whatever the
-    # workers: the runs from it on at an even and at an odd distance.
-    t0 = time.perf_counter()
+def _scan_pairs(name, span, max_diff, workers):
+    # progressions are paired within one difference group only: one group
+    # per difference for appairs, all of 1..max_diff for twoap. Two blocks
+    # per run, whatever the workers: the runs from it on at an even and at
+    # an odd distance.
+    _require(span, 1, "bounds")
+    _require(max_diff, 1, "bounds")
+    _require(workers, 1, "workers={}")
+    diffs = range(1, max_diff + 1)
     examined, tasks = 0, []
-    for diffs in diff_groups:
-        runs = _ap_runs(span, diffs)
+    for group in [(d,) for d in diffs] if name == "appairs" else [tuple(diffs)]:
+        runs = _ap_runs(span, group)
         examined += sum(run[0] for run in runs) ** 2  # ordered row pairs
         tasks += [(span, max_diff, runs, r, half) for r in range(len(runs)) for half in (0, 1)]
-    classified, witnesses = _merge_blocks(_run_blocks(_pair_block_worker, tasks, _sweep, workers))
-    elapsed = time.perf_counter() - t0
-    return SearchReport(name, {"max_span": span, "max_diff": max_diff},
-                        examined, witnesses, elapsed, classified=classified)
+    return _scan(name, {"max_span": span, "max_diff": max_diff}, examined,
+                 _pair_block_worker, tasks, workers)
 
 
 def ap_pair_scan(max_span: int, max_diff: int, workers: int = 1) -> SearchReport:
@@ -551,11 +536,7 @@ def ap_pair_scan(max_span: int, max_diff: int, workers: int = 1) -> SearchReport
     finer) configurations. The expected witness list is empty: such
     unions are never sum-dominant.
     """
-    _require(max_span, 1, "bounds")
-    _require(max_diff, 1, "bounds")
-    _require(workers, 1, f"workers={workers}")
-    return _scan_pairs("appairs", max_span, max_diff,
-                       [(d,) for d in range(1, max_diff + 1)], workers)
+    return _scan_pairs("appairs", max_span, max_diff, workers)
 
 
 def two_ap_general_scan(max_span: int, max_diff: int, workers: int = 1) -> SearchReport:
@@ -565,11 +546,7 @@ def two_ap_general_scan(max_span: int, max_diff: int, workers: int = 1) -> Searc
     independently over 1..max_diff. A sum-dominant union here would be
     a two-progression counterexample; none is expected in range.
     """
-    _require(max_span, 1, "bounds")
-    _require(max_diff, 1, "bounds")
-    _require(workers, 1, f"workers={workers}")
-    return _scan_pairs("twoap", max_span, max_diff,
-                       [tuple(range(1, max_diff + 1))], workers)
+    return _scan_pairs("twoap", max_span, max_diff, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +595,8 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     that builds the catalogue, as SearchReport counts them for minsize,
     and the complements classified. Both are 0 on the other paths.
     """
-    _require(r, 1, f"r={r}")
-    _require(workers, 1, f"workers={workers}")
+    _require(r, 1, "r={}")
+    _require(workers, 1, "workers={}")
     if r < 3 * MIN_SD_CARD:
         return Partition3Feasibility(r, "infeasible", reason=f"3x8 > {r}")
     if r >= 145:
@@ -632,16 +609,16 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
         # the catalogue: the normal forms of size 8, and of the wide sizes
         # 9..r-17 that a second part beside an 8-element one can have
         mids = range(MIN_SD_CARD - 2, max(MIN_SD_CARD - 1, r - 2 * MIN_SD_CARD - 2))
-        classified, forms = _merge_blocks(_run_blocks(
-            _sum_dominant, _normal_tasks(range(1, r), mids), _block_count, workers))
+        catalogue = _scan("partition3", {"r": r}, 0, _sum_dominant,
+                          _normal_tasks(range(1, r), mids), workers)
         shifted = [(len(form), form.bits << t)
-                   for form in forms for t in range(1, r + 1 - form.max)]
+                   for form in catalogue.witnesses for t in range(1, r + 1 - form.max)]
         places = tuple(q for size, q in shifted if size == MIN_SD_CARD)
         wide = tuple(q for size, q in shifted if size > MIN_SD_CARD)
         # placement i is paired with the placements after it and the wide ones,
         # in process: the 20-24 placements are too little work to fork for
         done = [_completion_worker((r, places, wide, i)) for i in range(len(places))]
-        classified += sum(count for count, _ in done)
+        classified = catalogue.classified + sum(count for count, _ in done)
         least = min((split for _, splits in done for split in splits),
                     key=lambda split: (len(split[0]), split), default=None)
         size_a = len(least[0]) if least else r - 2 * MIN_SD_CARD  # the old walk's last

@@ -18,10 +18,12 @@ from mstd import (
     ArithProg,
     BudgetExceededError,
     ConstraintViolationError,
+    GapNotation,
     IntSet,
     InvalidParameterError,
     ParseError,
     Partition3Spec,
+    UniverseOverflowError,
     ap,
     ap_pair_scan,
     default_blocks,
@@ -39,7 +41,7 @@ from mstd import (
     two_ap_general_scan,
 )
 from mstd import search
-from mstd.core import elements_of
+from mstd.core import _num, elements_of
 from tests._oracles import (
     SD8_FORMS,
     naive_is_sum_dominant,
@@ -171,8 +173,9 @@ class TestLargestMirrorWalk:
             assert all(a < b == ref_bits_of(top - x for x in elements_of(a))
                        for a, b in zip(found[::2], found[1::2]))
             assert sorted(map(elements_of, found)) == want
-            # the merge of the level's block: its leaves and its sets, sorted
-            assert search._merge_blocks([(leaves, found)]) == (leaves, list(map(IntSet, want)))
+            # the scan of the level's block: its leaves and its sets, sorted
+            rep = search._scan("level", {}, 0, search._sum_dominant, [(top, kept)], 1)
+            assert (rep.classified, rep.witnesses) == (leaves, list(map(IntSet, want)))
             hits += len(want)
         assert hits >= 8
 
@@ -926,6 +929,60 @@ class TestParameterChecks:
         with pytest.raises(InvalidParameterError, match="must be an int"):
             call()
 
+    HUGE = 10 ** 5000  # 5001 digits, more than str() converts
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda h: IntSet([h]), UniverseOverflowError,
+         "element <int of 5001 digits> is at or beyond the universe cap 16777216"),
+        (lambda h: IntSet([-h]), InvalidParameterError,
+         "set element -<int of 5001 digits> is negative"),
+        (lambda h: k_set(h), UniverseOverflowError,
+         "k_set reaches <int of 5001 digits>, at or beyond the cap 16777216"),
+        (lambda h: nathanson_set(-h), InvalidParameterError,
+         "nathanson_set needs k >= 5, got -<int of 5001 digits>"),
+        (lambda h: middle_window(-h), InvalidParameterError,
+         "window needs m >= 21, got -<int of 5001 digits>"),
+        (lambda h: ap(-h, 1, 2), InvalidParameterError,
+         "start -<int of 5001 digits> is negative"),
+        (lambda h: IntSet([1]).shift(h), UniverseOverflowError,
+         "shift by <int of 5001 digits> reaches the universe cap"),
+        (lambda h: new_sums_on_extend(IntSet([1]), h), UniverseOverflowError,
+         "extension point <int of 5001 digits> is beyond the cap"),
+        (lambda h: GapNotation(0, (h,)).to_intset(), UniverseOverflowError,
+         "element <int of 5001 digits> is at or beyond the universe cap 16777216"),
+        (lambda h: largest_subset_scan(-h), InvalidParameterError,
+         "interval length n=-<int of 5001 digits> must be at least 2"),
+        # a bound that passes its check is never formatted
+        (lambda h: largest_subset_scan(h, max_discard=-1), InvalidParameterError,
+         "max_discard must be at least 0"),
+        (lambda h: partition3_feasible(h), UniverseOverflowError,
+         "the three-part split reaches <int of 5001 digits>, at or beyond the cap 16777216"),
+        (lambda h: partition3_feasible(-h), InvalidParameterError,
+         "r=-<int of 5001 digits> must be at least 1"),
+        (lambda h: min_size_scan(3, workers=-h), InvalidParameterError,
+         "workers=-<int of 5001 digits> must be at least 1"),
+    ], ids=["intset_top", "intset_negative", "k_set", "nathanson_set", "middle_window", "ap",
+            "shift", "new_sums_on_extend", "gap_notation", "largest_n", "largest_unformatted",
+            "partition3_cap", "partition3_r", "minsize_workers"])
+    def test_ints_too_long_to_print(self, call, error, message):
+        # the range checks name an int too long for str() by its digit count
+        with pytest.raises(error) as got:
+            call(self.HUGE)
+        assert str(got.value) == message
+
+    def test_huge_worker_count_scans(self):
+        assert min_size_scan(3, workers=self.HUGE).as_dict(elapsed_s=0.0) == \
+            min_size_scan(3).as_dict(elapsed_s=0.0)
+
+    def test_digit_count_of_long_ints(self):
+        # str() converts 4300 digits; past that the count is exact at every
+        # power of ten
+        assert _num(-(10 ** 4299)) == str(-(10 ** 4299))
+        for digits in (4302, 4303, 5001, 12345, 100000):
+            assert _num(10 ** (digits - 1) - 1) == f"<int of {digits - 1} digits>"
+            assert _num(10 ** (digits - 1)) == f"<int of {digits} digits>"
+            assert _num(-(10 ** digits - 1)) == f"-<int of {digits} digits>"
+
 
 class TestScanPlumbing:
     def test_no_fork_at_one_worker_or_one_block(self, monkeypatch):
@@ -954,26 +1011,30 @@ class TestScanPlumbing:
         forks = counting_fork(monkeypatch)
         for workers, tasks, children in [(10 ** 5, 3, 2), (2, 5, 1), (3, 1, 0), (1, 4, 0)]:
             forks.clear()
-            assert search._run_blocks(abs, list(range(-tasks, 0)), abs, workers) == \
+            assert search._run_blocks(abs, list(range(-tasks, 0)), workers) == \
                 list(range(tasks, 0, -1))
             assert len(forks) == children
         assert_no_children()
 
     def test_even_blocks_cover_runs_in_balance(self, monkeypatch):
-        # the pair scans of the benchmark's mix: the blocks cover each run of
+        # the pair scans of the benchmark's mix and two larger ones (the test
+        # suite's appairs(100,6) and twoap(60,8)): the blocks cover each run of
         # each difference group twice, its partner runs split between them
-        # by parity, their weights are the reference sweep lengths and sum
-        # to the unions classified, and dealt heaviest first to 2..8
-        # processes no process gets more than 1% over an even share
+        # by parity, each classifies the reference count of unions, and
+        # dealt in task order to 2..8 processes, each taking the next block
+        # when it is free, no process gets more than 1% over an even share
         lists = []
 
-        def run_in_process(fn, tasks, weight, workers):
-            lists.append((tasks, [weight(t) for t in tasks]))
-            return [fn(t) for t in tasks]
+        def run_in_process(fn, tasks, workers):
+            out = [fn(t) for t in tasks]
+            lists.append((tasks, [count for count, _ in out]))
+            return out
         monkeypatch.setattr(search, "_run_blocks", run_in_process)
         for scan, span, max_diff, groups in (
                 (ap_pair_scan, 34, 4, [(1,), (2,), (3,), (4,)]),
-                (two_ap_general_scan, 26, 5, [(1, 2, 3, 4, 5)])):
+                (ap_pair_scan, 100, 6, [(1,), (2,), (3,), (4,), (5,), (6,)]),
+                (two_ap_general_scan, 26, 5, [(1, 2, 3, 4, 5)]),
+                (two_ap_general_scan, 60, 8, [(1, 2, 3, 4, 5, 6, 7, 8)])):
             lists.clear()
             rep = scan(span, max_diff, workers=2)
             [(tasks, weights)] = lists
@@ -990,10 +1051,7 @@ class TestScanPlumbing:
             assert weights == want_sweep and sum(weights) == rep.classified
             assert max(weights) < 0.06 * sum(weights)
             for procs in range(2, 9):
-                loads = [0] * procs
-                for w in sorted(weights, reverse=True):
-                    loads[loads.index(min(loads))] += w
-                assert max(loads) <= 1.01 * sum(weights) / procs
+                assert list_schedule(weights, procs) <= 1.01 * sum(weights) / procs
 
     def test_even_blocks_at_a_huge_block_count_return_at_once(self, monkeypatch):
         # a worker count far past the block count changes neither the task
@@ -1017,17 +1075,15 @@ class TestScanPlumbing:
 
     def test_pair_blocks_are_the_run_shapes_at_any_worker_count(self, monkeypatch):
         # two blocks per progression shape (difference, length), one per
-        # parity of the partner runs, each weighted by the unions it
-        # classifies, and the same list at every worker count;
-        # the stand-in runner runs the blocks in process, so nothing forks
+        # parity of the partner runs, in run-table order, and the same list
+        # at every worker count; the stand-in runner runs the blocks in
+        # process, so nothing forks
         forks = counting_fork(monkeypatch, cap=0)
         lists = []
 
-        def run_in_process(fn, tasks, weight, workers):
-            out = [fn(t) for t in tasks]
-            assert [weight(t) for t in tasks] == [count for count, _ in out]
+        def run_in_process(fn, tasks, workers):
             lists.append(tasks)
-            return out
+            return [fn(t) for t in tasks]
         monkeypatch.setattr(search, "_run_blocks", run_in_process)
         for scan, span, max_diff, groups in (
                 (ap_pair_scan, 34, 4, [(1,), (2,), (3,), (4,)]),
@@ -1043,22 +1099,94 @@ class TestScanPlumbing:
             assert lists[0] == lists[1] == lists[2]
         assert forks == []
 
-    def test_blocks_go_out_heaviest_first_and_return_in_task_order(self):
-        # each process draws its blocks in falling weight (its own counter
+    def test_blocks_go_out_and_come_back_in_task_order(self):
+        # each process draws its blocks in task order (its own counter
         # numbers its draws), and the results come back in task order
         draws = count()
-        weights = [5, 9, 1, 7, 3, 8, 2, 6, 4, 0]
-        tasks = list(range(len(weights)))
+        tasks = [5, 9, 1, 7, 3, 8, 2, 6, 4, 0]
         for workers in (2, 3):
-            out = search._run_blocks(lambda t: (os.getpid(), next(draws), t), tasks,
-                                     weights.__getitem__, workers)
+            out = search._run_blocks(lambda t: (os.getpid(), next(draws), t), tasks, workers)
             assert [t for _, _, t in out] == tasks
             taken = {}
             for pid, draw, t in sorted(out, key=lambda rec: rec[1]):
-                taken.setdefault(pid, []).append(weights[t])
-            assert all(ws == sorted(ws, reverse=True) for ws in taken.values())
+                taken.setdefault(pid, []).append(tasks.index(t))
+            assert all(ts == sorted(ts) for ts in taken.values())
             assert len(taken) <= workers
         assert_no_children()
+
+    @pytest.mark.parametrize("scan", [lambda w: min_size_scan(22, workers=w),
+                                      lambda w: partition3_feasible(25, True, w),
+                                      lambda w: partition3_feasible(26, True, w)],
+                             ids=["minsize22", "partition3_25", "partition3_26"])
+    def test_levels_go_out_heaviest_first(self, scan, monkeypatch):
+        # the levels (D, j) by falling diameter, then falling size; dealt in
+        # that order to 2..4 processes, each taking the next level when it
+        # is free, the busiest process does at most 1% more leaves than
+        # when the levels are dealt by falling leaf count
+        lists = []
+
+        def run_in_process(fn, tasks, workers):
+            out = [fn(t) for t in tasks]
+            lists.append((tasks, [leaves for leaves, _ in out]))
+            return out
+        monkeypatch.setattr(search, "_run_blocks", run_in_process)
+        scan(2)
+        [(tasks, leaves)] = lists
+        assert tasks == sorted(tasks, key=lambda t: (-t[0], -t[1]))
+        assert search._normal_tasks(range(1, 4), range(3)) == [
+            (3, 2), (3, 1), (3, 0), (2, 1), (2, 0), (1, 0)]
+        for procs in range(2, 5):
+            assert list_schedule(leaves, procs) <= \
+                1.01 * list_schedule(sorted(leaves, reverse=True), procs)
+
+    def test_every_report_is_built_in_scan(self, monkeypatch):
+        # each engine makes its SearchReport in _scan, once per task list (per
+        # level for largest, whose report adds its levels' leaves and time)
+        made, inside = [], []
+        real_scan, real_report = search._scan, search.SearchReport
+
+        def scan(*args):
+            inside.append(1)
+            try:
+                made.append(real_scan(*args))
+            finally:
+                inside.pop()
+            return made[-1]
+
+        def report(*args, **kwargs):
+            assert inside, "a SearchReport made outside _scan"
+            return real_report(*args, **kwargs)
+        monkeypatch.setattr(search, "_scan", scan)
+        monkeypatch.setattr(search, "SearchReport", report)
+        for workers in (1, 2):
+            for engine in (lambda: min_size_scan(12, workers=workers),
+                           lambda: ap_pair_scan(20, 3, workers=workers),
+                           lambda: two_ap_general_scan(16, 3, workers=workers)):
+                made.clear()
+                assert engine() is made[-1] and len(made) == 1
+            made.clear()
+            _, rep = largest_subset_scan(16, workers=workers)
+            assert len(made) == 16 - 9 + 1  # discard levels 0..7, N = 9
+            assert rep == made[-1]._replace(classified=sum(m.classified for m in made),
+                                            elapsed=sum(m.elapsed for m in made))
+            made.clear()
+            with pytest.raises(BudgetExceededError) as budget:
+                largest_subset_scan(30, max_discard=1, workers=workers)
+            assert budget.value.report.witnesses == [] and len(made) == 2
+            assert budget.value.report.examined == made[-1].examined == 1 + 28
+            made.clear()
+            p3 = partition3_feasible(24, exhaustive_small=True, workers=workers)
+            [catalogue] = made
+            assert catalogue.search == "partition3" and p3.classified > catalogue.classified
+
+
+def list_schedule(loads, procs):
+    # the busiest of `procs` processes when each takes the next load, in
+    # order, as soon as it is free
+    busy = [0] * procs
+    for load in loads:
+        busy[busy.index(min(busy))] += load
+    return max(busy)
 
 
 def counting_fork(monkeypatch, cap=4):
@@ -1107,7 +1235,7 @@ class TestForkJoinFailures:
             os.write(ready_w, b"x")
             return in_child(task)
         try:
-            return search._run_blocks(fn, [0, 1], lambda t: t, 2)
+            return search._run_blocks(fn, [0, 1], 2)
         finally:
             os.close(ready_r)
             os.close(ready_w)
@@ -1155,7 +1283,7 @@ class TestForkJoinFailures:
 
     def test_more_blocks_than_the_pipe_holds(self, deadline):
         tasks = list(range(20000))  # 80000 bytes of indices, more than a 64 KiB pipe
-        assert search._run_blocks(abs, [-t for t in tasks], lambda t: -t % 97, 2) == tasks
+        assert search._run_blocks(abs, [-t for t in tasks], 2) == tasks
         assert_no_children()
 
     def test_the_caller_raises_and_reaps(self, deadline):
@@ -1166,5 +1294,5 @@ class TestForkJoinFailures:
                 raise KeyError(task)
             return task
         with pytest.raises(KeyError):
-            search._run_blocks(fn, list(range(50)), lambda t: t, 2)
+            search._run_blocks(fn, list(range(50)), 2)
         assert_no_children()
