@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import UNIVERSE_CAP, IntSet, _num, _progression_bits, _require_int, elements_of
-from .errors import ConstraintViolationError, InvalidParameterError, UniverseOverflowError
+from .core import IntSet, _num, _progression_bits, _require_int, _within_cap, elements_of
+from .errors import ConstraintViolationError, InvalidParameterError
 from .lemmas import ArithProg, is_arithmetic_progression
 
 # fixed anchor blocks of the three-part split
@@ -51,13 +51,6 @@ HIGH_BLOCK_2 = IntSet((22, 23, 24, 25, 29, 30, 32, 34, 35, 36))
 CENTER_SET = IntSet((66, 68, 69, 70, 73, 77, 78, 80))
 
 MIN_WINDOW_M = 21
-
-
-def _within_cap(top: int, what: str) -> None:
-    # from the parameter, before a mask reaching `top` is built
-    if top >= UNIVERSE_CAP:
-        raise UniverseOverflowError(
-            f"{what} reaches {_num(top)}, at or beyond the cap {UNIVERSE_CAP}")
 
 
 def ap(start: int, diff: int, length: int) -> IntSet:

@@ -55,9 +55,49 @@ M*w*log(M) instead of R*M. The decimal context traps Inexact and
 Rounded, so a product can never round silently, and the decimal module
 is imported only when the first product runs.
 
-Which kernel runs is decided per set from its run count R, |A| and M:
-the product runs when R >= weight * w * (bit length of M), with weights
-fitted from measurements (_SUM_WEIGHT, _DIFF_WEIGHT). It takes over near
+A set of at least _COVER_RUNS runs first tries a third kernel, the
+cover, which rests on the fact that only the fringes of A+A and A-A are
+in doubt for a dense set (Martin and O'Bryant, "Many sets have more sums
+than differences", 2007). It takes the elements e_0 < ... < e_(n-1) of
+A from both ends in turn, e_0, e_(n-1), e_1, e_(n-2), ...: a low element
+a adds bits(A) << a and bits(A) >> a, a high element b adds bits(A) << b
+and rev >> (top - b), where rev is A reflected about top = max(A), bit
+top - x for each x in A, so that the last adds the magnitudes {b - x}.
+Let lo and hi be the least and the greatest element not yet taken.
+
+    Exact zones. A sum x + y, x <= y, below 2lo has x < lo, so x was
+    taken and bits(A) << x holds it; one above 2hi has y > hi, so y was
+    taken. A magnitude y - x above hi - lo has x < lo or y > hi, and the
+    shift by x, or rev's shift by y, holds it. So outside the sums in
+    [2lo, 2hi] and the magnitudes in [0, hi - lo] the masks are exact,
+    and inside them every set position is a true sum or magnitude.
+
+    Per-position test. A position s left unset in the sum zone is a sum
+    iff bits(A) & (rev shifted by s - top) is nonzero (its bit x says
+    s - x is in A), and a magnitude t iff bits(A) & (bits(A) >> t) is.
+
+At 8, 16, 32, ... passes (one pass is one element taken) the cover
+counts the unset positions of both zones. If they number no more than
+the passes so far, it tests each one and returns: the tests cost no
+more than the passes did. If a doubling of the passes has not halved
+them, it gives up and the kernels below run as if it had not been
+tried; that happens where a zone keeps a hole that no end element
+fills, such as the evens, a residue class or an empty middle, and in a
+random set below density p ~ 0.15. A sum below max(A) comes only from
+the bottom and one above it only from the top, so a random set of
+density p leaves a sum unset after c passes with chance about
+(1-p)**(c/2), a magnitude about (1-p)**c: the count falls geometrically
+and half-full sets finish in 32-64 passes at every M: sum_diff_cards
+takes ~13 ms at M = 10**6 (the product 1.3 s), and classify ~0.3 s and
+~34 MB above its baseline at M = 2**24 - 1 (the product 28 s and
+540 MB). Giving up costs 16 passes and two counts, which the
+_COVER_RUNS floor keeps to about a quarter of the passes shift-OR then
+makes, and far less than a product.
+
+Which of the other two kernels runs is decided per set from its run
+count R, |A| and M: the product runs when R >= weight * w * (bit length
+of M), with weights fitted from measurements (_SUM_WEIGHT, _DIFF_WEIGHT);
+they choose only between these two. The product takes over near
 R ~ 4500-12000 for sums and ~15000-40000 for differences as M goes from
 2**14 to 2**22, so wide sparse sets and sets of a few long runs stay on
 shift-OR. Shift-OR's memory is a few masks of 2M bits: sum_diff_cards
@@ -125,6 +165,9 @@ _SUM_WEIGHT = 75
 _DIFF_WEIGHT = 250
 # below this many elements the product never pays, whatever M is
 _SMALL_CARD = 1024
+# below this many runs shift-OR is too cheap to risk the cover's first 16
+# passes on, so k_set and every search-sized set keep it
+_COVER_RUNS = 64
 # below this many elements OR-ing single bits beats the digit buffer
 _PACK_MIN_CARD = 512
 # product blocks turned into bits per step, which bounds the digit string
@@ -203,6 +246,13 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _within_cap(top: int, what: str) -> None:
+    # from the parameter, before a mask or a walk reaching `top` is built
+    if top >= UNIVERSE_CAP:
+        raise UniverseOverflowError(
+            f"{what} reaches {_num(top)}, at or beyond the cap {UNIVERSE_CAP}")
+
+
 def _require_iterable(value, what: str) -> tuple:
     # a parameter that must be iterable, as a tuple
     try:
@@ -239,10 +289,74 @@ def elements_of(bits: int) -> tuple[int, ...]:
     return tuple([*compress(count(), bin(bits)[:1:-1].encode().translate(_UNPACK))])
 
 
+def _runs(bits: int) -> int:
+    # the maximal runs of consecutive elements, counted by their starts
+    return (bits & ~(bits << 1)).bit_count()
+
+
 def _product_pays(bits: int, weight: int) -> bool:
     # shift-OR makes one pass over the mask per run, the product ~w*log(M) per bit
-    runs = (bits & ~(bits << 1)).bit_count()
+    runs = _runs(bits)
     return 0 < runs >= weight * len(str(bits.bit_count())) * bits.bit_length().bit_length()
+
+
+def _ascending(bits: int) -> Iterator[int]:
+    # the elements of a mask from the least up, unpacked a doubling window
+    # at a time, so that taking the first few reads only the low bits
+    at, width, n = 0, 64, bits.bit_length()
+    while at < n:
+        window = (bits & ((1 << at + width) - 1)) >> at
+        yield from (at + e for e in elements_of(window))
+        at += width
+        width *= 2
+
+
+def _cover(bits: int, sums: bool, mags: bool) -> tuple[int, int] | None:
+    """(bits(A+A), bits(D)) from shifts by the elements at A's two ends, or None.
+
+    The third kernel of the module docstring: it takes elements from the
+    bottom and the top of A in turn, and at 8, 16, 32, ... passes either
+    tests the few undecided positions one by one and returns, or gives
+    up once a doubling of the passes has not halved them.
+    """
+    top = bits.bit_length() - 1
+    rev = int(bin(bits)[:1:-1], 2)  # bit top - x for each x in A
+    low = _ascending(bits)
+    high = (top - x for x in _ascending(rev))
+    lo, hi = next(low), next(high)  # the least and the greatest element not yet taken
+    s = d = 0
+    passes, check, before = 0, 8, None
+    while True:
+        while passes < check and lo <= hi:
+            if passes % 2 == 0:  # x from the bottom adds the magnitudes {y - x}
+                x, lo = lo, next(low, top + 1)
+                if mags:
+                    d |= bits >> x
+            else:  # and from the top {x - y}
+                x, hi = hi, next(high, -1)
+                if mags:
+                    d |= rev >> top - x
+            if sums:
+                s |= bits << x
+            passes += 1
+        if lo > hi:  # every element taken
+            return s, d
+        # undecided: the sums in [2lo, 2hi] and the magnitudes in [0, hi-lo] not yet set
+        open_s = ~(s >> 2 * lo) & (2 << 2 * (hi - lo)) - 1 if sums else 0
+        open_d = ~d & (2 << hi - lo) - 1 if mags else 0
+        left = open_s.bit_count() + open_d.bit_count()
+        if left <= passes:
+            for t in elements_of(open_s):
+                shift = 2 * lo + t - top  # rev shifted by it has bit 2lo+t-y for y in A
+                if bits & (rev << shift if shift >= 0 else rev >> -shift):
+                    s |= 1 << 2 * lo + t
+            for t in elements_of(open_d):
+                if bits & bits >> t:
+                    d |= 1 << t
+            return s, d
+        if before is not None and 2 * left > before:
+            return None
+        before, check = left, 2 * check
 
 
 def _kronecker(bits: int, reflect: bool) -> int:
@@ -316,8 +430,11 @@ def _shift_or(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
 
 
 def _sums_and_mags(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
-    # bits(A+A) and bits(D), 0 where not asked for, each from the kernel
-    # that pays for this set; the runs are unpacked once for both
+    # bits(A+A) and bits(D), 0 where not asked for: from the cover if it
+    # settles them, else each from the kernel that pays for this set, the
+    # runs unpacked once for both
+    if _runs(bits) >= _COVER_RUNS and (both := _cover(bits, sums, mags)):
+        return both
     run_sums = sums and not _product_pays(bits, _SUM_WEIGHT)
     run_mags = mags and not _product_pays(bits, _DIFF_WEIGHT)
     s, d = _shift_or(bits, run_sums, run_mags) if run_sums or run_mags else (0, 0)

@@ -152,7 +152,8 @@ import os
 import time
 from typing import NamedTuple
 
-from .core import IntSet, _num, _progression_bits, _require_int, elements_of, sum_diff_cards
+from .core import (IntSet, _num, _progression_bits, _require_int, _within_cap, elements_of,
+                   sum_diff_cards)
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
@@ -379,6 +380,7 @@ def largest_subset_scan(n: int, max_discard: int = 8,
     _require(n, 2, "interval length n={}")
     _require(max_discard, 0, "max_discard")
     _require(workers, 1, "workers={}")
+    _within_cap(n - 1, "the interval {0..n-1}")
     meaningful = min(n - 2, max(0, n - MIN_SD_CARD))
     limit = min(max_discard, meaningful)
     params = {"n": n, "max_discard": max_discard}
@@ -427,6 +429,7 @@ def min_size_scan(max_diameter: int, workers: int = 1) -> SearchReport:
     """
     _require(max_diameter, 1, "max_diameter")
     _require(workers, 1, "workers={}")
+    _within_cap(max_diameter, "max_diameter")
     tasks = _normal_tasks(range(1, max_diameter + 1), range(MIN_SD_CARD - 1))
     return _scan("minsize", {"max_diameter": max_diameter}, sum(map(_block_count, tasks)),
                  _sum_dominant, tasks, workers)
@@ -515,6 +518,7 @@ def _scan_pairs(name, span, max_diff, workers):
     _require(span, 1, "bounds")
     _require(max_diff, 1, "bounds")
     _require(workers, 1, "workers={}")
+    _within_cap(span, "max_span")
     diffs = range(1, max_diff + 1)
     examined, tasks = 0, []
     for group in [(d,) for d in diffs] if name == "appairs" else [tuple(diffs)]:

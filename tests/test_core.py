@@ -2,6 +2,7 @@
 
 import inspect
 import operator
+import os
 import random
 import re
 import subprocess
@@ -725,6 +726,100 @@ class TestLargeSetKernel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
         assert int(out.stdout) < 250 * 1024  # KiB
+
+    @staticmethod
+    def assert_kernels(monkeypatch, bits, branch, reference=True):
+        # every public kernel call on bits against the product, and against
+        # the shift-OR reference where it is affordable; each call must take
+        # the given branch of the cover: "done", "gave up" or "never" entered
+        seen, cover = [], core._cover
+
+        def spy(*args):
+            got = cover(*args)
+            seen.append("done" if got else "gave up")
+            return got
+        monkeypatch.setattr(core, "_cover", spy)
+        sums, mags = _kronecker(bits, reflect=False), _kronecker(bits, reflect=True)
+        if reference:
+            assert (sums, mags) == (ref_sumset_bits(bits), ref_diff_bits(bits))
+        cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
+        # sum_diff_cards loops over the elements of a small set
+        small = "never" if bits.bit_count() < _SMALL_CARD else branch
+        for call, want, took in ((sumset_bits, sums, branch), (diff_bits, mags, branch),
+                                 (sum_diff_cards, cards, small),
+                                 (lambda b: sum_diff_cards(b, elements_of(b)), cards, small)):
+            seen.clear()
+            assert call(bits) == want
+            assert seen == ([] if took == "never" else [took])
+
+    @pytest.mark.parametrize("k", [10, 11, 13, 15, 17])
+    @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.75, 0.9])
+    def test_cover_on_random_sets(self, k, p, monkeypatch):
+        # from density 1/4 up the ends settle every call; at 1/20 the sums
+        # never fill from the ends, and at M = 2**10 its 58 runs stay below
+        # the cover's floor
+        rng = random.Random(1000 * k + int(100 * p))
+        low = 0 if p in (0.25, 0.75) else 1000 + k  # min(A) > 0 otherwise
+        bits = sum(1 << x for x in range(1 << k) if rng.random() < p) << low
+        branch = "done" if p > 0.05 else "never" if k == 10 else "gave up"
+        self.assert_kernels(monkeypatch, bits, branch, reference=k <= 15)
+
+    @pytest.mark.parametrize("bits", [
+        1 << 5000,                  # one element
+        1 | 1 << 70_000,            # two
+        (1 << 5000) - 1 << 3,       # an interval
+        k_set(20_000).bits,         # five runs
+    ], ids=["one", "two", "interval", "k_set"])
+    def test_few_runs_never_enter_the_cover(self, bits, monkeypatch):
+        self.assert_kernels(monkeypatch, bits, "never")
+
+    @pytest.mark.parametrize("bits", [
+        int("01" * 8192, 2),  # the evens: no odd sum or magnitude
+        # the multiples of 3 and two points in the middle, which alone make
+        # the sums and magnitudes of the other two classes
+        int("001" * 5461, 2) | 1 << 8194 | 1 << 8195,
+        # dense ends and an empty middle, so A+A and A-A have holes there
+        (random.Random(3).getrandbits(4096) << 12_288) | random.Random(4).getrandbits(4096),
+    ], ids=["evens", "multiples_of_3", "empty_middle"])
+    def test_cover_gives_up_on_holes_the_ends_never_fill(self, bits, monkeypatch):
+        self.assert_kernels(monkeypatch, bits, "gave up")
+
+    def test_cover_is_exact_whenever_it_returns(self):
+        # called directly, so also on sets below the floor: whatever it
+        # returns is the reference, 0 where not asked for; fewer than 8
+        # elements are all taken before the first count, and a dilate by 2
+        # or 3 has holes that make it give up
+        rng = random.Random(97)
+        outcomes = set()
+        for _ in range(400):
+            width, scale = rng.choice((3, 20, 100, 400)), rng.choice((1, 1, 2, 3))
+            elems = rng.sample(range(width), rng.randint(1, width))
+            bits = ref_bits_of(scale * e for e in elems) << rng.randrange(9)
+            sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+            for ask_s, ask_d in ((True, False), (False, True), (True, True)):
+                got = core._cover(bits, ask_s, ask_d)
+                outcomes.add(got is not None)
+                if got is not None:
+                    assert got == (sums * ask_s, mags * ask_d)
+            if bits.bit_count() < 8:
+                assert core._cover(bits, True, True) == (sums, mags)
+        assert outcomes == {True, False}
+
+    @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS"),
+                        reason="about 3 s of products; set MSTD_SLOW_TESTS=1 to run")
+    def test_cover_at_scale(self):
+        # a half-full set at 2**20 against the product, and one reaching the
+        # top position classified in seconds (the products took ~50 s there)
+        rng = random.Random(20)
+        bits = rng.getrandbits(1 << 20)
+        sums, mags = sumset_bits(bits), diff_bits(bits)
+        assert (sums, mags) == (_kronecker(bits, reflect=False), _kronecker(bits, reflect=True))
+        assert sum_diff_cards(bits) == (sums.bit_count(), 2 * mags.bit_count() - 1)
+        a = IntSet.from_bits(rng.getrandbits(UNIVERSE_CAP) | 1 << UNIVERSE_CAP - 1)
+        start = time.perf_counter()
+        got = classify(a)
+        assert time.perf_counter() - start < 5
+        assert got.sum_card <= 2 * a.max + 1 and got.diff_card <= 2 * a.max + 1
 
     def test_decimal_is_imported_only_by_a_product(self):
         # k_set's five runs stay on shift-OR; 20000 single elements do not

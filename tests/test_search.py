@@ -9,6 +9,7 @@ import select
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations, count, product
 
@@ -23,6 +24,7 @@ from mstd import (
     InvalidParameterError,
     ParseError,
     Partition3Spec,
+    UNIVERSE_CAP,
     UniverseOverflowError,
     ap,
     ap_pair_scan,
@@ -969,6 +971,22 @@ class TestParameterChecks:
         with pytest.raises(error) as got:
             call(self.HUGE)
         assert str(got.value) == message
+
+    @pytest.mark.parametrize("bound", [HUGE, UNIVERSE_CAP + 1], ids=["huge", "cap_plus_1"])
+    @pytest.mark.parametrize("scan", [
+        largest_subset_scan,
+        largest_subset,
+        min_size_scan,
+        lambda span: ap_pair_scan(span, 3),
+        lambda span: two_ap_general_scan(span, 3),
+    ], ids=["largest_scan", "largest", "minsize", "appairs", "twoap"])
+    def test_bounds_past_the_cap(self, scan, bound):
+        # checked before any range or task list is built: past the cap a
+        # walk would never end, and 10**5000 would not fit a range
+        t0 = time.perf_counter()
+        with pytest.raises(UniverseOverflowError, match="at or beyond the cap 16777216"):
+            scan(bound)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_huge_worker_count_scans(self):
         assert min_size_scan(3, workers=self.HUGE).as_dict(elapsed_s=0.0) == \
