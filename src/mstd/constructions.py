@@ -27,10 +27,15 @@ ends so the assembled parts stay sum-dominant for every m >= 21.
 
 default_blocks(m) picks a canonical (M1, M2): pair starts on the grid
 66 + 30t, each shifted right off the center set, clipped to the window;
-everything else goes to M2. The grid spacing (30 <= 39, and <= 40 for
-the complementary triplet runs) keeps both chains valid, which the tests
-confirm for every m in 21..1199; the spec is still validated before it is
-returned. At m=21 this yields M1 = {71,72}, M2 = {67,74,75,76,79}.
+everything else goes to M2. The center set lies in {66..80}, so only the
+first pair moves (to 71); the others start at p = 66 + 30t for
+1 <= t <= (m - 8) // 30, the largest t with p + 1 <= 59 + m. So M1 is
+built in closed form: {71, 72} plus one progression of starts, times 3
+(which adds x + 1 to each start x). The grid spacing (30 <= 39, and <= 40 for the complementary triplet
+runs) keeps both chains valid, which the tests confirm for every m in
+21..1199; the spec is still validated before it is returned, at mask
+speed (see _chain_exists). At m=21 this yields M1 = {71,72},
+M2 = {67,74,75,76,79}.
 """
 
 from __future__ import annotations
@@ -134,13 +139,12 @@ def middle_window(m: int) -> IntSet:
     return IntSet.from_bits(_progression_bits(66, 1, m - 6)) - CENTER_SET
 
 
-def _run_starts(s: IntSet, width: int) -> tuple[int, ...]:
-    # x such that x, x+1, ..., x+width-1 all lie in s
-    bits = s.bits
+def _run_bits(bits: int, width: int) -> int:
+    # x such that x, x+1, ..., x+width-1 all lie in the set of bits
     run = bits
     for i in range(1, width):
         run &= bits >> i
-    return elements_of(run)
+    return run
 
 
 def _chain_exists(s: IntSet, width: int, max_gap: int,
@@ -150,15 +154,63 @@ def _chain_exists(s: IntSet, width: int, max_gap: int,
 
     A chain is a sequence of disjoint runs with consecutive start
     positions at most max_gap apart, whose first run fits in
-    [first_lo, first_hi] and whose last fits in [last_lo, last_hi].
-    Starts ascend, so one left-to-right sweep settles reachability: a
-    run at x continues a chain iff some reachable start lies in
-    [x - max_gap, x - width], and the least reachable start not below
-    x - max_gap only moves right as x does.
+    [first_lo, first_hi] and whose last fits in [last_lo, last_hi]. So
+    a start is reachable iff it lies in the first zone of starts F, or
+    some reachable start lies in [x - max_gap, x - width], a hop of
+    length in [width, max_gap]; the answer is whether a reachable start
+    lies in the last zone Z.
+
+    A certificate on masks settles most divisions without the sweep.
+    Let s0 be the least start in F, and L the starts in [s0, max Z].
+    Every reachable start is at least s0: one in F is, and one a hop
+    past a reachable start is greater than it. A chain that ends in Z
+    has no start past max Z. So the chains that matter use starts of L
+    only. Smear L over the hop lengths: bit x of the OR of L << h over
+    width <= h <= max_gap is set iff some start of L lies in
+    [x - max_gap, x - width]. Suppose every start of L outside F has
+    its bit set. Then every start x of L is reachable, by induction on
+    ascending starts: if x is in F, it is; otherwise some start y of L
+    lies in [x - max_gap, x - width], so y < x is reachable, and x is a
+    hop past it. The answer is then whether L meets Z. If some start
+    of L outside F has no bit, this proves nothing, and the sweep
+    decides. Empty zones, and max_gap < width (no hop, so only F is
+    reachable), are settled before the smear.
     """
+    starts = _run_bits(s.bits, width)
+    top_first, top_last = first_hi - width + 1, last_hi - width + 1
+    if top_first < first_lo or top_last < last_lo:
+        return False  # an empty zone holds no start
+    in_first = (2 << top_first) - (1 << first_lo)
+    in_last = (2 << top_last) - (1 << last_lo)
+    firsts = starts & in_first
+    if not firsts:
+        return False
+    if max_gap < width:  # no hop: only the first zone is reachable
+        return firsts & in_last != 0
+    s0 = (firsts & -firsts).bit_length() - 1
+    live = starts >> s0 << s0 & (2 << top_last) - 1
+    # OR of live << j for j < hops, grown by doubling
+    hops, have, smear = max_gap - width + 1, 1, live
+    while 2 * have <= hops:
+        smear |= smear << have
+        have *= 2
+    smear |= smear << hops - have
+    if live & ~(in_first | smear << width) == 0:
+        return live & in_last != 0
+    return _sweep_chain(elements_of(starts), width, max_gap,
+                        first_lo, first_hi, last_lo, last_hi)
+
+
+def _sweep_chain(starts: tuple[int, ...], width: int, max_gap: int,
+                 first_lo: int, first_hi: int,
+                 last_lo: int, last_hi: int) -> bool:
+    # Starts ascend, so one left-to-right sweep settles reachability: a
+    # run at x continues a chain iff some reachable start lies in
+    # [x - max_gap, x - width], and the least reachable start not below
+    # x - max_gap only moves right as x does.
     reach: list[int] = []
     lo = 0  # reach[:lo] are too far behind every start still to come
-    for x in _run_starts(s, width):
+    for x in starts:
         while lo < len(reach) and reach[lo] < x - max_gap:
             lo += 1
         ok = (first_lo <= x and x + width - 1 <= first_hi) \
@@ -194,14 +246,14 @@ def validate_partition_spec(spec: Partition3Spec) -> list[SpecViolation]:
 
     if not _chain_exists(spec.m1, 2, 39, 66, 101, 24 + m, 59 + m):
         out.append(SpecViolation(
-            "m1-pair-chain", _run_starts(spec.m1, 2),
+            "m1-pair-chain", elements_of(_run_bits(spec.m1.bits, 2)),
             "no chain of consecutive-element pairs spans the window "
             "(starts <= 39 apart, first pair in {66..101}, "
             f"last pair in {{{24 + m}..{59 + m}}})"))
 
     if not _chain_exists(spec.m2, 3, 40, 66, 105, 20 + m, 59 + m):
         out.append(SpecViolation(
-            "m2-triplet-chain", _run_starts(spec.m2, 3),
+            "m2-triplet-chain", elements_of(_run_bits(spec.m2.bits, 3)),
             "no chain of consecutive-element triplets spans the window "
             "(starts <= 40 apart, first triplet in {66..105}, "
             f"last triplet in {{{20 + m}..{59 + m}}})"))
@@ -263,21 +315,13 @@ def default_blocks(m: int) -> Partition3Spec:
     if _require_int(m, "default_blocks m") < MIN_WINDOW_M:
         raise InvalidParameterError(f"default_blocks needs m >= 21, got {_num(m)}")
     window = middle_window(m)
-    center = CENTER_SET.bits
-    hi = 59 + m
-
-    starts = []
-    t = 0
-    while True:
-        p = 66 + 30 * t
-        while (center >> p) & 3:  # pair {p, p+1} touches the center set
-            p += 1
-        if p + 1 > hi:
-            break
-        starts.append(p)
-        t += 1
-
-    m1 = IntSet([x for p in starts for x in (p, p + 1)])
+    first = 66
+    while (CENTER_SET.bits >> first) & 3:  # the pair {first, first+1} touches the center set
+        first += 1
+    # the later pairs, past the center set (module docstring)
+    count = (m - 8) // 30
+    grid = _progression_bits(96, 30, count) * 3 if count else 0
+    m1 = IntSet.from_bits(3 << first | grid)
     spec = Partition3Spec(m, m1, window - m1)
     violations = validate_partition_spec(spec)
     if violations:

@@ -1,10 +1,11 @@
 """Structural conditions that force a set to be not sum-dominant.
 
 Both checks look only at the gap sequence of A (consecutive differences
-of the sorted elements), so they run in O(|A|) and never touch the
-quadratic-size sumset. Each returns a LemmaVerdict: applies=True means
-the hypothesis holds and the set is guaranteed not sum-dominant;
-applies=False says nothing either way.
+of the sorted elements), so they never touch the quadratic-size sumset:
+ms_condition1 reads it off the mask in a few whole-mask operations, and
+ms_condition2 walks it in O(|A|). Each returns a LemmaVerdict:
+applies=True means the hypothesis holds and the set is guaranteed not
+sum-dominant; applies=False says nothing either way.
 
 ms_condition1: if every gap is at most 2, then |A+A| <= |A-A|. With max
 element M and min 0, A-A realizes every magnitude that A+A can miss
@@ -99,7 +100,10 @@ def ms_condition1(a: IntSet) -> LemmaVerdict:
     """
     if len(a) == 0:
         raise EmptySetError("cannot check the empty set")
-    if all(g <= 2 for g in gaps_of(a)):
+    # a gap of 3 or more leaves some x in [min, max] with neither x nor
+    # x + 1 in A, and gaps of at most 2 leave none
+    cover = (a.bits | a.bits >> 1) >> a.min  # bit x - min: x or x + 1 in A
+    if cover & (cover + 1) == 0:  # every bit up to max - min
         return _HOLDS
     return _NO_CLAIM
 

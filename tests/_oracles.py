@@ -405,3 +405,32 @@ def ref_parse_gap_notation(text: str) -> GapNotation:
     if tail != len(text):
         raise ParseError("trailing input after ')'", tail)
     return GapNotation(origin, tuple(gaps))
+
+
+# ---------------------------------------------------------------------------
+# lemma conditions read off the gap tuple, as they stood before the mask checks
+
+
+def ref_ms_condition1(elements):
+    """Whether every gap of a nonempty sorted tuple is at most 2."""
+    return all(b - a <= 2 for a, b in zip(elements, elements[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the three-part split's default division as a grid loop, as it stood before
+# the closed form
+
+
+def ref_default_m1(m):
+    """M1 of default_blocks(m): pairs {p, p+1} from p = 66 + 30t, each moved
+    right until it misses the center set, while p + 1 <= 59 + m."""
+    center = {66, 68, 69, 70, 73, 77, 78, 80}
+    out, t = [], 0
+    while True:
+        p = 66 + 30 * t
+        while p in center or p + 1 in center:
+            p += 1
+        if p + 1 > 59 + m:
+            return out
+        out += [p, p + 1]
+        t += 1

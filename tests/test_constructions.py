@@ -1,6 +1,9 @@
 """Explicit families and the three-part interval split."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -25,7 +28,7 @@ from mstd import (
 )
 from mstd import constructions
 from mstd.constructions import HIGH_BLOCK_2, LOW_BLOCK_2, _chain_exists
-from tests._oracles import naive_cards, naive_is_sum_dominant
+from tests._oracles import naive_cards, naive_is_sum_dominant, ref_default_m1
 
 # the canonical worked split at m=21, element by element
 A1_M21 = (
@@ -175,8 +178,10 @@ class TestValidateSpec:
                               IntSet([67, 74, 75, 76, 79]))
         assert validate_partition_spec(spec) == []
 
-    def test_default_blocks_valid_range(self):
-        # default_blocks raises on an invalid grid; it has no repair step
+    def test_default_blocks_valid_range(self, monkeypatch):
+        # default_blocks raises on an invalid grid; it has no repair step;
+        # and the chain certificate settles both chains of every division
+        monkeypatch.setattr(constructions, "_sweep_chain", None)
         for m in range(21, 1200):
             spec = default_blocks(m)
             assert validate_partition_spec(spec) == [], m
@@ -212,12 +217,16 @@ class TestValidateSpec:
         assert [v.constraint for v in out] == ["m-range"]
 
 
+def run_starts(s, width):
+    # x such that x, x+1, ..., x+width-1 all lie in s, found element by element
+    return [x for x in s.elements if all(x + i in s for i in range(width))]
+
+
 def quadratic_chain_exists(s, width, max_gap, first_lo, first_hi, last_lo, last_hi):
     # the original sweep: each start is checked against every earlier
-    # reachable start; run starts found element by element
-    starts = [x for x in s.elements if all(x + i in s for i in range(width))]
+    # reachable start
     reach = []
-    for x in starts:
+    for x in run_starts(s, width):
         ok = first_lo <= x and x + width - 1 <= first_hi
         if not ok:
             ok = any(y + width <= x <= y + max_gap for y in reach)
@@ -229,8 +238,15 @@ def quadratic_chain_exists(s, width, max_gap, first_lo, first_hi, last_lo, last_
 
 
 class TestChainExists:
-    def test_matches_quadratic_sweep(self):
+    def test_matches_quadratic_sweep(self, monkeypatch):
+        swept, sweep = [], constructions._sweep_chain
+
+        def spy(*args):
+            swept.append(args)
+            return sweep(*args)
+        monkeypatch.setattr(constructions, "_sweep_chain", spy)
         rng = random.Random(59)
+        decided = {"before the smear": 0, "certificate": 0, "sweep": 0}
         hits = 0
         for _ in range(3000):
             span = rng.randint(1, 200)
@@ -244,9 +260,28 @@ class TestChainExists:
             last_hi = last_lo + rng.randint(0, 40)
             args = (width, max_gap, first_lo, first_hi, last_lo, last_hi)
             want = quadratic_chain_exists(s, *args)
+            before = len(swept)
             assert _chain_exists(s, *args) == want, (s, args)
             hits += want
+            firsts = [x for x in run_starts(s, width)
+                      if first_lo <= x and x + width - 1 <= first_hi]
+            if len(swept) > before:
+                decided["sweep"] += 1
+            elif firsts and max_gap >= width and last_lo <= last_hi - width + 1:
+                decided["certificate"] += 1
+            else:
+                decided["before the smear"] += 1
         assert 300 < hits < 2700  # both outcomes well represented
+        assert min(decided.values()) > 200, decided
+
+    def test_certificate_skips_starts_no_chain_can_use(self, monkeypatch):
+        # pair starts 10 (below the first zone), 70 (in it), 100 (a hop on)
+        # and 150 (past the last zone): neither 10 nor 150 has a start a hop
+        # behind it, and the certificate settles both answers without them
+        monkeypatch.setattr(constructions, "_sweep_chain", None)
+        s = IntSet([10, 11, 70, 71, 100, 101, 150, 151])
+        assert _chain_exists(s, 2, 39, 66, 101, 95, 110)
+        assert not _chain_exists(s, 2, 39, 66, 101, 120, 140)
 
 
 class TestPartition3:
@@ -321,3 +356,37 @@ class TestDefaultBlocks:
             spec = default_blocks(m)
             assert spec.m1.isdisjoint(spec.m2)
             assert (spec.m1 | spec.m2) == middle_window(m)
+
+    def test_matches_the_grid_loop(self):
+        for m in [*range(21, 1200), 4567, 123_456, 2**24 - 125]:
+            spec = default_blocks(m)
+            assert spec.m1 == IntSet(ref_default_m1(m)), m
+            assert spec.m2 == middle_window(m) - spec.m1, m
+
+
+@pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS") or not os.path.exists("/proc/self"),
+                    reason="about 1 s of subprocesses, on Linux; set MSTD_SLOW_TESTS=1 to run")
+@pytest.mark.parametrize("call,want,seconds,megabytes", [
+    # the split of {1..2**24 - 1}: 16-21 s and 735 MB when the chains were swept
+    ("str(mstd.partition3_feasible(2**24 - 1).witness[2])",
+     "IntSet({66, 68, 69, 70, 73, 77, 78, 80})", 1, 120),
+    # 1.9-2.7 s and 437 MB each when the gaps were a tuple
+    ("mstd.ms_condition1(mstd.IntSet.from_bits(random.Random(9).getrandbits(2**24)"
+     " | 1 << 2**24 - 1)).applies", "False", 0.5, 60),
+    ("mstd.ms_condition1(mstd.IntSet.from_bits(int('01' * 2**23, 2))).applies",
+     "True", 0.5, 60),
+], ids=["partition3_feasible", "ms_condition1-half-full", "ms_condition1-evens"])
+def test_call_at_the_cap(call, want, seconds, megabytes):
+    # a public call legal under the universe cap, in a fresh process: its
+    # answer, its wall time and the process's peak memory (VmHWM, as
+    # ru_maxrss would carry the forking test process's peak over exec)
+    code = ("import random, time, mstd; start = time.perf_counter(); "
+            f"got = {call}; wall = time.perf_counter() - start; "
+            "status = open('/proc/self/status').read(); "
+            "print(got, wall, status.split('VmHWM:')[1].split()[0])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    got, wall, rss_kib = out.stdout.rsplit(maxsplit=2)
+    assert got == want
+    assert float(wall) < seconds, out.stdout
+    assert int(rss_kib) < megabytes * 1024, out.stdout

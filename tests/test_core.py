@@ -213,6 +213,17 @@ class TestArithmetic:
         assert mags.elements == (0,)
         assert card == 1
 
+    def test_sums_past_the_cap(self):
+        # A+A of a set with max >= 2**23 passes the cap as a set, but is
+        # still counted; the magnitudes never pass max(A)
+        for top in (2**23, UNIVERSE_CAP - 1):
+            a = IntSet([0, 1, top])
+            with pytest.raises(UniverseOverflowError):
+                sumset(a)
+            assert diffset(a) == (IntSet([0, 1, top - 1, top]), 7)
+            assert classify(a) == (Kind.DIFFERENCE_DOMINANT, 6, 7)
+        assert sumset(IntSet([0, 2**23 - 1])).max == UNIVERSE_CAP - 2
+
     def test_empty_rejected(self):
         with pytest.raises(EmptySetError):
             sumset(IntSet())
@@ -630,6 +641,27 @@ class TestLargeSetKernel:
         if top > 100_000:  # the product stays exact where it is not chosen
             assert _kronecker(bits, reflect=False) == sums
             assert _kronecker(bits, reflect=True) == mags
+
+    def test_public_products_of_the_evens(self, monkeypatch):
+        # the evens below 2**16: the cover gives up on their odd holes, and
+        # their 32768 runs pass both crossovers, so every public call that
+        # asks for the magnitudes reaches the difference product
+        bits = int("01" * (1 << 15), 2)
+        assert _product_pays(bits, _SUM_WEIGHT) and _product_pays(bits, _DIFF_WEIGHT)
+        products, kronecker = [], core._kronecker
+
+        def spy(bits, reflect):
+            products.append(reflect)
+            return kronecker(bits, reflect)
+        monkeypatch.setattr(core, "_kronecker", spy)
+        sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+        assert sums == int("01" * ((1 << 16) - 1), 2) and mags == bits  # evens to 2**17 - 4
+        cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
+        for call, want, reflects in ((diff_bits, mags, [True]), (sumset_bits, sums, [False]),
+                                     (sum_diff_cards, cards, [False, True])):
+            products.clear()
+            assert call(bits) == want
+            assert products == reflects
 
     def test_dispatch_keeps_wide_sparse_sets_on_shift_or(self):
         rng = random.Random(73)

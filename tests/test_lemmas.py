@@ -19,7 +19,7 @@ from mstd import (
     ms_condition2,
     new_sums_on_extend,
 )
-from tests._oracles import naive_cards, naive_is_sum_dominant, naive_sumset
+from tests._oracles import naive_cards, naive_is_sum_dominant, naive_sumset, ref_ms_condition1
 
 
 class TestArithProg:
@@ -109,6 +109,27 @@ class TestCondition1:
                 applied += 1
                 assert not naive_is_sum_dominant(elems)
         assert applied > 1000
+
+    def test_mask_check_matches_the_gap_tuple(self):
+        # gaps of 1..3 mostly, so both verdicts come up, from a random
+        # origin, a few ending on the top of the universe; and singletons
+        rng = random.Random(61)
+        verdicts = set()
+        for i in range(2000):
+            top = rng.choice((0, 1, 2, 3, 4, 40, 1000))
+            gaps = [rng.choice((1, 1, 2, 2, 2, 3)) for _ in range(rng.randint(0, top))]
+            origin = rng.choice((0, 1, rng.randrange(10**5)))
+            if i % 100 == 0:
+                origin = UNIVERSE_CAP - 1 - sum(gaps)
+            elems = [origin]
+            for g in gaps:
+                elems.append(elems[-1] + g)
+            want = ref_ms_condition1(elems)
+            assert ms_condition1(IntSet(elems)).applies == want, elems
+            verdicts.add(want)
+        assert verdicts == {True, False}
+        for x in (0, 1, 2, 63, 64, 10**6, UNIVERSE_CAP - 1):
+            assert ms_condition1(IntSet([x])).applies
 
 
 class TestCondition2:
