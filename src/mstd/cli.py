@@ -15,10 +15,24 @@ Exit codes follow a pipeline-friendly convention:
     64  usage error (unknown command, bad flags or argument shapes)
     65  data error (unparseable set text, empty-set operand, parameter
         outside its domain, invalid partition spec)
+    74  the output could not be written (stdout on a full disk, say);
+        one error line on stderr
+    141 stdout was a pipe closed before the output was written (as
+        `| head` does); nothing more is printed, as a process killed by
+        SIGPIPE would end (128 + 13)
 
 Flags sit where they are read: --format on the top parser and every
 subcommand, --max-discard on `search largest`, and --threads on the five
 `search` subcommands, which alone read the MSTD_THREADS fallback.
+
+A process builds the parser of its own command only: when argv names a
+command after nothing but --format tokens (`--format X` or
+`--format=X`), the top parser gets that one leaf, and its group for a
+grouped command. The same builder with no filter makes every leaf, and
+it runs for everything else: help at the top or group level, an unknown
+or misspelt command, an abbreviated flag before the command. A leaf is
+built by the same code either way and the top usage names COMMAND, not
+the choices, so usage, help and error text do not depend on the filter.
 """
 
 from __future__ import annotations
@@ -46,6 +60,8 @@ EX_WITNESS = 1
 EX_BUDGET = 2
 EX_USAGE = 64
 EX_DATA = 65
+EX_IOERR = 74
+EX_PIPE = 141
 
 ENV_THREADS = "MSTD_THREADS"
 
@@ -236,7 +252,8 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> _Parser:
+def _build_parser(only: str | None = None) -> _Parser:
+    # every command, or only the one whose words are `only`
     top = _Parser(prog="mstd",
                   description="sum-dominant set arithmetic, constructions, "
                               "and exhaustive searches")
@@ -244,6 +261,8 @@ def _build_parser() -> _Parser:
     subs = {"": top.add_subparsers(dest="command", metavar="COMMAND",
                                    parser_class=_Parser, required=True)}
     for cmd in _COMMANDS:
+        if only is not None and cmd.words != only:
+            continue
         group, _, name = cmd.words.rpartition(" ")
         if group not in subs:
             g = subs[""].add_parser(group, help=_GROUPS[group])
@@ -256,6 +275,19 @@ def _build_parser() -> _Parser:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(cmd=cmd)
     return top
+
+
+def _named_command(argv: list[str]) -> str | None:
+    # the words of the command argv names after nothing but --format tokens,
+    # or None, for which the full parser runs
+    i = 0
+    while argv[i:] and (argv[i] == "--format" or argv[i].startswith("--format=")):
+        i += 2 if argv[i] == "--format" else 1
+    for cmd in _COMMANDS:
+        words = cmd.words.split()
+        if argv[i:i + len(words)] == words:
+            return cmd.words
+    return None
 
 
 def _thread_count(value, parser) -> int:
@@ -272,7 +304,7 @@ def _thread_count(value, parser) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse argv, run the subcommand, print its output; return the exit code."""
-    parser = _build_parser()
+    parser = _build_parser(_named_command(argv))
     ns = parser.parse_args(argv)
     if "threads" in ns:
         ns.threads = _thread_count(ns.threads, parser)
@@ -295,11 +327,29 @@ def run(argv: list[str]) -> int:
     if fmt == "json":
         import json
         text = json.dumps(doc)
-    print(text)
+    if (failed := _write(text)) is not None:
+        return failed
     if isinstance(result, BudgetExceededError):
         print(f"error: {result}", file=sys.stderr)
         return EX_BUDGET
     return ns.cmd.exit(result)
+
+
+def _write(text: str) -> int | None:
+    # text and a newline on stdout, or the exit code of a failed write; stdout
+    # then points at devnull, where the interpreter's last flush of what is
+    # still buffered goes quietly
+    try:
+        print(text)
+        sys.stdout.flush()
+        return None
+    except BrokenPipeError:
+        code = EX_PIPE
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        code = EX_IOERR
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main() -> None:

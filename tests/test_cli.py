@@ -479,9 +479,113 @@ class TestThreads:
         assert outs[0] == outs[1] == outs[2]
 
 
+# every golden case, then help, usage and unknown-command variants:
+# --format before and after the command, abbreviated flags, help at each
+# level, missing and extra words
+PARSER_CASES = GOLDEN + [{"env": {}, "argv": argv} for argv in [
+    ["--format", "json", "classify", "{0,1,3}"],
+    ["--format=spohn", "sumset", "{0,1,3}"],
+    ["--format", "plain", "--format=json", "search", "twoap", "10", "3"],
+    ["classify", "{0,1,3}", "--format", "json"],
+    ["classify", "{0,1,3}", "--format=json"],
+    ["--form", "json", "classify", "{0,1,3}"],
+    ["--format=js", "classify", "{0,1,3}"],
+    ["classify", "{0,1,3}", "--form", "json"],
+    ["search", "largest", "15", "--max-disc", "3"],
+    ["--format", "xml", "classify", "{0,1,3}"],
+    ["--format"],
+    ["--format", "--format", "json", "classify", "{0,1,3}"],
+    ["--format", "-h", "classify", "{0,1,3}"],
+    ["-h"], ["--help"], ["--format", "json", "-h"], ["-h", "classify"],
+    ["search", "-h"], ["--format", "json", "search", "--help"], ["spohn", "-h"],
+    ["classify", "-h"], ["search", "largest", "-h"], ["--format=json", "lemma", "ms2", "--help"],
+    ["classify"], ["search", "largest"], ["lemma", "ms2", "{0,1}"], ["search"], [],
+    ["search", "frob", "3"], ["frobnicate"], ["classify", "{0,1,3}", "extra"],
+    ["Classify", "{0,1,3}"], ["search", "largest", "largest", "15"],
+    ["--threads", "2", "search", "minsize", "5"],
+    ["construct", "kset", "9", "--threads", "2"],
+    ["search", "minsize", "5", "--threads", "0"],
+    ["--", "classify", "{0,1,3}"],
+]]
+
+
+@pytest.mark.parametrize("case", PARSER_CASES, ids=golden_id)
+def test_narrow_parser_matches_the_full_one(case, capsys, monkeypatch):
+    # run() builds one command's parser when argv names it; forcing the
+    # full build must not change stdout, stderr or the exit code
+    monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+    for name, value in case["env"].items():
+        monkeypatch.setenv(name, value)
+    outcomes = []
+    for named in (cli._named_command, lambda argv: None):
+        monkeypatch.setattr(cli, "_named_command", named)
+        code = run_cli(list(case["argv"]))
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_narrow_parser_is_taken():
+    # every golden case names its command up front, but the usage errors
+    # that name none; help at the top or group level names none either
+    unnamed = [case["argv"] for case in GOLDEN if cli._named_command(case["argv"]) is None]
+    assert unnamed == [[], ["frobnicate"], ["search"]]
+    assert cli._named_command(["--format=json", "search", "largest", "16"]) == "search largest"
+    for argv in (["-h"], ["search", "-h"], ["--form", "json", "classify", "{1}"], []):
+        assert cli._named_command(argv) is None
+
+
+def test_a_command_builds_only_its_parsers(capsys, monkeypatch):
+    # the top parser, the command's group if it has one, and its leaf;
+    # help at the top builds every parser
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    for argv, parsers in ((["classify", "{0,1,3}"], 2),
+                          (["--format", "json", "lemma", "ms1", "{0,1,2,4}"], 3),
+                          (["search", "largest", "15", "--format=spohn"], 3)):
+        built.clear()
+        assert run_cli(argv) == 0
+        assert len(built) == parsers <= 3
+    built.clear()
+    assert run_cli(["--help"]) == 0
+    assert len(built) == 1 + len(cli._GROUPS) + len(cli._COMMANDS) == 22
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["classify", "{0,1,3}"], ["construct", "kset", "200000"]],
+                         ids=["short", "long"])
+def test_closed_pipe_ends_quietly(argv):
+    # the reader is gone before the output is written, as after `| head`:
+    # no traceback, exit 128 + SIGPIPE, also for output still buffered
+    proc = subprocess.Popen([sys.executable, "-m", "mstd.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == cli.EX_PIPE == 141
+    assert err == b""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["classify", "{0,1,3}"], ["construct", "kset", "200000"]],
+                         ids=["short", "long"])
+def test_full_disk_is_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "mstd.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == cli.EX_IOERR == 74
+    assert proc.stderr.startswith("error: cannot write the output: ")
+    assert proc.stderr.count("\n") == 1
+
+
 # what a command may pull in: the engines, lemmas and constructions it does
-# not run, and the stdlib modules plain output and the records do not need
-WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "dataclasses", "json"}
+# not run, the large-set kernels, and the stdlib modules plain output and
+# the records do not need
+WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "mstd._kernel",
+           "dataclasses", "json"}
 
 
 @pytest.mark.parametrize("statement, loads", [
@@ -492,6 +596,7 @@ WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "dataclasses", "j
      {"mstd.search", "mstd.constructions", "mstd.lemmas"}),
     ("import mstd", set()),
     ("import mstd; mstd.search", {"mstd.search"}),
+    ("from mstd import cli; cli.run(['sumset', '{0,1,3}'])", {"mstd._kernel"}),
 ])
 def test_a_command_loads_only_what_it_runs(statement, loads):
     code = ("import sys\nbefore = set(sys.modules)\n" + statement + "\n"

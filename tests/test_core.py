@@ -44,16 +44,9 @@ from mstd import (
     sumset_bits,
     symmetry_center,
 )
-from mstd import core
-from mstd.core import (
-    _DIFF_WEIGHT,
-    _PACK_MIN_CARD,
-    _SMALL_CARD,
-    _SPARSE_RATIO,
-    _SUM_WEIGHT,
-    _kronecker,
-    _product_pays,
-)
+from mstd import _kernel, core
+from mstd._kernel import _DIFF_WEIGHT, _SUM_WEIGHT, _kronecker, _product_pays
+from mstd.core import _PACK_MIN_CARD, _SMALL_CARD, _SPARSE_RATIO
 from tests._oracles import (
     naive_cards,
     naive_diffset,
@@ -223,6 +216,20 @@ class TestArithmetic:
             assert diffset(a) == (IntSet([0, 1, top - 1, top]), 7)
             assert classify(a) == (Kind.DIFFERENCE_DOMINANT, 6, 7)
         assert sumset(IntSet([0, 2**23 - 1])).max == UNIVERSE_CAP - 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: random.Random(23).getrandbits(2**23) | 1 << 2**23,  # the cover: ~0.3 s
+        lambda: int("1" + "01" * 2**22, 2),  # the evens to 2**23, the product: ~8 s
+    ], ids=["half-full", "evens"])
+    def test_sumset_checks_the_cap_first(self, build):
+        # the same error as a sumset that reached the cap, before any kernel runs
+        a = IntSet.from_bits(build())
+        assert a.max == 2**23
+        t0 = time.perf_counter()
+        with pytest.raises(UniverseOverflowError,
+                           match="^bitmask extends beyond the universe cap$"):
+            sumset(a)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySetError):
@@ -613,7 +620,7 @@ class TestLargeSetKernel:
         # the product path forced on sets of every size class, 1 to 4 digit
         # blocks, also with its digit string read a few blocks at a time
         if chunk:
-            monkeypatch.setattr(core, "_CHUNK_BLOCKS", chunk)
+            monkeypatch.setattr(_kernel, "_CHUNK_BLOCKS", chunk)
         rng = random.Random(71)
         for _ in range(300):
             top = rng.choice((1, 12, 150, 3000))
@@ -648,12 +655,12 @@ class TestLargeSetKernel:
         # asks for the magnitudes reaches the difference product
         bits = int("01" * (1 << 15), 2)
         assert _product_pays(bits, _SUM_WEIGHT) and _product_pays(bits, _DIFF_WEIGHT)
-        products, kronecker = [], core._kronecker
+        products, kronecker = [], _kernel._kronecker
 
         def spy(bits, reflect):
             products.append(reflect)
             return kronecker(bits, reflect)
-        monkeypatch.setattr(core, "_kronecker", spy)
+        monkeypatch.setattr(_kernel, "_kronecker", spy)
         sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
         assert sums == int("01" * ((1 << 16) - 1), 2) and mags == bits  # evens to 2**17 - 4
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
@@ -718,7 +725,9 @@ class TestLargeSetKernel:
         def recording(mask):
             unpacked.append(mask.bit_count())
             return elements_of(mask)
+        # core unpacks a small set, the kernel a large one's run edges
         monkeypatch.setattr(core, "elements_of", recording)
+        monkeypatch.setattr(_kernel, "elements_of", recording)
         assert sum_diff_cards(bits) == (2 * m + 14, 2 * m + 13)
         assert unpacked == [10]  # five runs, two edges each
 
@@ -748,13 +757,15 @@ class TestLargeSetKernel:
 
     def test_cap_sized_sets_stay_small(self):
         # an element tuple of k_set(2**24 - 8) alone takes ~800 MB, so the
-        # bound shows that none is built
-        code = ("import resource, mstd; m = 2**24 - 8; k = mstd.k_set(m); "
+        # bound shows that none is built; the peak is the child's own
+        # VmHWM, as ru_maxrss would carry the forking test process's peak
+        # over exec
+        code = ("import mstd; m = 2**24 - 8; k = mstd.k_set(m); "
                 "assert (len(k), k.min, k.max) == (m + 1, 0, m + 7); "
                 "assert 2**24 - 1 in k and (k | k) == k; "
                 "assert mstd.classify(k).excess == 1; "
                 "assert mstd.classify(mstd.ap(0, 1, 2**24)).sum_card == 2**25 - 1; "
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+                "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
         assert int(out.stdout) < 250 * 1024  # KiB
@@ -764,13 +775,13 @@ class TestLargeSetKernel:
         # every public kernel call on bits against the product, and against
         # the shift-OR reference where it is affordable; each call must take
         # the given branch of the cover: "done", "gave up" or "never" entered
-        seen, cover = [], core._cover
+        seen, cover = [], _kernel._cover
 
         def spy(*args):
             got = cover(*args)
             seen.append("done" if got else "gave up")
             return got
-        monkeypatch.setattr(core, "_cover", spy)
+        monkeypatch.setattr(_kernel, "_cover", spy)
         sums, mags = _kronecker(bits, reflect=False), _kronecker(bits, reflect=True)
         if reference:
             assert (sums, mags) == (ref_sumset_bits(bits), ref_diff_bits(bits))
@@ -829,12 +840,12 @@ class TestLargeSetKernel:
             bits = ref_bits_of(scale * e for e in elems) << rng.randrange(9)
             sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
             for ask_s, ask_d in ((True, False), (False, True), (True, True)):
-                got = core._cover(bits, ask_s, ask_d)
+                got = _kernel._cover(bits, ask_s, ask_d)
                 outcomes.add(got is not None)
                 if got is not None:
                     assert got == (sums * ask_s, mags * ask_d)
             if bits.bit_count() < 8:
-                assert core._cover(bits, True, True) == (sums, mags)
+                assert _kernel._cover(bits, True, True) == (sums, mags)
         assert outcomes == {True, False}
 
     @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS"),
