@@ -1,35 +1,25 @@
-"""The large-set kernels: A+A and A-A of a bitmask by runs, ends or product.
+"""The large-set kernels: A+A and A-A of a bitmask by ends or product.
 
-mstd.core imports this module on the first call of sumset_bits or
-diff_bits, or of sum_diff_cards on at least _SMALL_CARD elements.
-sum_diff_cards on fewer elements, the search engines' sets, takes one
-shift per element in core and never loads it, so a process that only
-classifies small sets does not compile the code below.
+mstd.core imports this module on the first call of sumset_bits,
+diff_bits or sum_diff_cards on a set of at least _COVER_RUNS maximal
+runs of consecutive elements. A set of fewer runs, which includes every
+search engine's set, takes core's shift-OR and never loads it, so a
+process that only works with such sets does not compile the code below.
 
-The first kernel, shift-OR, takes one shift per maximal run of
-consecutive elements: a run [u, u+L-1] contributes smear << u to the
-sums and smear >> (u+L-1) to the magnitudes, where smear ORs
-bits(A) << j over j < L. Each distinct run length builds its smear by
-doubling, in about log2(L) shift-ORs. The runs are read off
-bits ^ (bits << 1), whose set bits alternate between a run's start and
-the position just past its end. So a set of R runs costs R passes plus
-the doublings: the k_set family is five runs for every m, while a set
-with no two consecutive elements costs |A| passes, one per element.
-
-Shift-OR costs R passes over M bits, which is quadratic for dense sets
-with many runs (a random set of density p has about p(1-p)M of them).
-Such sets go through a second kernel, Kronecker substitution: write A
-as the polynomial A(x) = sum of x**a, evaluate it at x = 10**w, and the
-exact decimal product A(x)*A(x) (or A(x)*x**M*A(1/x) for differences)
-carries the coefficient of x**s, the number of ways to write s, in its
-w-digit block s. With 10**w > |A| no block overflows into the next, and
-the nonzero blocks are the support. libmpdec multiplies numbers this
+Shift-OR (see mstd.core) costs R passes over M bits, which is quadratic
+for dense sets with many runs (a random set of density p has about
+p(1-p)M of them). Such sets go through a second kernel, Kronecker
+substitution: write A as the polynomial A(x) = sum of x**a, evaluate it
+at x = 10**w, and the exact decimal product A(x)*A(x) (or
+A(x)*x**M*A(1/x) for differences) carries the coefficient of x**s, the
+number of ways to write s, in its w-digit block s. With 10**w > |A| no
+block overflows into the next, and the nonzero blocks are the support. libmpdec multiplies numbers this
 long with a number-theoretic transform, so one product costs about
 M*w*log(M) instead of R*M. The decimal context traps Inexact and
 Rounded, so a product can never round silently, and the decimal module
 is imported only when the first product runs.
 
-A set of at least _COVER_RUNS runs first tries a third kernel, the
+Every set that reaches this module first tries a third kernel, the
 cover, which rests on the fact that only the fringes of A+A and A-A are
 in doubt for a dense set (Martin and O'Bryant, "Many sets have more sums
 than differences", 2007). It takes the elements e_0 < ... < e_(n-1) of
@@ -64,11 +54,11 @@ density p leaves a sum unset after c passes with chance about
 and half-full sets finish in 32-64 passes at every M: sum_diff_cards
 takes ~13 ms at M = 10**6 (the product 1.3 s), and classify ~0.3 s and
 ~34 MB above its baseline at M = 2**24 - 1 (the product 28 s and
-540 MB). Giving up costs 16 passes and two counts, which the
+540 MB). Giving up costs 16 passes and two counts, which core's
 _COVER_RUNS floor keeps to about a quarter of the passes shift-OR then
 makes, and far less than a product.
 
-Which of the other two kernels runs is decided per set from its run
+Which of shift-OR and the product runs is decided per set from its run
 count R, |A| and M: the product runs when R >= weight * w * (bit length
 of M), with weights fitted from measurements (_SUM_WEIGHT, _DIFF_WEIGHT);
 they choose only between these two. The product takes over near
@@ -86,10 +76,9 @@ sumset takes about 400 MB and a difference set about 650 MB.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterator
 
-from .core import elements_of
+from .core import _runs, _shift_or, elements_of
 
 # Fitted on a 2-core x86-64 host, Python 3.11, on random sets of density
 # 1/128 to 1/2 at M from 2**13 to 2**20: the product beats one shift-OR per
@@ -100,24 +89,15 @@ from .core import elements_of
 # are cheaper than left ones, hence the larger weight for differences.
 _SUM_WEIGHT = 75
 _DIFF_WEIGHT = 250
-# below this many runs shift-OR is too cheap to risk the cover's first 16
-# passes on, so k_set and every search-sized set keep it
-_COVER_RUNS = 64
 # product blocks turned into bits per step, which bounds the digit string
 _CHUNK_BLOCKS = 1 << 20
 
 _NONZERO = bytes.maketrans(b"23456789", b"11111111")
 
 
-def _runs(bits: int) -> int:
-    # the maximal runs of consecutive elements, counted by their starts
-    return (bits & ~(bits << 1)).bit_count()
-
-
 def _product_pays(bits: int, weight: int) -> bool:
     # shift-OR makes one pass over the mask per run, the product ~w*log(M) per bit
-    runs = _runs(bits)
-    return 0 < runs >= weight * len(str(bits.bit_count())) * bits.bit_length().bit_length()
+    return _runs(bits) >= weight * len(str(bits.bit_count())) * bits.bit_length().bit_length()
 
 
 def _ascending(bits: int) -> Iterator[int]:
@@ -219,41 +199,11 @@ def _kronecker(bits: int, reflect: bool) -> int:
     return out
 
 
-def _shift_or(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
-    """(bits(A+A), bits(D)) by one shift per maximal run of A, 0 where not asked for.
-
-    The run lengths go shortest first, so each length's smear (see the
-    module docstring) grows from the last one's by doubling.
-    """
-    # the bits where A changes, bits ^ bits << 1, alternate between a run's
-    # start and the position just past its end
-    edges = elements_of(bits ^ bits << 1)
-    starts_by_length = defaultdict(list)
-    for u, stop in zip(edges[::2], edges[1::2]):
-        starts_by_length[stop - u].append(u)
-    s = d = 0
-    smear, width = bits, 1  # smear ORs the shifts 0..width-1
-    for length in sorted(starts_by_length):
-        while 2 * width <= length:
-            smear |= smear << width
-            width *= 2
-        grown = smear | smear << (length - width)  # the shifts 0..length-1
-        starts = starts_by_length[length]
-        if sums:
-            for u in starts:
-                s |= grown << u
-        if mags:
-            grown >>= length - 1  # so that >> u shifts by the run's last element
-            for u in starts:
-                d |= grown >> u
-    return s, d
-
-
-def _sums_and_mags(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
-    # bits(A+A) and bits(D), 0 where not asked for: from the cover if it
-    # settles them, else each from the kernel that pays for this set, the
-    # runs unpacked once for both
-    if _runs(bits) >= _COVER_RUNS and (both := _cover(bits, sums, mags)):
+def _many_runs(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
+    # bits(A+A) and bits(D) of a set of at least _COVER_RUNS runs, 0 where
+    # not asked for: from the cover if it settles them, else each from the
+    # kernel that pays for this set, the runs unpacked once for both
+    if both := _cover(bits, sums, mags):
         return both
     run_sums = sums and not _product_pays(bits, _SUM_WEIGHT)
     run_mags = mags and not _product_pays(bits, _DIFF_WEIGHT)

@@ -15,8 +15,8 @@ Exit codes follow a pipeline-friendly convention:
     64  usage error (unknown command, bad flags or argument shapes)
     65  data error (unparseable set text, empty-set operand, parameter
         outside its domain, invalid partition spec)
-    74  the output could not be written (stdout on a full disk, say);
-        one error line on stderr
+    74  the output or help could not be written (stdout on a full
+        disk, say); one error line on stderr
     141 stdout was a pipe closed before the output was written (as
         `| head` does); nothing more is printed, as a process killed by
         SIGPIPE would end (128 + 13)
@@ -72,6 +72,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+    # argparse drops a failed write of help; on stdout it fails as output does
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout or not message:
+            super()._print_message(message, file)
+        elif (failed := _write(message)) is not None:
+            raise SystemExit(failed)
 
 
 def _parse_set_arg(text: str):
@@ -327,7 +334,7 @@ def run(argv: list[str]) -> int:
     if fmt == "json":
         import json
         text = json.dumps(doc)
-    if (failed := _write(text)) is not None:
+    if (failed := _write(text + "\n")) is not None:
         return failed
     if isinstance(result, BudgetExceededError):
         print(f"error: {result}", file=sys.stderr)
@@ -336,11 +343,11 @@ def run(argv: list[str]) -> int:
 
 
 def _write(text: str) -> int | None:
-    # text and a newline on stdout, or the exit code of a failed write; stdout
-    # then points at devnull, where the interpreter's last flush of what is
-    # still buffered goes quietly
+    # text on stdout, or the exit code of a failed write; stdout then points
+    # at devnull, where the interpreter's last flush of what is still
+    # buffered goes quietly
     try:
-        print(text)
+        sys.stdout.write(text)
         sys.stdout.flush()
         return None
     except BrokenPipeError:

@@ -31,14 +31,23 @@ popcounts give the cardinalities. This does big-integer operations on
 ~2M-bit words instead of |A|^2 Python-level pair loops, which is what
 makes the exhaustive searches in mstd.search feasible in pure Python.
 
-sum_diff_cards on fewer than _SMALL_CARD elements, the search engines'
-sets, ORs one shift per element. Every other call, and every sumset_bits
-and diff_bits call, goes to the large-set kernels of mstd._kernel,
-imported on first use: one shift per maximal run of consecutive elements
-(shift-OR), shifts by the elements at both ends of a dense set with a
-per-position test of what they leave open (the cover), or an exact
-decimal product (Kronecker substitution). That module's docstring gives
-the proofs, the costs and how one of them is chosen per set.
+sumset_bits, diff_bits and sum_diff_cards share one dispatch. A set of
+fewer than _COVER_RUNS maximal runs of consecutive elements, which
+includes every set the search engines make, takes shift-OR here: one
+shift per run instead of one per element. A run [u, u+L-1] contributes
+smear << u to the sums and smear >> (u+L-1) to the magnitudes, where
+smear ORs bits(A) << j over j < L. The runs are read off
+bits ^ (bits << 1), whose set bits alternate between a run's start and
+the position just past its end. The smear of each power of two is built
+once by doubling, and that of L in [2**k, 2**(k+1)) is the one of 2**k
+ORed with itself shifted by L - 2**k, so R runs cost R passes, plus one
+per change of run length at most, and the k_set family is five runs for
+every m. Any other set goes to the large-set kernels of mstd._kernel,
+imported on first use: the cover (shifts by the elements at both ends
+of a dense set, and a per-position test of what they leave open), and
+where it gives up, shift-OR or an exact decimal product for each of A+A
+and A-A. That module's docstring gives their proofs, their costs and
+how one is chosen per set.
 
 Packing and unpacking are linear in M: elements_of reads the
 binary digit string of the mask, and bits_of fills a digit buffer and
@@ -84,9 +93,9 @@ UNIVERSE_CAP = 1 << 24
 # bitmask kernel
 
 
-# below this many elements sum_diff_cards ORs one shift per element and
-# leaves the large-set kernels unloaded: the product never pays, whatever M is
-_SMALL_CARD = 1024
+# below this many runs shift-OR is too cheap to risk the cover's first 16
+# passes on, so k_set and every search-sized set keep it and skip _kernel
+_COVER_RUNS = 64
 # below this many elements OR-ing single bits beats the digit buffer
 _PACK_MIN_CARD = 512
 
@@ -205,14 +214,46 @@ def elements_of(bits: int) -> tuple[int, ...]:
     return tuple([*compress(count(), bin(bits)[:1:-1].encode().translate(_UNPACK))])
 
 
+def _runs(bits: int) -> int:
+    # the maximal runs of consecutive elements, counted by their starts
+    return (bits & ~(bits << 1)).bit_count()
+
+
+def _shift_or(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
+    # bits(A+A) and bits(D) by one shift per run, 0 where not asked for; the
+    # edges alternate between a run's start and the position past its end
+    edges = iter(elements_of(bits ^ bits << 1))
+    s = d = 0
+    smears = [bits]  # smears[k] ORs bits << j over j < 2**k
+    grown, at = bits, 1  # the same over j < at, the last run's length
+    for u, stop in zip(edges, edges):
+        if stop - u != at:
+            at = stop - u
+            k = at.bit_length() - 1
+            while len(smears) <= k:
+                smears.append(smears[-1] | smears[-1] << (1 << len(smears) - 1))
+            grown = smears[k] if at == 1 << k else smears[k] | smears[k] << at - (1 << k)
+        if sums:
+            s |= grown << u
+        if mags:
+            d |= grown >> stop - 1
+    return s, d
+
+
 def _sums_and_mags(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
-    # the large-set kernels of mstd._kernel, imported by the first call,
-    # which binds this name to the kernel's own function for the next: an
-    # import statement on every call made each classify of a large set
-    # 20-50 us slower when other work had just evicted the caches
-    global _sums_and_mags
-    from ._kernel import _sums_and_mags
-    return _sums_and_mags(bits, sums, mags)
+    # bits(A+A) and bits(D), 0 where not asked for
+    if _runs(bits) < _COVER_RUNS:
+        return _shift_or(bits, sums, mags)
+    return _many_runs(bits, sums, mags)
+
+
+def _many_runs(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
+    # mstd._kernel's dispatch, imported by the first call, which binds this
+    # name to it for the next: an import on every call made each classify of
+    # a large set 20-50 us slower when other work had just evicted the caches
+    global _many_runs
+    from ._kernel import _many_runs
+    return _many_runs(bits, sums, mags)
 
 
 def sumset_bits(bits: int) -> int:
@@ -233,8 +274,8 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
     bits : int
         Dense bitmask of a nonempty set A.
     elements : tuple of int, optional
-        A shortcut for callers that already hold the elements of A:
-        small sets then skip the one unpacking pass.
+        The elements of A, accepted for callers that hold them. They do
+        not change the work: every set is read from its mask by its runs.
 
     Returns
     -------
@@ -245,15 +286,7 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
     """
     if not _require_mask(bits):
         raise EmptySetError("empty set has no sum or difference set")
-    # counted, not unpacked: a large mask is never needed as elements
-    if (bits.bit_count() if elements is None else len(elements)) >= _SMALL_CARD:
-        s, d = _sums_and_mags(bits, sums=True, mags=True)
-        return s.bit_count(), 2 * d.bit_count() - 1
-    s = 0
-    d = 0
-    for e in elements_of(bits) if elements is None else elements:
-        s |= bits << e
-        d |= bits >> e
+    s, d = _sums_and_mags(bits, sums=True, mags=True)
     return s.bit_count(), 2 * d.bit_count() - 1
 
 

@@ -223,6 +223,7 @@ def ref_split_worker(r, size_a, second):
     return count, found
 
 
+@cache  # test_partition3 runs one walk at several worker counts
 def ref_partition3_search(r):
     """(examined, least witness or None) of the exhaustive three-part search."""
     examined = 0

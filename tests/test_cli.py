@@ -556,8 +556,14 @@ def test_a_command_builds_only_its_parsers(capsys, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [["classify", "{0,1,3}"], ["construct", "kset", "200000"]],
-                         ids=["short", "long"])
+# command output, short and long, and help from the full parser and from one
+# built for the command alone
+WRITES = pytest.mark.parametrize("argv", [
+    ["classify", "{0,1,3}"], ["construct", "kset", "200000"], ["--help"], ["search", "--help"],
+    ["search", "largest", "-h"]], ids=["short", "long", "help", "group_help", "leaf_help"])
+
+
+@WRITES
 def test_closed_pipe_ends_quietly(argv):
     # the reader is gone before the output is written, as after `| head`:
     # no traceback, exit 128 + SIGPIPE, also for output still buffered
@@ -570,8 +576,7 @@ def test_closed_pipe_ends_quietly(argv):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
-@pytest.mark.parametrize("argv", [["classify", "{0,1,3}"], ["construct", "kset", "200000"]],
-                         ids=["short", "long"])
+@WRITES
 def test_full_disk_is_one_error_line(argv):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "mstd.cli", *argv], stdout=full,
@@ -596,7 +601,12 @@ WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "mstd._kernel",
      {"mstd.search", "mstd.constructions", "mstd.lemmas"}),
     ("import mstd", set()),
     ("import mstd; mstd.search", {"mstd.search"}),
-    ("from mstd import cli; cli.run(['sumset', '{0,1,3}'])", {"mstd._kernel"}),
+    ("from mstd import cli; cli.run(['sumset', '{0,1,3}'])", set()),
+    ("from mstd import cli; cli.run(['diffset', '{0,2,3,4,7,11,12,14}'])", set()),
+    ("from mstd import cli; cli.run(['lemma', 'extend', '{0,1,3}', '9'])", {"mstd.lemmas"}),
+    # the evens below 128 are 64 runs, where the large-set kernels start
+    ("from mstd import cli; cli.run(['sumset', '{%s}' % ','.join(map(str, range(0, 128, 2)))])",
+     {"mstd._kernel"}),
 ])
 def test_a_command_loads_only_what_it_runs(statement, loads):
     code = ("import sys\nbefore = set(sys.modules)\n" + statement + "\n"

@@ -46,7 +46,7 @@ from mstd import (
 )
 from mstd import _kernel, core
 from mstd._kernel import _DIFF_WEIGHT, _SUM_WEIGHT, _kronecker, _product_pays
-from mstd.core import _PACK_MIN_CARD, _SMALL_CARD, _SPARSE_RATIO
+from mstd.core import _COVER_RUNS, _PACK_MIN_CARD, _SPARSE_RATIO, _runs, _shift_or
 from tests._oracles import (
     naive_cards,
     naive_diffset,
@@ -692,10 +692,19 @@ class TestLargeSetKernel:
                 bits |= ((1 << run) - 1) << at
                 at += run + rng.randint(1, 64)
             cases.append(bits)
-        # on both sides of the small-set loop of sum_diff_cards
-        for size in (_SMALL_CARD - 1, _SMALL_CARD):
-            cases.append(ref_bits_of(rng.sample(range(3 * size), size)))
-            cases.append(ref_bits_of(range(2 * size)[::2]))
+        # on both sides of the cover floor: singletons two apart, random runs,
+        # and long runs below a far point
+        for runs in (_COVER_RUNS - 1, _COVER_RUNS):
+            cases.append(ref_bits_of(range(2 * runs)[::2]))
+            bits, at = 0, rng.randrange(64)
+            for _ in range(runs):
+                length = rng.randint(1, 64)
+                bits |= ((1 << length) - 1) << at
+                at += length + rng.randint(1, 64)
+            cases.append(bits)
+            cases.append(sum(((1 << 100) - 1) << 101 * i for i in range(runs - 1))
+                         | 1 << 50_000)
+            assert [_runs(bits) for bits in cases[-3:]] == [runs] * 3
         for bits in cases:
             sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
             assert sumset_bits(bits) == sums
@@ -703,6 +712,10 @@ class TestLargeSetKernel:
             cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
             assert sum_diff_cards(bits) == cards
             assert sum_diff_cards(bits, elements_of(bits)) == cards
+            # shift-OR called directly, also past the floor: 0 where not asked for
+            assert _shift_or(bits, True, False) == (sums, 0)
+            assert _shift_or(bits, False, True) == (0, mags)
+            assert _shift_or(bits, True, True) == (sums, mags)
 
     @pytest.mark.parametrize("weight", [_SUM_WEIGHT, _DIFF_WEIGHT])
     def test_run_kernel_on_both_sides_of_the_crossover(self, weight):
@@ -725,7 +738,7 @@ class TestLargeSetKernel:
         def recording(mask):
             unpacked.append(mask.bit_count())
             return elements_of(mask)
-        # core unpacks a small set, the kernel a large one's run edges
+        # core's shift-OR unpacks the run edges, and nothing else unpacks
         monkeypatch.setattr(core, "elements_of", recording)
         monkeypatch.setattr(_kernel, "elements_of", recording)
         assert sum_diff_cards(bits) == (2 * m + 14, 2 * m + 13)
@@ -786,8 +799,8 @@ class TestLargeSetKernel:
         if reference:
             assert (sums, mags) == (ref_sumset_bits(bits), ref_diff_bits(bits))
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
-        # sum_diff_cards loops over the elements of a small set
-        small = "never" if bits.bit_count() < _SMALL_CARD else branch
+        # sum_diff_cards keeps a set of few runs on core's shift-OR
+        small = "never" if _runs(bits) < _COVER_RUNS else branch
         for call, want, took in ((sumset_bits, sums, branch), (diff_bits, mags, branch),
                                  (sum_diff_cards, cards, small),
                                  (lambda b: sum_diff_cards(b, elements_of(b)), cards, small)):
@@ -815,6 +828,25 @@ class TestLargeSetKernel:
     ], ids=["one", "two", "interval", "k_set"])
     def test_few_runs_never_enter_the_cover(self, bits, monkeypatch):
         self.assert_kernels(monkeypatch, bits, "never")
+
+    @pytest.mark.parametrize("runs, branch", [(_COVER_RUNS - 1, "never"), (_COVER_RUNS, "done")])
+    def test_the_floor_counts_runs(self, runs, branch, monkeypatch):
+        # pairs one apart, 0b11011...011, which the cover settles once it runs
+        self.assert_kernels(monkeypatch, int("011" * runs, 2), branch)
+
+    def test_few_runs_below_a_far_point_are_fast(self):
+        # {0..999} and the top position: A+A is {0..1998}, {top..top+999} and
+        # 2top, the magnitudes {0..999} and {top-999..top}; one shift per
+        # element took ~1.7 s on a 2-core host
+        top, block = UNIVERSE_CAP - 1, (1 << 1000) - 1
+        a = IntSet.from_bits(block | 1 << top)
+        for call, arg, want in (
+                (classify, a, Classification(Kind.DIFFERENCE_DOMINANT, 3000, 3999)),
+                (sumset_bits, a.bits, (1 << 1999) - 1 | block << top | 1 << 2 * top),
+                (diff_bits, a.bits, block | block << top - 999)):
+            start = time.perf_counter()
+            assert call(arg) == want
+            assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("bits", [
         int("01" * 8192, 2),  # the evens: no odd sum or magnitude
