@@ -23,7 +23,10 @@ inside {66..101}, consecutive pair starts at most 39 apart, ending with a
 pair inside {24+m..59+m}; M2 must carry the analogous chain of triplets
 (starts at most 40 apart, first inside {66..105}, last inside
 {20+m..59+m}). The chains keep every middle element within reach of both
-ends so the assembled parts stay sum-dominant for every m >= 21.
+ends so the assembled parts stay sum-dominant for every m >= 21. Parts
+one and two are each a low anchor block, an odd-step bridge up to the
+window, their share of the window, that bridge moved up by m + 39 (on
+to the high block) and a high anchor block moved up by m + 84.
 
 default_blocks(m) picks a canonical (M1, M2): pair starts on the grid
 66 + 30t, each shifted right off the center set, clipped to the window;
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IntSet, _num, _progression_bits, _require_int, _within_cap, elements_of
+from .core import IntSet, _num, _require_int, _smear, _within_cap, elements_of
 from .errors import ConstraintViolationError, InvalidParameterError
 from .lemmas import ArithProg, is_arithmetic_progression
 
@@ -51,6 +54,10 @@ LOW_BLOCK_1 = IntSet((1, 2, 3, 4, 8, 9, 11, 13, 14, 15, 20))
 HIGH_BLOCK_1 = IntSet((21, 26, 27, 28, 31, 33, 37, 38, 39, 40))
 LOW_BLOCK_2 = IntSet((5, 6, 7, 10, 12, 16, 17, 18, 19))
 HIGH_BLOCK_2 = IntSet((22, 23, 24, 25, 29, 30, 32, 34, 35, 36))
+# the odd-step bridges from the low blocks up to the window; moved up by
+# m + 39, each is also the bridge from the window up to its high block
+BRIDGE_1 = IntSet((24, *range(25, 62, 2), 62))
+BRIDGE_2 = IntSet((21, 22, 23, *range(26, 61, 2), 63, 64, 65))
 
 # the third part: fixed for every m, excess +1 on its own
 CENTER_SET = IntSet((66, 68, 69, 70, 73, 77, 78, 80))
@@ -72,7 +79,7 @@ def k_set(m: int) -> IntSet:
         raise InvalidParameterError(f"k_set needs m >= 9, got {_num(m)}")
     _within_cap(m + 7, "k_set")
     # {0,1,2,4}, the interval 7..m, {m+4, m+6, m+7}
-    return IntSet.from_bits(0b10111 | _progression_bits(7, 1, m - 6) | 0b1101 << (m + 4))
+    return IntSet.from_bits(0b10111 | _smear(1 << 7, 1, m - 6) | 0b1101 << (m + 4))
 
 
 def nathanson_set(k: int) -> IntSet:
@@ -84,7 +91,7 @@ def nathanson_set(k: int) -> IntSet:
         raise InvalidParameterError(f"nathanson_set needs k >= 5, got {_num(k)}")
     _within_cap(4 * k + 2, "nathanson_set")
     # {0,2,4}, 3, 7, ..., 4k-1, and {4k, 4k+2}
-    return IntSet.from_bits(0b10101 | _progression_bits(3, 4, k) | 0b101 << 4 * k)
+    return IntSet.from_bits(0b10101 | _smear(1 << 3, 4, k) | 0b101 << 4 * k)
 
 
 def union_two_aps(p1: ArithProg, p2: ArithProg) -> IntSet:
@@ -136,7 +143,7 @@ def middle_window(m: int) -> IntSet:
     if _require_int(m, "window m") < MIN_WINDOW_M:
         raise InvalidParameterError(f"window needs m >= {MIN_WINDOW_M}, got {_num(m)}")
     _within_cap(124 + m, "the three-part split")
-    return IntSet.from_bits(_progression_bits(66, 1, m - 6)) - CENTER_SET
+    return IntSet.from_bits(_smear(1 << 66, 1, m - 6)) - CENTER_SET
 
 
 def _run_bits(bits: int, width: int) -> int:
@@ -189,12 +196,7 @@ def _chain_exists(s: IntSet, width: int, max_gap: int,
         return firsts & in_last != 0
     s0 = (firsts & -firsts).bit_length() - 1
     live = starts >> s0 << s0 & (2 << top_last) - 1
-    # OR of live << j for j < hops, grown by doubling
-    hops, have, smear = max_gap - width + 1, 1, live
-    while 2 * have <= hops:
-        smear |= smear << have
-        have *= 2
-    smear |= smear << hops - have
+    smear = _smear(live, 1, max_gap - width + 1)  # OR of live << j, j <= max_gap - width
     if live & ~(in_first | smear << width) == 0:
         return live & in_last != 0
     return _sweep_chain(elements_of(starts), width, max_gap,
@@ -260,35 +262,21 @@ def validate_partition_spec(spec: Partition3Spec) -> list[SpecViolation]:
     return out
 
 
-def _odd_steps(lo: int, hi: int) -> list[int]:
-    # lo, lo+2, ..., hi
-    return list(range(lo, hi + 1, 2))
-
-
 def partition3(spec: Partition3Spec) -> Partition3Result:
     """Assemble the three-part split of {1,...,124+m} from a valid spec.
 
-    Part one is low anchor 1 + odd bridge up to the window + spec.m1 +
-    odd bridge after the window + shifted high anchor 1; part two gets
-    the complementary blocks and spec.m2; part three is the fixed
-    center set. Raises ConstraintViolationError on an invalid spec.
+    Part one is low anchor 1, bridge 1, spec.m1, bridge 1 moved up by
+    m + 39 and high anchor 1 moved up by m + 84; part two takes the other
+    blocks and spec.m2; part three is the fixed center set. Raises
+    ConstraintViolationError on an invalid spec.
     """
     violations = validate_partition_spec(spec)
     if violations:
         raise ConstraintViolationError(violations)
     m = spec.m
 
-    bridge_low_1 = IntSet([24] + _odd_steps(25, 61) + [62])
-    bridge_high_1 = IntSet([63 + m] + _odd_steps(64 + m, 100 + m) + [101 + m])
-    bridge_low_2 = IntSet([21, 22, 23] + _odd_steps(26, 60) + [63, 64, 65])
-    bridge_high_2 = IntSet(
-        [60 + m, 61 + m, 62 + m] + _odd_steps(65 + m, 99 + m)
-        + [102 + m, 103 + m, 104 + m])
-
-    a1 = LOW_BLOCK_1 | bridge_low_1 | spec.m1 | bridge_high_1 \
-        | HIGH_BLOCK_1.shift(m + 84)
-    a2 = LOW_BLOCK_2 | bridge_low_2 | spec.m2 | bridge_high_2 \
-        | HIGH_BLOCK_2.shift(m + 84)
+    a1 = LOW_BLOCK_1 | BRIDGE_1 | spec.m1 | BRIDGE_1.shift(m + 39) | HIGH_BLOCK_1.shift(m + 84)
+    a2 = LOW_BLOCK_2 | BRIDGE_2 | spec.m2 | BRIDGE_2.shift(m + 39) | HIGH_BLOCK_2.shift(m + 84)
 
     span = 124 + m
     # forced by construction; cheap to confirm
@@ -297,7 +285,7 @@ def partition3(spec: Partition3Spec) -> Partition3Result:
         raise ConstraintViolationError([SpecViolation(
             "disjointness", shared.elements,
             "the assembled parts share these positions")])
-    mismatch = (a1 | a2 | CENTER_SET) ^ IntSet.from_bits(_progression_bits(1, 1, span))
+    mismatch = (a1 | a2 | CENTER_SET) ^ IntSet.from_bits(_smear(2, 1, span))
     if len(mismatch):
         raise ConstraintViolationError([SpecViolation(
             "coverage", mismatch.elements,
@@ -320,7 +308,7 @@ def default_blocks(m: int) -> Partition3Spec:
         first += 1
     # the later pairs, past the center set (module docstring)
     count = (m - 8) // 30
-    grid = _progression_bits(96, 30, count) * 3 if count else 0
+    grid = _smear(1 << 96, 30, count) * 3 if count else 0
     m1 = IntSet.from_bits(3 << first | grid)
     spec = Partition3Spec(m, m1, window - m1)
     violations = validate_partition_spec(spec)

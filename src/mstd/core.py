@@ -144,14 +144,14 @@ def bits_of(elements: Iterable[int]) -> int:
     return int(digits, 2)
 
 
-def _progression_bits(start: int, diff: int, length: int) -> int:
-    # mask of start, start+diff, ..., start+(length-1)*diff, length >= 1, in
-    # about log2(length) shift-ORs that each copy the block built so far
-    bits, have = 1, 1  # the terms 0, diff, ..., (have-1)*diff
-    while 2 * have <= length:
-        bits |= bits << have * diff
+def _smear(bits: int, step: int, count: int) -> int:
+    # OR of bits << i*step over i < count, count >= 1, in about log2(count)
+    # shift-ORs that each copy the block built so far
+    have = 1  # bits now holds the copies 0, step, ..., (have-1)*step
+    while 2 * have <= count:
+        bits |= bits << have * step
         have *= 2
-    return (bits | bits << (length - have) * diff) << start
+    return bits | bits << (count - have) * step
 
 
 def _num(value) -> str:

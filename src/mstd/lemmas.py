@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IntSet, UNIVERSE_CAP, _num, _progression_bits, _require_int, gaps_of, sumset_bits
+from .core import IntSet, UNIVERSE_CAP, _num, _require_int, _smear, gaps_of, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 
 NOT_SUM_DOMINANT = "not-sum-dominant"
@@ -58,7 +58,7 @@ class ArithProg(NamedTuple("ArithProg", [("start", int), ("diff", int), ("length
             raise UniverseOverflowError(
                 f"progression reaches {_num(self.last)}, beyond the cap {UNIVERSE_CAP}"
             )
-        return IntSet.from_bits(_progression_bits(self.start, self.diff, self.length))
+        return IntSet.from_bits(_smear(1, self.diff, self.length) << self.start)
 
 
 class LemmaVerdict(NamedTuple):
@@ -79,17 +79,20 @@ _NO_CLAIM = LemmaVerdict(False, None)
 def is_arithmetic_progression(a: IntSet) -> ArithProg | None:
     """Recognize A as an AP, or return None.
 
-    Singletons are APs of length 1 with diff 1 by convention.
+    Singletons are APs of length 1 with diff 1 by convention. d is read
+    off the two least bits; a mask is built only once (n-1)d = max - min.
     """
-    if len(a) == 0:
+    n = len(a)
+    if n == 0:
         raise EmptySetError("empty set is not a progression")
-    if len(a) == 1:
-        return ArithProg(a.min, 1, 1)
-    gaps = gaps_of(a)
-    d = gaps[0]
-    if any(g != d for g in gaps):
+    start = a.min
+    if n == 1:
+        return ArithProg(start, 1, 1)
+    rest = a.bits & a.bits - 1  # without the least element
+    d = (rest & -rest).bit_length() - 1 - start
+    if (n - 1) * d != a.max - start or a.bits != _smear(1, d, n) << start:
         return None
-    return ArithProg(a.min, d, len(a))
+    return ArithProg(start, d, n)
 
 
 def ms_condition1(a: IntSet) -> LemmaVerdict:

@@ -116,10 +116,13 @@ every term of
 
 is a progression or follows a run by shifts. The sums of AP(0, d, l)
 are AP(0, d, 2l-1) and its magnitudes AP(0, d, l). For each pair of
-runs the cross sums C = A0+B0 and the signed cross differences
-X = {K+a-b}, Y = {K+b-a}, offset by K = span so none is negative, take
-min(|A0|, |B0|) shift-ORs. B = B0 << t shifts A+B by t and B+B by 2t,
-and moves a-b by -t and b-a by +t, so along the run
+runs the cross sums C = A0+B0 are B0 smeared along A0's terms, about
+log2(l1) shift-ORs. A progression is its own mirror, AP(0, d, l) =
+(l-1)d - AP(0, d, l), so A0-B0 = C - (l2-1)d2 and B0-A0 = C - (l1-1)d1:
+the signed cross differences X = {K+a-b} and Y = {K+b-a}, offset by
+K = span so none is negative, are C << K-(l2-1)d2 and C << K-(l1-1)d1,
+both shifts >= 0 as (l-1)d <= K. B = B0 << t shifts A+B by t and B+B
+by 2t, and moves a-b by -t and b-a by +t, so along the run
 
     S = S_A | S_B0 << 2t | C << t
     D = D_A | D_B | (X >> t | Y << t) >> K
@@ -152,7 +155,7 @@ import os
 import time
 from typing import NamedTuple
 
-from .core import (IntSet, _num, _progression_bits, _require_int, _within_cap, elements_of,
+from .core import (IntSet, _num, _require_int, _smear, _within_cap, elements_of,
                    sum_diff_cards)
 from .errors import BudgetExceededError, InvalidParameterError
 
@@ -443,8 +446,8 @@ def _ap_runs(span: int, diffs) -> tuple[tuple[int, int, int, int, int], ...]:
     # (rows, diff, length, AP(0, diff, length), its sums AP(0, diff, 2*length-1))
     # for every shape of progression inside {0..span}, diffs in the given
     # order, then length ascending; a run's rows are its starts 0..rows-1
-    return tuple((span - (length - 1) * d + 1, d, length, _progression_bits(0, d, length),
-                  _progression_bits(0, d, 2 * length - 1))
+    return tuple((span - (length - 1) * d + 1, d, length, _smear(1, d, length),
+                  _smear(1, d, 2 * length - 1))
                  for d in diffs for length in range(1, span // d + 2))
 
 
@@ -487,17 +490,8 @@ def _pair_block_worker(task):
         # gcd 2: B0 << t for o = t >= 0, A0 << t for o = -t < 0
         ahead = range(max(0, (n2 - n1 + 1) // 2) | g - 1, n2, g)
         behind = range(1, min(n1 - 1, (n1 - n2) // 2) + 1, g)
-        # one loop over the terms e of the shorter progression p, q the other
-        swap = l2 < l1
-        (dp, lp), (dq, lq, q) = ((d2, l2), (d1, l1, a)) if swap else ((d1, l1), (d2, l2, b))
-        rq = q << top - (lq - 1) * dq  # {K - q}
-        c = x = y = 0  # A0+B0, {K+p-q} and {K+q-p}
-        for e in range(0, lp * dp, dp):
-            c |= q << e
-            x |= rq << e
-            y |= q << top - e
-        if swap:  # p is B0: x and y become {K+a-b} and {K+b-a}
-            x, y = y, x
+        c = _smear(b, d1, l1)  # A0+B0; A0-B0 and B0-A0 are its translates
+        x, y = c << top - (l2 - 1) * d2, c << top - (l1 - 1) * d1  # {K+a-b}, {K+b-a}
         dab = a | b
         for fixed, sf, moving, sm, x, y, shifts in ((a, sa, b, sb, x, y, ahead),
                                                     (b, sb, a, sa, y, x, behind)):

@@ -435,3 +435,47 @@ def ref_default_m1(m):
             return out
         out += [p, p + 1]
         t += 1
+
+
+# ---------------------------------------------------------------------------
+# AP recognition from the gap tuple, as it stood before the mask check
+
+
+def ref_is_arithmetic_progression(elements):
+    """(start, diff, length) of a nonempty sorted tuple that is an arithmetic
+    progression, diff 1 for a singleton, else None."""
+    if len(elements) == 1:
+        return (elements[0], 1, 1)
+    gaps = [b - a for a, b in zip(elements, elements[1:])]
+    if any(g != gaps[0] for g in gaps):
+        return None
+    return (elements[0], gaps[0], len(elements))
+
+
+# ---------------------------------------------------------------------------
+# the three-part split assembled from element lists, as it stood before the
+# bridges became translates of one block
+
+
+def ref_partition3_parts(spec):
+    """Parts one and two of partition3(spec), every block written out."""
+    m = spec.m
+
+    def odd_steps(lo, hi):
+        return list(range(lo, hi + 1, 2))
+
+    def moved(elements, by):
+        return [e + by for e in elements]
+
+    low_1 = [1, 2, 3, 4, 8, 9, 11, 13, 14, 15, 20]
+    high_1 = [21, 26, 27, 28, 31, 33, 37, 38, 39, 40]
+    low_2 = [5, 6, 7, 10, 12, 16, 17, 18, 19]
+    high_2 = [22, 23, 24, 25, 29, 30, 32, 34, 35, 36]
+    bridge_low_1 = [24] + odd_steps(25, 61) + [62]
+    bridge_high_1 = [63 + m] + odd_steps(64 + m, 100 + m) + [101 + m]
+    bridge_low_2 = [21, 22, 23] + odd_steps(26, 60) + [63, 64, 65]
+    bridge_high_2 = ([60 + m, 61 + m, 62 + m] + odd_steps(65 + m, 99 + m)
+                     + [102 + m, 103 + m, 104 + m])
+    a1 = IntSet(low_1 + bridge_low_1 + bridge_high_1 + moved(high_1, m + 84)) | spec.m1
+    a2 = IntSet(low_2 + bridge_low_2 + bridge_high_2 + moved(high_2, m + 84)) | spec.m2
+    return a1, a2

@@ -28,7 +28,8 @@ from mstd import (
 )
 from mstd import constructions
 from mstd.constructions import HIGH_BLOCK_2, LOW_BLOCK_2, _chain_exists
-from tests._oracles import naive_cards, naive_is_sum_dominant, ref_default_m1
+from tests._oracles import (naive_cards, naive_is_sum_dominant, ref_default_m1,
+                            ref_partition3_parts)
 
 # the canonical worked split at m=21, element by element
 A1_M21 = (
@@ -363,6 +364,12 @@ class TestDefaultBlocks:
             assert spec.m1 == IntSet(ref_default_m1(m)), m
             assert spec.m2 == middle_window(m) - spec.m1, m
 
+    def test_parts_match_the_written_out_blocks(self):
+        for m in [*range(21, 401), 4567, 2**24 - 125]:
+            spec = default_blocks(m)
+            got = partition3(spec)
+            assert (got.a1, got.a2) == ref_partition3_parts(spec), m
+
 
 @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS") or not os.path.exists("/proc/self"),
                     reason="about 1 s of subprocesses, on Linux; set MSTD_SLOW_TESTS=1 to run")
@@ -375,7 +382,13 @@ class TestDefaultBlocks:
      " | 1 << 2**24 - 1)).applies", "False", 0.5, 60),
     ("mstd.ms_condition1(mstd.IntSet.from_bits(int('01' * 2**23, 2))).applies",
      "True", 0.5, 60),
-], ids=["partition3_feasible", "ms_condition1-half-full", "ms_condition1-evens"])
+    # 1.8-3.2 s and 435-829 MB each when the gaps were a tuple
+    ("mstd.is_arithmetic_progression(mstd.IntSet.from_bits((1 << 2**24) - 1))",
+     "ArithProg(start=0, diff=1, length=16777216)", 0.5, 60),
+    ("mstd.is_arithmetic_progression(mstd.IntSet.from_bits(int('01' * 2**23, 2)))",
+     "ArithProg(start=0, diff=2, length=8388608)", 0.5, 60),
+], ids=["partition3_feasible", "ms_condition1-half-full", "ms_condition1-evens",
+        "is_arithmetic_progression-interval", "is_arithmetic_progression-evens"])
 def test_call_at_the_cap(call, want, seconds, megabytes):
     # a public call legal under the universe cap, in a fresh process: its
     # answer, its wall time and the process's peak memory (VmHWM, as

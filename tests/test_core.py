@@ -46,7 +46,7 @@ from mstd import (
 )
 from mstd import _kernel, core
 from mstd._kernel import _DIFF_WEIGHT, _SUM_WEIGHT, _kronecker, _product_pays
-from mstd.core import _COVER_RUNS, _PACK_MIN_CARD, _SPARSE_RATIO, _runs, _shift_or
+from mstd.core import _COVER_RUNS, _PACK_MIN_CARD, _SPARSE_RATIO, _runs, _shift_or, _smear
 from tests._oracles import (
     naive_cards,
     naive_diffset,
@@ -905,6 +905,17 @@ class TestLargeSetKernel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == ["False", "False", "True"]
+
+
+def test_smear_is_the_or_of_shifted_copies():
+    # counts 1..70 cross the powers of two 2..64 and the ones either side
+    rng = random.Random(25)
+    for seed in (1, 0b11, 0b101, 1 << 9, rng.getrandbits(40) | 1):
+        for step in range(1, 8):
+            want = 0
+            for count in range(1, 71):
+                want |= seed << (count - 1) * step
+                assert _smear(seed, step, count) == want, (seed, step, count)
 
 
 def test_public_names_resolve():

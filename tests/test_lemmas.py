@@ -19,7 +19,8 @@ from mstd import (
     ms_condition2,
     new_sums_on_extend,
 )
-from tests._oracles import naive_cards, naive_is_sum_dominant, naive_sumset, ref_ms_condition1
+from tests._oracles import (naive_cards, naive_is_sum_dominant, naive_sumset,
+                            ref_is_arithmetic_progression, ref_ms_condition1)
 
 
 class TestArithProg:
@@ -79,6 +80,28 @@ class TestRecognizer:
                 assert got == ArithProg(p.start, p.diff, 2)
             else:
                 assert got == p
+
+    def test_matches_the_gap_tuple(self):
+        rng = random.Random(25)
+        cases = [[x] for x in (0, 1, 63, 64, 2**23)]
+        cases += [[x, y] for x, y in ((0, 1), (3, 100), (0, 2**23), (64, 65))]
+        for _ in range(400):
+            cases.append(rng.sample(range(80), rng.randint(1, 10)))
+            p = ArithProg(rng.randint(0, 60), rng.randint(1, 9), rng.randint(3, 25))
+            terms = list(p.expand())
+            h = rng.randint(2, 5)  # dilates of the progression and of a random set
+            cases += [[h * e for e in terms], [h * e + 1 for e in cases[-1]]]
+            # near-progressions: a term moved, dropped or added
+            near = terms.copy()
+            near[rng.randrange(1, len(near) - 1)] += rng.choice((-1, 1))
+            cases.append(near)
+            cases.append(terms[:1] + terms[2:])
+            cases.append(terms[:-1] + [p.last + p.diff + 1])
+            cases.append(terms + [p.last + rng.randint(1, 2 * p.diff)])
+        for elements in cases:
+            got = is_arithmetic_progression(IntSet(elements))
+            want = ref_is_arithmetic_progression(tuple(sorted(set(elements))))
+            assert (got if got is None else tuple(got)) == want, elements
 
 
 class TestCondition1:
