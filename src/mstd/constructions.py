@@ -273,6 +273,10 @@ def partition3(spec: Partition3Spec) -> Partition3Result:
     violations = validate_partition_spec(spec)
     if violations:
         raise ConstraintViolationError(violations)
+    return _assemble(spec)
+
+
+def _assemble(spec: Partition3Spec) -> Partition3Result:
     m = spec.m
 
     a1 = LOW_BLOCK_1 | BRIDGE_1 | spec.m1 | BRIDGE_1.shift(m + 39) | HIGH_BLOCK_1.shift(m + 84)

@@ -58,6 +58,10 @@ The walk keeps one set per mirror class by deciding the middle pairs
   |S n ([0, f] u [2K-f, 2K])| + 2K-2f-1 > 2|D| - 1. The walk takes the
   open sums as (undecided elements) + (all elements), which is one
   tighter when a pair is half decided.
+- Magnitude floor: a middle taken is a magnitude, its difference with
+  0. A leaf below a node that still takes k of the undecided middles U
+  keeps D - U and adds the k it takes, so its |D| >= |D - U| + k, and
+  the node also needs |S u open| > 2(|D - U| + k) - 1.
 
 Three-part splits of {1..r}, r <= 26: a sum-dominant set has at least
 8 elements (Hegarty 2007), so every part has 8 or more and, as
@@ -300,51 +304,56 @@ def _sum_dominant(level):
     sum-dominant sets, unsorted with K-A after each A kept. This is the
     mirror walk of the module docstring with K = top: {0, K} is in the
     root, the middles are decided outside in (1, K-1, 2, K-2, ..., the
-    centre), and every node below the root is cut by the bound, the
-    mirror rule and the final fringe. Its last level is a flat loop that
-    counts a leaf for every middle a node with one left can take, the
-    mirror leaves it then skips too; a cut subtree counts none, and the
-    level (K, 0), {0, K} alone, counts one.
+    centre), and every node below the root is cut by the mirror rule,
+    the bound, the final fringe and the magnitude floor. The last middle
+    is a loop inline in its parent's: it tests a leaf's sums first, and
+    counts a leaf for every middle left, mirror leaves too; a cut subtree
+    counts none, and a level of k < 2 middles counts its C(K-1, k) sets.
     """
     top, k = level
-    if k == 0:  # {0, K} alone: its own mirror, so balanced
-        return 1, []
+    if k < 2:  # {0, K} is its own mirror; {0, x, K} too at x = K/2, else |A+A| <= 6 < |A-A| = 7
+        return math.comb(top - 1, k), []
     pool = sorted(range(1, top), key=lambda x: (min(x, top - x), x))
     size = k + 2
-    cap = 2 * top + 1  # S lies in [0, 2K]
     items = [(x, 1 << x, 1 << (top - x), top - x) for x in pool]  # x, {x}, {K-x}, K-x
     m = len(items)
     # open_[j]: the sums not yet final once pool[:j] is decided, those an
-    # undecided element makes with any element of {0..K}
-    open_ = [0] * (m + 1)
+    # undecided element makes with any element of {0..K}; kept[j]: {0..K} - pool[j:]
+    open_, kept = [0] * (m + 1), [(1 << top + 1) - 1] * (m + 1)
     for j in reversed(range(m)):
-        open_[j] = open_[j + 1] | ((1 << top + 1) - 1) << pool[j]
-    found = []
-    leaves = 0
+        open_[j] = open_[j + 1] | kept[m] << pool[j]
+        kept[j] = kept[j + 1] ^ 1 << pool[j]
+    # the floor passes |D| only where k > |D n U|; tested also where 2k < m, it cut
+    # under 1% of the leaves and slowed minsize(22) and partition3(25) ~4% (BENCH_scan.json)
+    dense = 2 * k >= m
+    found, leaves = [], 0
 
     def walk(i, k, p, r, s, d):
         # A = K-A is balanced, and r < p is the mirror of a set kept: emit r > p
         nonlocal leaves
-        if k == 1:
-            leaves += m - i
-            for x, bx, rx, kx in items[i:]:
-                pj, rj = p | bx, r | rx
-                if rj > pj and (s | pj << x).bit_count() > 2 * (
-                        d | rj >> kx | pj >> x).bit_count() - 1:
-                    found.extend((pj, rj))
-        else:
-            k -= 1
-            gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
-            for j in range(i, m - k):
-                x, bx, rx, kx = items[j]
-                pj, rj = p | bx, r | rx
-                sj = s | pj << x
-                dj = d | rj >> kx | pj >> x
-                # the bound min(|S| + gain, 2K+1) > 2|D| - 1, the mirror rule
-                # and the final fringe
-                if sj.bit_count() + gain > 2 * dj.bit_count() - 1 < cap and rj >= pj and (
-                        (sj | open_[j + 1]).bit_count() > 2 * dj.bit_count() - 1):
-                    walk(j + 1, k, pj, rj, sj, dj)
+        k -= 1
+        gain = k * (size - k) + k * (k + 1) // 2  # most sums k more elements add
+        for j in range(i, m - k):
+            x, bx, rx, kx = items[j]
+            pj, rj = p | bx, r | rx
+            if rj < pj:  # the mirror rule
+                continue
+            sj = s | pj << x
+            dj = d | rj >> kx | pj >> x
+            dd = 2 * dj.bit_count() - 1
+            # the bound, the final fringe (it holds the cap: |S u open| <= 2K+1) and the floor
+            if sj.bit_count() + gain <= dd or (so := (sj | open_[j + 1]).bit_count()) <= dd or (
+                    dense and so <= 2 * ((dj & kept[j + 1]).bit_count() + k) - 1):
+                continue
+            if k > 1:
+                walk(j + 1, k, pj, rj, sj, dj)
+                continue
+            leaves += m - j - 1  # the last middle, inline: sums first
+            for y, by, ry, ky in items[j + 1:]:
+                pl, rl = pj | by, rj | ry
+                if (sc := (sj | pl << y).bit_count()) > dd and rl > pl and (
+                        sc > 2 * (dj | rl >> ky | pl >> y).bit_count() - 1):
+                    found.extend((pl, rl))
 
     ends = 1 | 1 << top  # {0, K}: its own mirror, its sums {0, K, 2K}, its magnitudes {0, K}
     walk(0, k, ends, ends, ends | 1 << 2 * top, ends)
@@ -598,9 +607,9 @@ def partition3_feasible(r: int, exhaustive_small: bool = False,
     if r < 3 * MIN_SD_CARD:
         return Partition3Feasibility(r, "infeasible", reason=f"3x8 > {r}")
     if r >= 145:
-        # only this path builds a split, so only it loads the constructions
-        from .constructions import default_blocks, partition3
-        res = partition3(default_blocks(r - 124))
+        # only this path loads the constructions; default_blocks validates the spec
+        from .constructions import _assemble, default_blocks
+        res = _assemble(default_blocks(r - 124))
         return Partition3Feasibility(r, "feasible",
                                      witness=(res.a1, res.a2, res.s))
     if exhaustive_small and r <= SMALL_SEARCH_MAX_R:

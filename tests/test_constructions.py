@@ -352,6 +352,14 @@ class TestDefaultBlocks:
         with pytest.raises(InvalidParameterError):
             default_blocks(20)
 
+    def test_invalid_division_raises(self, monkeypatch):
+        # a division whose M2 also takes M1's pair fails the validation
+        monkeypatch.setattr(constructions, "Partition3Spec",
+                            lambda m, m1, m2: Partition3Spec(m, m1, m2 | m1))
+        with pytest.raises(ConstraintViolationError) as info:
+            default_blocks(21)
+        assert [v.constraint for v in info.value.violations] == ["disjointness"]
+
     def test_window_division(self):
         for m in (21, 37, 64, 120):
             spec = default_blocks(m)
