@@ -78,7 +78,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .core import _runs, _shift_or, elements_of
+from .core import _reflect, _runs, _shift_or, _spread, elements_of
 
 # Fitted on a 2-core x86-64 host, Python 3.11, on random sets of density
 # 1/128 to 1/2 at M from 2**13 to 2**20: the product beats one shift-OR per
@@ -112,15 +112,9 @@ def _ascending(bits: int) -> Iterator[int]:
 
 
 def _cover(bits: int, sums: bool, mags: bool) -> tuple[int, int] | None:
-    """(bits(A+A), bits(D)) from shifts by the elements at A's two ends, or None.
-
-    The third kernel of the module docstring: it takes elements from the
-    bottom and the top of A in turn, and at 8, 16, 32, ... passes either
-    tests the few undecided positions one by one and returns, or gives
-    up once a doubling of the passes has not halved them.
-    """
+    """bits(A+A) and bits(D) by the module docstring's cover, or None where it gives up."""
     top = bits.bit_length() - 1
-    rev = int(bin(bits)[:1:-1], 2)  # bit top - x for each x in A
+    rev = _reflect(bits)
     low = _ascending(bits)
     high = (top - x for x in _ascending(rev))
     lo, hi = next(low), next(high)  # the least and the greatest element not yet taken
@@ -169,22 +163,12 @@ def _kronecker(bits: int, reflect: bool) -> int:
 
     n = bits.bit_length()
     w = len(str(bits.bit_count()))  # 10**w > |A| >= every coefficient
-    traps = [decimal.Inexact, decimal.Rounded,
-             decimal.InvalidOperation, decimal.Overflow]
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]
     ctx = decimal.Context(prec=2 * n * w, Emax=decimal.MAX_EMAX, traps=traps)
     # shifting by 0 in this context keeps the lowest _CHUNK_BLOCKS blocks
     cut = decimal.Context(prec=_CHUNK_BLOCKS * w, Emax=decimal.MAX_EMAX, traps=traps)
-
-    def operand(binary: str) -> "decimal.Decimal":
-        # the 0/1 digits, most significant first, each padded to a w-digit block
-        blocks = bytearray(b"0") * (n * w)
-        blocks[w - 1::w] = binary.encode()
-        text = blocks.decode()
-        del blocks
-        return decimal.Decimal(text)
-
-    p = operand(bin(bits)[2:])
-    q = operand(bin(bits)[:1:-1]) if reflect else p
+    p = decimal.Decimal(_spread(bits, w).decode())
+    q = decimal.Decimal(_spread(_reflect(bits), w).decode()) if reflect else p
     prod = ctx.multiply(p, q)
     del p, q
     low = n - 1 if reflect else 0  # magnitudes 0..n-1 sit in blocks n-1 and up

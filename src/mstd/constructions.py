@@ -270,8 +270,7 @@ def partition3(spec: Partition3Spec) -> Partition3Result:
     blocks and spec.m2; part three is the fixed center set. Raises
     ConstraintViolationError on an invalid spec.
     """
-    violations = validate_partition_spec(spec)
-    if violations:
+    if violations := validate_partition_spec(spec):
         raise ConstraintViolationError(violations)
     return _assemble(spec)
 
@@ -315,7 +314,6 @@ def default_blocks(m: int) -> Partition3Spec:
     grid = _smear(1 << 96, 30, count) * 3 if count else 0
     m1 = IntSet.from_bits(3 << first | grid)
     spec = Partition3Spec(m, m1, window - m1)
-    violations = validate_partition_spec(spec)
-    if violations:
+    if violations := validate_partition_spec(spec):
         raise ConstraintViolationError(violations)
     return spec

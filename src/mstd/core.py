@@ -55,6 +55,11 @@ parses it, once the set has enough elements for that to beat OR-ing
 single bits. A mask with fewer than one element per _SPARSE_RATIO bit
 positions is unpacked from its bytes instead: bytes.find skips the zero
 bytes at C speed, so the Python-level work is per element, not per bit.
+Three helpers map a mask in one pass over its digit string: _reflect
+(bit max(A) - x for each x), _stride (the class r mod g as {(x - r)/g},
+every g-th digit) and _dilate ({g*x}, the digits spread g apart by
+_spread, which also lays out _kernel's decimal operands). The mirror,
+residue and gap readers use them and whole-mask shifts, no element tuple.
 
 Elements must lie in [0, UNIVERSE_CAP); beyond that the dense masks stop
 being a sensible encoding and construction raises UniverseOverflowError.
@@ -75,7 +80,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from itertools import compress, count, islice
+from itertools import accumulate, compress, count, islice, pairwise
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -152,6 +157,31 @@ def _smear(bits: int, step: int, count: int) -> int:
         bits |= bits << have * step
         have *= 2
     return bits | bits << (count - have) * step
+
+
+def _reflect(bits: int) -> int:
+    # bit top - x for each x in A, top = max(A)
+    return int(bin(bits)[:1:-1], 2)
+
+
+def _stride(bits: int, g: int, r: int = 0) -> int:
+    # {(x - r)/g : x in A, x = r mod g}, r < g: every g-th binary digit
+    digits = bin(bits)[2:]
+    return int(digits[(len(digits) - 1 - r) % g::g] or "0", 2)
+
+
+def _spread(bits: int, w: int) -> bytearray:
+    # the binary digits, most significant first, each led by w - 1 zeros: the
+    # digits of bits(w*A) read in base 2, of A(10**w) in base 10
+    digits = bin(bits)[2:].encode()
+    out = bytearray(b"0") * (len(digits) * w)
+    out[w - 1::w] = digits
+    return out
+
+
+def _dilate(bits: int, g: int) -> int:
+    # {g*x : x in A}
+    return int(_spread(bits, g), 2)
 
 
 def _num(value) -> str:
@@ -391,7 +421,7 @@ class IntSet:
         return self._bits & other._bits == 0
 
     def __repr__(self) -> str:
-        return f"IntSet({{{', '.join(map(str, self.elements))}}})"
+        return f"IntSet({format_set_literal(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +491,8 @@ def symmetry_center(a: IntSet) -> int | None:
     """
     if len(a) == 0:
         raise EmptySetError("empty set has no symmetry center")
-    # A = c - A iff the mask shifted down to bit 0 reads the same reversed
-    digits = bin(a.bits >> a.min)
-    return a.min + a.max if digits[2:] == digits[:1:-1] else None
+    low = a.bits >> a.min
+    return a.min + a.max if _reflect(low) == low else None
 
 
 def normalize_affine(a: IntSet) -> IntSet:
@@ -477,12 +506,13 @@ def normalize_affine(a: IntSet) -> IntSet:
         raise EmptySetError("cannot normalize the empty set")
     if len(a) < 2:
         raise DegenerateSetError("normalization needs at least two elements")
-    lo = a.min
-    shifted = [e - lo for e in a.elements]
-    g = 0
-    for e in shifted:
-        g = math.gcd(g, e)
-    return IntSet(e // g for e in shifted)
+    # g: the first gap (the gcd divides it), then its gcd with the least non-multiple
+    low = a.bits >> a.min
+    rest = low & low - 1
+    g = (rest & -rest).bit_length() - 1
+    while leftover := low & ~_dilate(strided := _stride(low, g), g):
+        g = math.gcd(g, (leftover & -leftover).bit_length() - 1)
+    return IntSet.from_bits(strided)
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +537,14 @@ class GapNotation(NamedTuple("GapNotation", [("origin", int), ("gaps", tuple)]))
     def to_intset(self) -> IntSet:
         if self.origin < 0:
             raise InvalidParameterError(f"origin {_num(self.origin)} is negative")
-        out = [self.origin]
-        for g in self.gaps:
-            out.append(out[-1] + g)
-        return IntSet(out)
+        return IntSet(accumulate(self.gaps, initial=self.origin))
 
 
 def gaps_of(a: IntSet) -> tuple[int, ...]:
     """Consecutive gaps of a sorted nonempty set (empty tuple for singletons)."""
     if len(a) == 0:
         raise EmptySetError("empty set has no gaps")
-    es = a.elements
-    return tuple(es[i + 1] - es[i] for i in range(len(es) - 1))
+    return tuple(y - x for x, y in pairwise(a.elements))
 
 
 def format_gap_notation(a: IntSet) -> str:

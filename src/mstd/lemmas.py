@@ -2,10 +2,10 @@
 
 Both checks look only at the gap sequence of A (consecutive differences
 of the sorted elements), so they never touch the quadratic-size sumset:
-ms_condition1 reads it off the mask in a few whole-mask operations, and
-ms_condition2 walks it in O(|A|). Each returns a LemmaVerdict:
-applies=True means the hypothesis holds and the set is guaranteed not
-sum-dominant; applies=False says nothing either way.
+both read it off the mask in a few whole-mask operations, ms_condition2
+from the run starts and ends as infer_block_gap does. Each returns a
+LemmaVerdict: applies=True means the hypothesis holds and the set is
+guaranteed not sum-dominant; applies=False says nothing either way.
 
 ms_condition1: if every gap is at most 2, then |A+A| <= |A-A|. With max
 element M and min 0, A-A realizes every magnitude that A+A can miss
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IntSet, UNIVERSE_CAP, _num, _require_int, _smear, gaps_of, sumset_bits
+from .core import IntSet, UNIVERSE_CAP, _num, _require_int, _smear, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 
 NOT_SUM_DOMINANT = "not-sum-dominant"
@@ -76,23 +76,30 @@ _HOLDS = LemmaVerdict(True, NOT_SUM_DOMINANT)
 _NO_CLAIM = LemmaVerdict(False, None)
 
 
+def _one_gap(bits: int) -> int | None:
+    # the value of every gap other than 1, 0 if none, None if they differ: the
+    # gaps are all g iff the run ends but the last, moved up by g, are the run
+    # starts but the first, and g is the first such gap, below max(A)
+    starts, ends = bits & ~(bits << 1), bits & ~(bits >> 1)  # of the runs
+    starts &= starts - 1
+    ends ^= 1 << ends.bit_length() - 1
+    g = (starts & -starts).bit_length() - (ends & -ends).bit_length()
+    return g if ends << g == starts else None
+
+
 def is_arithmetic_progression(a: IntSet) -> ArithProg | None:
     """Recognize A as an AP, or return None.
 
-    Singletons are APs of length 1 with diff 1 by convention. d is read
-    off the two least bits; a mask is built only once (n-1)d = max - min.
+    Singletons are APs of length 1 with diff 1 by convention. The diff is
+    the value of every gap other than 1, as infer_block_gap reads it, or 1
+    if there is none; a gap of 1 beside a larger one refutes it.
     """
-    n = len(a)
-    if n == 0:
+    if len(a) == 0:
         raise EmptySetError("empty set is not a progression")
-    start = a.min
-    if n == 1:
-        return ArithProg(start, 1, 1)
-    rest = a.bits & a.bits - 1  # without the least element
-    d = (rest & -rest).bit_length() - 1 - start
-    if (n - 1) * d != a.max - start or a.bits != _smear(1, d, n) << start:
+    d = _one_gap(a.bits)
+    if d is None or d and a.bits & a.bits >> 1:
         return None
-    return ArithProg(start, d, n)
+    return ArithProg(a.min, d or 1, len(a))
 
 
 def ms_condition1(a: IntSet) -> LemmaVerdict:
@@ -123,24 +130,13 @@ def ms_condition2(a: IntSet, m: int) -> LemmaVerdict:
         raise EmptySetError("cannot check the empty set")
     if _require_int(m, "block gap m") < 2:
         raise InvalidParameterError(f"block gap m={_num(m)} must be at least 2")
-    gaps = gaps_of(a)
-    if any(g != 1 and g != m for g in gaps):
+    bits = a.bits
+    if _one_gap(bits) not in (0, m):  # m is compared, never shifted by
         return _NO_CLAIM
-
-    runs = []
-    cur = 0
-    for g in gaps:
-        if g == 1:
-            cur += 1
-        elif cur:
-            runs.append(cur)
-            cur = 0
-    if cur:
-        runs.append(cur)
-
-    if not runs:
-        return _HOLDS
-    if runs[0] >= m - 1 and runs[-1] >= m - 1:
+    # the first and the last run of unit gaps span the lowest and the highest run of 2+ elements
+    starts, ends = bits & ~(bits << 1) & bits >> 1, bits & ~(bits >> 1) & bits << 1
+    if not starts or min((ends & -ends).bit_length() - (starts & -starts).bit_length(),
+                         ends.bit_length() - starts.bit_length()) >= m - 1:
         return _HOLDS
     return _NO_CLAIM
 
@@ -149,10 +145,7 @@ def infer_block_gap(a: IntSet) -> int | None:
     """The unique gap value other than 1, if exactly one exists."""
     if len(a) == 0:
         raise EmptySetError("empty set has no gaps")
-    other = {g for g in gaps_of(a) if g != 1}
-    if len(other) == 1:
-        return other.pop()
-    return None
+    return _one_gap(a.bits) or None
 
 
 def new_sums_on_extend(base: IntSet, x: int) -> int:

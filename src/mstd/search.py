@@ -159,8 +159,8 @@ import os
 import time
 from typing import NamedTuple
 
-from .core import (IntSet, _num, _require_int, _smear, _within_cap, elements_of,
-                   sum_diff_cards)
+from .core import (IntSet, _dilate, _num, _reflect, _require_int, _smear, _within_cap,
+                   elements_of, sum_diff_cards)
 from .errors import BudgetExceededError, InvalidParameterError
 
 MIN_SD_CARD = 8  # a sum-dominant set has at least 8 elements
@@ -471,13 +471,12 @@ def _images(u, diff, span, max_diff):
     # mirror and the dilates h*u of both whose differences stay at most
     # max_diff, each with every translate inside {0..span}
     out = []
-    for w in (u, int(f"{u:b}"[::-1], 2)):
-        elems = elements_of(w)
+    for w in (u, _reflect(u)):
         for h in range(1, max_diff // diff + 1):
-            if h * elems[-1] > span:
+            if (top := h * (u.bit_length() - 1)) > span:
                 break
-            hw = sum(1 << h * e for e in elems)
-            out += (hw << v for v in range(span + 1 - h * elems[-1]))
+            hw = _dilate(w, h)
+            out += (hw << v for v in range(span + 1 - top))
     return out
 
 

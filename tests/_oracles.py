@@ -7,10 +7,13 @@ bitmask arithmetic. The ref_*_worker and ref_*_scan functions are the
 search engines' candidate loops as plain combinations loops over the
 shift-OR reference. The ref_parse_ functions are the character-by-
 character scanners that read the two set notations before the token
-regex did.
+regex did, and the other ref_ functions read gaps, mirrors and residue
+classes off element tuples, as the library did before core's reflect,
+stride and dilate. mask_cases makes the seeded sets they are compared on.
 """
 
 import math
+import random
 import re
 from functools import cache
 from itertools import combinations
@@ -479,3 +482,108 @@ def ref_partition3_parts(spec):
     a1 = IntSet(low_1 + bridge_low_1 + bridge_high_1 + moved(high_1, m + 84)) | spec.m1
     a2 = IntSet(low_2 + bridge_low_2 + bridge_high_2 + moved(high_2, m + 84)) | spec.m2
     return a1, a2
+
+
+# ---------------------------------------------------------------------------
+# the mirror, residue and gap readers on element tuples, as they stood before
+# core's reflect, stride and dilate
+
+
+def ref_reflect(elements):
+    """{max - x} of a nonempty sorted tuple, sorted."""
+    return tuple(elements[-1] - x for x in reversed(elements))
+
+
+def ref_stride(elements, g, r):
+    """{(x - r)/g : x = r mod g} of a sorted tuple."""
+    return tuple((x - r) // g for x in elements if x % g == r)
+
+
+def ref_dilate(elements, g):
+    """{g*x} of a sorted tuple."""
+    return tuple(g * x for x in elements)
+
+
+def ref_symmetry_center(elements):
+    """min + max of a nonempty sorted tuple that is its own mirror, else None."""
+    c = elements[0] + elements[-1]
+    return c if {c - x for x in elements} == set(elements) else None
+
+
+def ref_normalize_affine(elements):
+    """A sorted tuple of two or more elements moved to 0 and divided by its gap gcd."""
+    lo = elements[0]
+    shifted = [e - lo for e in elements]
+    g = 0
+    for e in shifted:
+        g = math.gcd(g, e)
+    return tuple(e // g for e in shifted)
+
+
+def ref_infer_block_gap(elements):
+    """The one gap value other than 1 of a nonempty sorted tuple, else None."""
+    other = {b - a for a, b in zip(elements, elements[1:]) if b - a != 1}
+    return other.pop() if len(other) == 1 else None
+
+
+def ref_ms_condition2(elements, m):
+    """Whether every gap is 1 or m and the first and last runs of unit gaps
+    have at least m - 1 steps; vacuously so with no unit gap."""
+    gaps = [b - a for a, b in zip(elements, elements[1:])]
+    if any(g != 1 and g != m for g in gaps):
+        return False
+    runs = []
+    cur = 0
+    for g in gaps:
+        if g == 1:
+            cur += 1
+        elif cur:
+            runs.append(cur)
+            cur = 0
+    if cur:
+        runs.append(cur)
+    return not runs or (runs[0] >= m - 1 and runs[-1] >= m - 1)
+
+
+def ref_images(u, diff, span, max_diff):
+    """The pair scans' witness images of u (least element 0), by element loops:
+    u and its mirror, their dilates h*u while h <= max_diff/diff and h*max(u)
+    <= span, each with every translate inside {0..span}."""
+    elements = ref_elements_of(u)
+    out = []
+    for w in (elements, ref_reflect(elements)):
+        for h in range(1, max_diff // diff + 1):
+            if h * w[-1] > span:
+                break
+            hw = ref_bits_of(ref_dilate(w, h))
+            out += [hw << v for v in range(span + 1 - h * w[-1])]
+    return out
+
+
+def mask_cases(seed, count):
+    """count seeded nonempty sorted tuples, in turn random, residue-class (g
+    times a random set plus r, every g <= 11 and r < g in turn) and block-
+    structured (runs between gaps of mostly one value m), each moved up by 0
+    or a random origin."""
+    rng = random.Random(seed)
+    classes = [(g, r) for g in range(1, 12) for r in range(g)]
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            n, p = rng.randint(1, 80), rng.random()
+            elems = [x for x in range(n) if rng.random() < p] or [n - 1]
+        elif i % 3 == 1:
+            g, r = classes[i // 3 % len(classes)]
+            n, p = rng.randint(1, 24), rng.random()
+            elems = [g * x + r for x in range(n) if rng.random() < p] or [r]
+        else:
+            m = rng.randint(2, 9)
+            other = rng.choice((m, m, m + 1, rng.randint(2, 12)))
+            elems, x = [], 0
+            for _ in range(rng.randint(1, 6)):
+                length = rng.randint(1, 2 * m)
+                elems += range(x, x + length)
+                x += length - 1 + rng.choice((m, m, m, other))
+        origin = rng.choice((0, 0, rng.randrange(64)))
+        out.append(tuple(origin + e for e in elems))
+    return out

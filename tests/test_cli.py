@@ -154,6 +154,16 @@ class TestLemma:
         assert json.loads(capsys.readouterr().out) == {
             "applies": True, "guarantee": "not-sum-dominant"}
 
+    @pytest.mark.parametrize("text,out", [
+        ("{0,1,5}", "applies=no\n"), ("{3,4,5,6}", "applies=no\n"),
+        ("{7}", "applies=yes guarantee=not-sum-dominant\n")])
+    def test_ms2_huge_m_answers_at_once(self, text, out, capsys):
+        # m = 2**60 is legal; it is compared with the set's gaps, never shifted by
+        start = time.perf_counter()
+        assert run_cli(["lemma", "ms2", text, str(2**60)]) == 0
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().out == out
+
     def test_ms2_bad_m_is_data_error(self, capsys):
         assert run_cli(["lemma", "ms2", "{0,1}", "1"]) == 65
         assert "error:" in capsys.readouterr().err

@@ -380,7 +380,7 @@ class TestDefaultBlocks:
 
 
 @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS") or not os.path.exists("/proc/self"),
-                    reason="about 1 s of subprocesses, on Linux; set MSTD_SLOW_TESTS=1 to run")
+                    reason="about 2 s of subprocesses, on Linux; set MSTD_SLOW_TESTS=1 to run")
 @pytest.mark.parametrize("call,want,seconds,megabytes", [
     # the split of {1..2**24 - 1}: 16-21 s and 735 MB when the chains were swept
     ("str(mstd.partition3_feasible(2**24 - 1).witness[2])",
@@ -395,8 +395,22 @@ class TestDefaultBlocks:
      "ArithProg(start=0, diff=1, length=16777216)", 0.5, 60),
     ("mstd.is_arithmetic_progression(mstd.IntSet.from_bits(int('01' * 2**23, 2)))",
      "ArithProg(start=0, diff=2, length=8388608)", 0.5, 60),
+    # 2.6-3.1 s and 690 MB, and 4.6-5.5 s and 1.3 GB, when the gcd was taken over a tuple
+    ("len(mstd.normalize_affine(mstd.IntSet.from_bits(int('01' * 2**23, 2))))",
+     "8388608", 0.5, 120),
+    ("len(mstd.normalize_affine(mstd.IntSet.from_bits((1 << 2**24) - 1)))",
+     "16777216", 0.5, 120),
+    # 1.6-2.1 s and 435 MB each when the gaps were a tuple
+    ("mstd.infer_block_gap(mstd.IntSet.from_bits(random.Random(9).getrandbits(2**24)"
+     " | 1 << 2**24 - 1))", "None", 0.5, 120),
+    ("mstd.infer_block_gap(mstd.IntSet.from_bits(int('01' * 2**23, 2)))", "2", 0.5, 120),
+    # runs of 98 between gaps of 3, the top run 16 long: 3.1-3.6 s and 816 MB from the tuple
+    ("mstd.ms_condition2(mstd.IntSet.from_bits(int('1' * 16 + ('00' + '1' * 98) * 167772, 2)),"
+     " 3).applies", "True", 0.5, 120),
 ], ids=["partition3_feasible", "ms_condition1-half-full", "ms_condition1-evens",
-        "is_arithmetic_progression-interval", "is_arithmetic_progression-evens"])
+        "is_arithmetic_progression-interval", "is_arithmetic_progression-evens",
+        "normalize_affine-evens", "normalize_affine-interval", "infer_block_gap-half-full",
+        "infer_block_gap-evens", "ms_condition2-blocks"])
 def test_call_at_the_cap(call, want, seconds, megabytes):
     # a public call legal under the universe cap, in a fresh process: its
     # answer, its wall time and the process's peak memory (VmHWM, as

@@ -46,17 +46,24 @@ from mstd import (
 )
 from mstd import _kernel, core
 from mstd._kernel import _DIFF_WEIGHT, _SUM_WEIGHT, _kronecker, _product_pays
-from mstd.core import _COVER_RUNS, _PACK_MIN_CARD, _SPARSE_RATIO, _runs, _shift_or, _smear
+from mstd.core import (_COVER_RUNS, _PACK_MIN_CARD, _SPARSE_RATIO, _dilate, _reflect, _runs,
+                       _shift_or, _smear, _spread, _stride)
 from tests._oracles import (
+    mask_cases,
     naive_cards,
     naive_diffset,
     naive_sumset,
     ref_bits_of,
     ref_diff_bits,
+    ref_dilate,
     ref_elements_of,
+    ref_normalize_affine,
     ref_parse_gap_notation,
     ref_parse_set_literal,
+    ref_reflect,
+    ref_stride,
     ref_sumset_bits,
+    ref_symmetry_center,
 )
 
 
@@ -135,6 +142,9 @@ class TestIntSet:
 
     def test_repr(self):
         assert repr(IntSet([1, 2])) == "IntSet({1, 2})"
+        assert repr(IntSet([])) == "IntSet({})"
+        many = range(0, 3000, 3)
+        assert repr(IntSet(many)) == f"IntSet({{{', '.join(map(str, many))}}})"
 
     def test_rejects_bad_elements(self):
         with pytest.raises(InvalidParameterError):
@@ -324,6 +334,16 @@ class TestSymmetry:
         with pytest.raises(EmptySetError):
             symmetry_center(IntSet())
 
+    def test_matches_the_element_oracle(self):
+        # the mask compared with its reflection, against the mirror of the
+        # element set, on random, residue-class and block-structured sets
+        centers = set()
+        for elems in mask_cases(41, 20000):
+            want = ref_symmetry_center(elems)
+            assert symmetry_center(IntSet(elems)) == want, elems
+            centers.add(want is None)
+        assert centers == {True, False}
+
 
 class TestNormalize:
     def test_golden(self):
@@ -347,11 +367,49 @@ class TestNormalize:
             assert c1.kind is c2.kind
             assert c1.excess == c2.excess
 
+    def test_matches_the_element_oracle(self):
+        # the gcd refined on masks, against the gcd of the moved elements, on
+        # random, residue-class and block-structured sets of two or more
+        gcds = set()
+        for elems in mask_cases(43, 20000):
+            if len(elems) > 1:
+                want = ref_normalize_affine(elems)
+                assert normalize_affine(IntSet(elems)).elements == want, elems
+                gcds.add((elems[-1] - elems[0]) // want[-1])
+        assert gcds >= set(range(1, 12))
+
     def test_degenerate(self):
         with pytest.raises(DegenerateSetError):
             normalize_affine(IntSet([7]))
         with pytest.raises(EmptySetError):
             normalize_affine(IntSet())
+
+
+class TestMaskPrimitives:
+    def test_match_element_loops(self):
+        # reflect, every residue class of every stride g <= 11, and dilate
+        for elems in mask_cases(47, 1500):
+            bits = ref_bits_of(elems)
+            assert _reflect(bits) == ref_bits_of(ref_reflect(elems)), elems
+            for g in range(1, 12):
+                assert _dilate(bits, g) == ref_bits_of(ref_dilate(elems, g)), (elems, g)
+                for r in range(g):
+                    want = ref_bits_of(ref_stride(elems, g, r))
+                    assert _stride(bits, g, r) == want, (elems, g, r)
+
+    def test_edges(self):
+        # a class past max(A), and the empty mask, stride to 0; a singleton
+        # reflects to {0}; stride undoes dilate
+        assert _stride(0b1, 5, 3) == _stride(0, 4, 0) == _stride(0, 4, 1) == 0
+        assert _reflect(1 << 40) == 1 and _reflect(0b1011000) == 0b1101
+        assert _stride(_dilate(0b1101, 7), 7) == 0b1101
+
+    def test_spread_is_the_decimal_operand(self):
+        # read in base 10, the spread digits are A(10**w)
+        for elems in mask_cases(53, 300):
+            for w in (1, 2, 7):
+                got = int(_spread(ref_bits_of(elems), w).decode())
+                assert got == sum(10 ** (w * x) for x in elems), (elems, w)
 
 
 class TestGapNotation:

@@ -1,6 +1,7 @@
 """Structural checks: AP recognition, gap conditions, extension sums."""
 
 import random
+import time
 
 import pytest
 
@@ -19,8 +20,9 @@ from mstd import (
     ms_condition2,
     new_sums_on_extend,
 )
-from tests._oracles import (naive_cards, naive_is_sum_dominant, naive_sumset,
-                            ref_is_arithmetic_progression, ref_ms_condition1)
+from tests._oracles import (mask_cases, naive_cards, naive_is_sum_dominant, naive_sumset,
+                            ref_infer_block_gap, ref_is_arithmetic_progression,
+                            ref_ms_condition1, ref_ms_condition2)
 
 
 class TestArithProg:
@@ -182,6 +184,32 @@ class TestCondition2:
         with pytest.raises(EmptySetError):
             ms_condition2(IntSet(), 3)
 
+    def test_matches_the_gap_tuple(self):
+        # the edge masks against the gap tuple's unit runs, at m = 2, 3, the
+        # set's own block gap and one more, on random, residue-class and
+        # block-structured sets
+        verdicts = set()
+        for i, elems in enumerate(mask_cases(59, 20000)):
+            a = IntSet(elems)
+            for m in {2, 3, ref_infer_block_gap(elems) or 2, 2 + i % 11}:
+                want = ref_ms_condition2(elems, m)
+                assert ms_condition2(a, m).applies == want, (elems, m)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("elems,applies", [
+        ([0, 1, 5], False), ([3, 4, 5, 6], False), ([9], True), ([0, 2**23], False),
+        (range(10**6), False)])
+    def test_huge_m_settles_at_once(self, elems, applies):
+        # legal input: m is only compared with the set's own gaps, never
+        # shifted by, so 2**60 allocates nothing; only a set with no gap
+        # other than 1 can apply, and then only by having no unit run
+        a = IntSet(elems)
+        start = time.perf_counter()
+        for m in (2**60, 2**60 + 1, 10**400):
+            assert ms_condition2(a, m).applies is applies
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_sound_exhaustive(self, m):
         applied = 0
@@ -206,6 +234,16 @@ class TestInferBlockGap:
     def test_empty(self):
         with pytest.raises(EmptySetError):
             infer_block_gap(IntSet())
+
+    def test_matches_the_gap_tuple(self):
+        # the run ends but the last moved onto the run starts but the first,
+        # against the set of gaps other than 1
+        gaps = set()
+        for elems in mask_cases(67, 20000):
+            want = ref_infer_block_gap(elems)
+            assert infer_block_gap(IntSet(elems)) == want, elems
+            gaps.add(want)
+        assert None in gaps and gaps >= set(range(2, 13))
 
 
 class TestExtend:

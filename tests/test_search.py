@@ -52,6 +52,7 @@ from tests._oracles import (
     ref_cards,
     ref_completions,
     ref_diff_bits,
+    ref_images,
     ref_is_sum_dominant,
     ref_largest_scan,
     ref_least_split,
@@ -746,6 +747,28 @@ class TestAgainstReferenceLoops:
             got = Counter(kinds.get(w.bits >> w.min) for w in witnesses)
             assert set(got) == {"translate", "mirror", "dilate"}
             assert stand_in_pair_scan(10, groups)[1] == [w.elements for w in witnesses]
+
+    def test_images_match_the_element_loop(self, monkeypatch):
+        # every witness's images under the stand-in verdict, and those of
+        # random unions with least element 0, {0} too, against element loops
+        calls, images = [], search._images
+
+        def spy(*args):
+            calls.append((args, images(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(search, "_dominates", stand_in_verdict)
+        monkeypatch.setattr(search, "_images", spy)
+        ap_pair_scan(10, 4)
+        two_ap_general_scan(10, 4)
+        assert len(calls) > 300
+        rng = random.Random(71)
+        for _ in range(300):
+            u = 1 | rng.getrandbits(rng.randint(0, 12)) << 1
+            diff, span = rng.randint(1, 4), rng.randint(u.bit_length() - 1, 30)
+            args = (u, diff, span, rng.randint(diff, 12))
+            calls.append((args, images(*args)))
+        for args, got in calls:
+            assert got == ref_images(*args), args
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partition3(self, workers):
