@@ -31,23 +31,60 @@ popcounts give the cardinalities. This does big-integer operations on
 ~2M-bit words instead of |A|^2 Python-level pair loops, which is what
 makes the exhaustive searches in mstd.search feasible in pure Python.
 
-sumset_bits, diff_bits and sum_diff_cards share one dispatch. A set of
-fewer than _COVER_RUNS maximal runs of consecutive elements, which
-includes every set the search engines make, takes shift-OR here: one
-shift per run instead of one per element. A run [u, u+L-1] contributes
-smear << u to the sums and smear >> (u+L-1) to the magnitudes, where
-smear ORs bits(A) << j over j < L. The runs are read off
-bits ^ (bits << 1), whose set bits alternate between a run's start and
-the position just past its end. The smear of each power of two is built
-once by doubling, and that of L in [2**k, 2**(k+1)) is the one of 2**k
-ORed with itself shifted by L - 2**k, so R runs cost R passes, plus one
-per change of run length at most, and the k_set family is five runs for
-every m. Any other set goes to the large-set kernels of mstd._kernel,
-imported on first use: the cover (shifts by the elements at both ends
-of a dense set, and a per-position test of what they leave open), and
-where it gives up, shift-OR or an exact decimal product for each of A+A
-and A-A. That module's docstring gives their proofs, their costs and
-how one is chosen per set.
+sumset_bits, diff_bits and sum_diff_cards share one run kernel, which
+takes one shift per maximal run of consecutive elements instead of one
+per element. A run [u, u+L-1] contributes smear << u to the sums and
+smear >> (u+L-1) to the magnitudes, where smear ORs bits(A) << j over
+j < L. The runs are read off bits ^ (bits << 1), whose set bits alternate
+between a run's start and the position past its end, a doubling window
+at a time up from min(A) and down from max(A), each window cut back to
+whole runs, until the windows meet. The smear of each power of two is
+built once by doubling, and that of L in [2**k, 2**(k+1)) is the one of
+2**k ORed with itself shifted by L - 2**k, so R runs cost R passes, plus
+one per change of run length at most, and the k_set family is five runs
+for every m.
+
+Between windows the kernel is a cover, which rests on the fact that only
+the fringes of A+A and A-A are in doubt for a dense set (Martin and
+O'Bryant, "Many sets have more sums than differences", 2007). Every
+element below a and from b up has been taken, in whole runs.
+
+    Exact zones. A sum x + y, x <= y, below 2a has x < a, so x was taken
+    and its run's smear holds x + y; one above 2(b-1) has y >= b, so y
+    was taken. A magnitude y - x above top - a, top = max(A), has
+    x <= top - (y - x) < a, so x was taken and its run's smear holds it.
+    So outside the sums in [2a, 2(b-1)] and the magnitudes in
+    [0, top - a] the masks are exact, and inside them every set position
+    is a true sum or magnitude.
+
+    Per-position test. A position s left unset in the sum zone is a sum
+    iff bits(A) & (rev shifted by s - top) is nonzero, rev = A reflected
+    about top (its bit x says s - x is in A), and a magnitude t iff
+    bits(A) & (bits(A) >> t) is.
+
+Between windows, once at least 8 runs are taken, and then twice as many
+as at the last check, each kind asked for counts its unset positions in
+its zone. If they number no more than the runs taken and fewer than the
+runs left, it tests each one and is done: the tests cost no more than
+the passes did, nor than the passes they save. If a doubling of the runs
+has not halved them, the kind is given up: where the runs left reach
+weight * w * (bit length of M), w the digits of |A| (_SUM_WEIGHT,
+_DIFF_WEIGHT), it comes from the exact decimal product of mstd._kernel,
+imported then; otherwise it runs to the end unchecked. No pass is made
+twice. A sum below max(A) comes only from the bottom and one above it
+only from the top, so a random set of density p leaves a position unset
+after c runs with chance about (1-p)**(c/2), and half-full sets finish
+within a few dozen runs at every M: sum_diff_cards takes ~5 ms at M =
+10**6 (the product 1.3 s), and classify ~0.1 s and ~40 MB above its
+baseline at M = 2**24 - 1 (the product 28 s and 540 MB). A kind is given
+up where a zone keeps a hole that no end fills, such as the evens, a
+residue class or an empty middle, and in a random set below density p ~
+0.07; the product then takes over near R ~ 4500-12000 runs for sums and
+~15000-40000 for differences as M goes from 2**14 to 2**22, so wide
+sparse sets and sets of a few long runs stay on shift-OR. Shift-OR's
+memory is a few masks of 2M bits: sum_diff_cards on the k_set mask at M
+= 2**24 - 1 takes ~0.1 s and ~25 MB above its baseline; mstd._kernel
+gives the product's.
 
 Packing and unpacking are linear in M: elements_of reads the
 binary digit string of the mask, and bits_of fills a digit buffer and
@@ -55,11 +92,12 @@ parses it, once the set has enough elements for that to beat OR-ing
 single bits. A mask with fewer than one element per _SPARSE_RATIO bit
 positions is unpacked from its bytes instead: bytes.find skips the zero
 bytes at C speed, so the Python-level work is per element, not per bit.
-Three helpers map a mask in one pass over its digit string: _reflect
-(bit max(A) - x for each x), _stride (the class r mod g as {(x - r)/g},
-every g-th digit) and _dilate ({g*x}, the digits spread g apart by
-_spread, which also lays out _kernel's decimal operands). The mirror,
-residue and gap readers use them and whole-mask shifts, no element tuple.
+Three helpers map a mask in one pass: _reflect (bit max(A) - x for each
+x, its bytes reversed through a table), _stride (the class r mod g as
+{(x - r)/g}, every g-th binary digit) and _dilate ({g*x}, the digits
+spread g apart by _spread, which also lays out _kernel's decimal
+operands). The mirror, residue and gap readers use them and whole-mask
+shifts, no element tuple.
 
 Elements must lie in [0, UNIVERSE_CAP); beyond that the dense masks stop
 being a sensible encoding and construction raises UniverseOverflowError.
@@ -98,9 +136,17 @@ UNIVERSE_CAP = 1 << 24
 # bitmask kernel
 
 
-# below this many runs shift-OR is too cheap to risk the cover's first 16
-# passes on, so k_set and every search-sized set keep it and skip _kernel
-_COVER_RUNS = 64
+# A kind the cover gives up on goes to the decimal product of mstd._kernel
+# when the runs left number >= weight * w * (bit length of M), w the digits
+# of |A|: there the product beats one pass per run. Fitted against one
+# pass per run of the whole set on a 2-core x86-64 host, Python 3.11, on
+# random sets of density 1/128 to 1/2 at M from 2**13 to 2**20: parity
+# sits near weights 45-75 (sums) and 75-120 (differences) at M <= 2**14,
+# and near 75-125 and 185-325 from 2**15 up, where these weights pick the
+# faster kernel at every point measured. Right shifts are cheaper than
+# left ones, hence the larger weight for differences.
+_SUM_WEIGHT = 75
+_DIFF_WEIGHT = 250
 # below this many elements OR-ing single bits beats the digit buffer
 _PACK_MIN_CARD = 512
 
@@ -109,6 +155,7 @@ _PACK_MIN_CARD = 512
 _SPARSE_RATIO = 32
 
 _UNPACK = bytes.maketrans(b"01", b"\x00\x01")
+_REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 _ANY_BIT = bytes([0] + [1] * 255)
 # _BYTE_BITS[v] holds the set bits of the byte v, ascending
 _BYTE_BITS = [()]
@@ -160,8 +207,11 @@ def _smear(bits: int, step: int, count: int) -> int:
 
 
 def _reflect(bits: int) -> int:
-    # bit top - x for each x in A, top = max(A)
-    return int(bin(bits)[:1:-1], 2)
+    # bit top - x for each x in A, top = max(A): the bytes read the other
+    # way round, each with its bits reversed
+    n = bits.bit_length()
+    k = (n + 7) // 8
+    return int.from_bytes(bits.to_bytes(k, "little").translate(_REVERSED), "big") >> 8 * k - n
 
 
 def _stride(bits: int, g: int, r: int = 0) -> int:
@@ -244,46 +294,102 @@ def elements_of(bits: int) -> tuple[int, ...]:
     return tuple([*compress(count(), bin(bits)[:1:-1].encode().translate(_UNPACK))])
 
 
-def _runs(bits: int) -> int:
-    # the maximal runs of consecutive elements, counted by their starts
-    return (bits & ~(bits << 1)).bit_count()
+def _product_pays(bits: int, runs: int, weight: int) -> bool:
+    # shift-OR makes one pass over the mask per run, the product ~w*log(M) per bit
+    return runs >= weight * len(str(bits.bit_count())) * bits.bit_length().bit_length()
 
 
-def _shift_or(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
-    # bits(A+A) and bits(D) by one shift per run, 0 where not asked for; the
-    # edges alternate between a run's start and the position past its end
-    edges = iter(elements_of(bits ^ bits << 1))
-    s = d = 0
-    smears = [bits]  # smears[k] ORs bits << j over j < 2**k
-    grown, at = bits, 1  # the same over j < at, the last run's length
-    for u, stop in zip(edges, edges):
-        if stop - u != at:
-            at = stop - u
-            k = at.bit_length() - 1
-            while len(smears) <= k:
-                smears.append(smears[-1] | smears[-1] << (1 << len(smears) - 1))
-            grown = smears[k] if at == 1 << k else smears[k] | smears[k] << at - (1 << k)
-        if sums:
-            s |= grown << u
-        if mags:
-            d |= grown >> stop - 1
-    return s, d
+def _verdict(bits: int, left: int, before, taken: int, rest: int, weight: int):
+    # a kind's fate at a checkpoint from its open count: "test" them, give it
+    # to the "product" or "run" it to the end unchecked, or the count to
+    # compare at the next checkpoint
+    if left <= taken and left < rest:
+        return "test"
+    if before is not None and 2 * left > before:
+        return "product" if _product_pays(bits, rest, weight) else "run"
+    return left
+
+
+def _product(bits: int, reflect: bool) -> int:
+    # bits(A+A), or bits(D) with reflect, by mstd._kernel's decimal product
+    from ._kernel import _kronecker
+    return _kronecker(bits, reflect)
 
 
 def _sums_and_mags(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
-    # bits(A+A) and bits(D), 0 where not asked for
-    if _runs(bits) < _COVER_RUNS:
-        return _shift_or(bits, sums, mags)
-    return _many_runs(bits, sums, mags)
-
-
-def _many_runs(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
-    # mstd._kernel's dispatch, imported by the first call, which binds this
-    # name to it for the next: an import on every call made each classify of
-    # a large set 20-50 us slower when other work had just evicted the caches
-    global _many_runs
-    from ._kernel import _many_runs
-    return _many_runs(bits, sums, mags)
+    # bits(A+A) and bits(D), 0 where not asked for, by the module docstring's
+    # run kernel: one shift per run, the runs read from both ends a window at
+    # a time, and the cover's checkpoint between windows
+    edges = bits ^ bits << 1  # less those taken, which leaves them in [a, b)
+    a, b = 0, edges.bit_length()
+    width = b  # the rest at once, unless past 8 runs a checkpoint can come:
+    if edges.bit_count() > 16:  # then windows, up from min(A)
+        a, width = (bits & -bits).bit_length() - 1, 64
+    s = d = 0
+    smears = [bits]  # smears[k] ORs bits << j over j < 2**k
+    grown, at = bits, 1  # the same over j < at, the last run's length
+    taken, check = 0, 8  # runs taken, and how many call the next checkpoint
+    seen_s = seen_d = None  # each kind's verdict at the last checkpoint
+    while True:
+        if b - a <= 2 * width:  # the windows would meet: the rest at once
+            windows, a = ((a, elements_of(edges >> a)),), b
+        else:  # a window from each end, each cut back to whole runs
+            low = elements_of(edges >> a & (1 << width) - 1)
+            high = elements_of(edges >> b - width)
+            cut_low, cut_high = len(low) % 2, len(high) % 2  # a start, a stop
+            windows = (a, low[:len(low) - cut_low]), (b - width, high[cut_high:])
+            taken += len(low) // 2 + len(high) // 2
+            a += low[-1] if cut_low else width
+            b -= width - high[0] - 1 if cut_high else width
+            edges &= (1 << b) - 1
+        width *= 2
+        for base, got in windows:  # the edges less base
+            part = 0  # the sums less base
+            for u, stop in zip(got := iter(got), got):
+                if stop - u != at:
+                    at = stop - u
+                    k = at.bit_length() - 1
+                    while len(smears) <= k:
+                        smears.append(smears[-1] | smears[-1] << (1 << len(smears) - 1))
+                    grown = smears[k] if at == 1 << k else smears[k] | smears[k] << at - (1 << k)
+                if sums:
+                    part |= grown << u
+                if mags:
+                    d |= grown >> base + stop - 1
+            s |= part << base
+        if a >= b:
+            return s, d
+        if taken < check:
+            continue
+        # the cover: every element below a and from b up is taken
+        check, top = 2 * taken, bits.bit_length() - 1
+        rest = (edges >> a).bit_count() // 2  # runs not taken
+        if sums and seen_s != "run":
+            opened = ~(s >> 2 * a) & (1 << 2 * (b - a) - 1) - 1
+            seen_s = _verdict(bits, opened.bit_count(), seen_s, taken, rest, _SUM_WEIGHT)
+            if seen_s == "test":
+                rev = _reflect(bits)
+                for t in elements_of(opened):
+                    shift = 2 * a + t - top  # rev shifted by it has bit 2a+t-y for y in A
+                    if bits & (rev << shift if shift >= 0 else rev >> -shift):
+                        s |= 1 << 2 * a + t
+            elif seen_s == "product":
+                s = _product(bits, reflect=False)
+            sums = seen_s not in ("test", "product")
+        if mags and seen_d != "run":
+            opened = ~d & (2 << top - a) - 1
+            seen_d = _verdict(bits, opened.bit_count(), seen_d, taken, rest, _DIFF_WEIGHT)
+            if seen_d == "test":
+                for t in elements_of(opened):
+                    if bits & bits >> t:
+                        d |= 1 << t
+            elif seen_d == "product":
+                d = _product(bits, reflect=True)
+            mags = seen_d not in ("test", "product")
+        if not (sums or mags):
+            return s, d
+        if not (sums and seen_s != "run" or mags and seen_d != "run"):
+            width = b  # nothing left to check: the rest at once
 
 
 def sumset_bits(bits: int) -> int:
@@ -511,7 +617,9 @@ def normalize_affine(a: IntSet) -> IntSet:
     rest = low & low - 1
     g = (rest & -rest).bit_length() - 1
     while leftover := low & ~_dilate(strided := _stride(low, g), g):
-        g = math.gcd(g, (leftover & -leftover).bit_length() - 1)
+        g, before = math.gcd(g, (leftover & -leftover).bit_length() - 1), g
+        if g == before:  # a multiple of g left over: the mask helpers disagree
+            raise RuntimeError(f"normalize_affine: a round left the gap gcd at {g}")
     return IntSet.from_bits(strided)
 
 

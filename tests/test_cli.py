@@ -597,7 +597,7 @@ def test_full_disk_is_one_error_line(argv):
 
 
 # what a command may pull in: the engines, lemmas and constructions it does
-# not run, the large-set kernels, and the stdlib modules plain output and
+# not run, the decimal product, and the stdlib modules plain output and
 # the records do not need
 WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "mstd._kernel",
            "dataclasses", "json"}
@@ -614,8 +614,8 @@ WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "mstd._kernel",
     ("from mstd import cli; cli.run(['sumset', '{0,1,3}'])", set()),
     ("from mstd import cli; cli.run(['diffset', '{0,2,3,4,7,11,12,14}'])", set()),
     ("from mstd import cli; cli.run(['lemma', 'extend', '{0,1,3}', '9'])", {"mstd.lemmas"}),
-    # the evens below 128 are 64 runs, where the large-set kernels start
-    ("from mstd import cli; cli.run(['sumset', '{%s}' % ','.join(map(str, range(0, 128, 2)))])",
+    # the evens below 2**14: the run kernel gives their sums to the product
+    ("from mstd import cli; cli.run(['sumset', '{%s}' % ','.join(map(str, range(0, 1 << 14, 2)))])",
      {"mstd._kernel"}),
 ])
 def test_a_command_loads_only_what_it_runs(statement, loads):

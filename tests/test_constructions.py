@@ -407,10 +407,14 @@ class TestDefaultBlocks:
     # runs of 98 between gaps of 3, the top run 16 long: 3.1-3.6 s and 816 MB from the tuple
     ("mstd.ms_condition2(mstd.IntSet.from_bits(int('1' * 16 + ('00' + '1' * 98) * 167772, 2)),"
      " 3).applies", "True", 0.5, 120),
+    # the run kernel's cover: 0.3 s and 52 MB when it reflected the whole set
+    # by its digit string for the top elements, ~50 s and 0.5 GB by the products
+    ("mstd.classify(mstd.IntSet.from_bits(random.Random(9).getrandbits(2**24)"
+     " | 1 << 2**24 - 1))[1:]", "(33554429, 33554429)", 1, 120),
 ], ids=["partition3_feasible", "ms_condition1-half-full", "ms_condition1-evens",
         "is_arithmetic_progression-interval", "is_arithmetic_progression-evens",
         "normalize_affine-evens", "normalize_affine-interval", "infer_block_gap-half-full",
-        "infer_block_gap-evens", "ms_condition2-blocks"])
+        "infer_block_gap-evens", "ms_condition2-blocks", "classify-half-full"])
 def test_call_at_the_cap(call, want, seconds, megabytes):
     # a public call legal under the universe cap, in a fresh process: its
     # answer, its wall time and the process's peak memory (VmHWM, as

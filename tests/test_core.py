@@ -45,9 +45,9 @@ from mstd import (
     symmetry_center,
 )
 from mstd import _kernel, core
-from mstd._kernel import _DIFF_WEIGHT, _SUM_WEIGHT, _kronecker, _product_pays
-from mstd.core import (_COVER_RUNS, _PACK_MIN_CARD, _SPARSE_RATIO, _dilate, _reflect, _runs,
-                       _shift_or, _smear, _spread, _stride)
+from mstd._kernel import _kronecker
+from mstd.core import (_DIFF_WEIGHT, _PACK_MIN_CARD, _SPARSE_RATIO, _SUM_WEIGHT, _dilate,
+                       _product_pays, _reflect, _smear, _spread, _stride, _sums_and_mags)
 from tests._oracles import (
     mask_cases,
     naive_cards,
@@ -65,6 +65,11 @@ from tests._oracles import (
     ref_sumset_bits,
     ref_symmetry_center,
 )
+
+
+def runs_of(bits):
+    # the maximal runs of consecutive elements, counted by their starts
+    return (bits & ~(bits << 1)).bit_count()
 
 
 class TestIntSet:
@@ -366,6 +371,18 @@ class TestNormalize:
             c2 = classify(normalize_affine(scaled))
             assert c1.kind is c2.kind
             assert c1.excess == c2.excess
+
+    def test_a_round_that_keeps_the_gcd_raises(self, monkeypatch):
+        # a stride that reads each class one digit off (a mutant of the
+        # offset) leaves a multiple of g over, which no round can lower
+        def stride(bits, g, r=0):
+            digits = bin(bits)[2:]
+            return int(digits[(len(digits) - r) % g::g] or "0", 2)
+        monkeypatch.setattr(core, "_stride", stride)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="left the gap gcd at"):
+            normalize_affine(IntSet([0, 2, 4, 6, 9]))
+        assert time.perf_counter() - start < 1
 
     def test_matches_the_element_oracle(self):
         # the gcd refined on masks, against the gcd of the moved elements, on
@@ -697,8 +714,8 @@ class TestLargeSetKernel:
     def test_public_kernel_on_both_sides_of_the_crossover(self, top, size, on_product):
         rng = random.Random(top + size)
         bits = ref_bits_of(rng.sample(range(top), size - 1) + [top])
-        assert (_product_pays(bits, _SUM_WEIGHT), _product_pays(bits, _DIFF_WEIGHT)) \
-            == on_product
+        assert (_product_pays(bits, runs_of(bits), _SUM_WEIGHT),
+                _product_pays(bits, runs_of(bits), _DIFF_WEIGHT)) == on_product
         sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
         assert sumset_bits(bits) == sums
         assert diff_bits(bits) == mags
@@ -709,10 +726,11 @@ class TestLargeSetKernel:
 
     def test_public_products_of_the_evens(self, monkeypatch):
         # the evens below 2**16: the cover gives up on their odd holes, and
-        # their 32768 runs pass both crossovers, so every public call that
-        # asks for the magnitudes reaches the difference product
+        # the runs left pass both crossovers, so every public call reaches
+        # the product of each kind it asks for
         bits = int("01" * (1 << 15), 2)
-        assert _product_pays(bits, _SUM_WEIGHT) and _product_pays(bits, _DIFF_WEIGHT)
+        left = runs_of(bits) - 1000  # more than the runs taken when it gives up
+        assert _product_pays(bits, left, _SUM_WEIGHT) and _product_pays(bits, left, _DIFF_WEIGHT)
         products, kronecker = [], _kernel._kronecker
 
         def spy(bits, reflect):
@@ -731,13 +749,14 @@ class TestLargeSetKernel:
     def test_dispatch_keeps_wide_sparse_sets_on_shift_or(self):
         rng = random.Random(73)
         sparse = ref_bits_of(rng.sample(range(2_000_000), 1000))
-        assert not _product_pays(sparse, _SUM_WEIGHT)
-        assert not _product_pays(sparse, _DIFF_WEIGHT)
+        assert not _product_pays(sparse, runs_of(sparse), _SUM_WEIGHT)
+        assert not _product_pays(sparse, runs_of(sparse), _DIFF_WEIGHT)
         # the cost is counted in runs: five of them, however wide the set
-        runs = k_set(100_000).bits
-        assert not _product_pays(runs, _SUM_WEIGHT) and not _product_pays(runs, _DIFF_WEIGHT)
+        few = k_set(100_000).bits
+        assert not _product_pays(few, 5, _SUM_WEIGHT) and not _product_pays(few, 5, _DIFF_WEIGHT)
         dense = ref_bits_of(rng.sample(range(100_000), 50_000))
-        assert _product_pays(dense, _SUM_WEIGHT) and _product_pays(dense, _DIFF_WEIGHT)
+        assert _product_pays(dense, runs_of(dense), _SUM_WEIGHT)
+        assert _product_pays(dense, runs_of(dense), _DIFF_WEIGHT)
 
     def test_run_kernel_matches_reference(self):
         rng = random.Random(89)
@@ -750,9 +769,9 @@ class TestLargeSetKernel:
                 bits |= ((1 << run) - 1) << at
                 at += run + rng.randint(1, 64)
             cases.append(bits)
-        # on both sides of the cover floor: singletons two apart, random runs,
-        # and long runs below a far point
-        for runs in (_COVER_RUNS - 1, _COVER_RUNS):
+        # on both sides of the first checkpoint at 8 runs and of 64 runs:
+        # singletons two apart, random runs, and long runs below a far point
+        for runs in (7, 8, 9, 63, 64):
             cases.append(ref_bits_of(range(2 * runs)[::2]))
             bits, at = 0, rng.randrange(64)
             for _ in range(runs):
@@ -762,7 +781,7 @@ class TestLargeSetKernel:
             cases.append(bits)
             cases.append(sum(((1 << 100) - 1) << 101 * i for i in range(runs - 1))
                          | 1 << 50_000)
-            assert [_runs(bits) for bits in cases[-3:]] == [runs] * 3
+            assert [runs_of(bits) for bits in cases[-3:]] == [runs] * 3
         for bits in cases:
             sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
             assert sumset_bits(bits) == sums
@@ -770,18 +789,18 @@ class TestLargeSetKernel:
             cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
             assert sum_diff_cards(bits) == cards
             assert sum_diff_cards(bits, elements_of(bits)) == cards
-            # shift-OR called directly, also past the floor: 0 where not asked for
-            assert _shift_or(bits, True, False) == (sums, 0)
-            assert _shift_or(bits, False, True) == (0, mags)
-            assert _shift_or(bits, True, True) == (sums, mags)
+            # the kernel called directly: 0 where not asked for
+            assert _sums_and_mags(bits, True, False) == (sums, 0)
+            assert _sums_and_mags(bits, False, True) == (0, mags)
 
     @pytest.mark.parametrize("weight", [_SUM_WEIGHT, _DIFF_WEIGHT])
     def test_run_kernel_on_both_sides_of_the_crossover(self, weight):
         def pairs(runs):  # runs of two elements, one apart: 0b11011...011
             return int("011" * runs, 2)
         # the fewest runs at which the product pays for this weight
-        at = bisect_left(range(1, 40_000), True, key=lambda r: _product_pays(pairs(r), weight)) + 1
-        assert not _product_pays(pairs(at - 1), weight) and _product_pays(pairs(at), weight)
+        at = bisect_left(range(1, 40_000), True, key=lambda r: _product_pays(pairs(r), r, weight)) + 1
+        assert not _product_pays(pairs(at - 1), at - 1, weight)
+        assert _product_pays(pairs(at), at, weight)
         for bits in (pairs(at - 1), pairs(at)):
             sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
             assert sumset_bits(bits) == sums
@@ -796,11 +815,10 @@ class TestLargeSetKernel:
         def recording(mask):
             unpacked.append(mask.bit_count())
             return elements_of(mask)
-        # core's shift-OR unpacks the run edges, and nothing else unpacks
+        # the kernel unpacks the run edges, and nothing else unpacks
         monkeypatch.setattr(core, "elements_of", recording)
-        monkeypatch.setattr(_kernel, "elements_of", recording)
         assert sum_diff_cards(bits) == (2 * m + 14, 2 * m + 13)
-        assert unpacked == [10]  # five runs, two edges each
+        assert unpacked == [10]  # five runs, two edges each, read at once
 
     @pytest.mark.parametrize("m", [9, 1000, 20_000, 400_000])
     def test_k_set_closed_forms(self, m):
@@ -842,41 +860,42 @@ class TestLargeSetKernel:
         assert int(out.stdout) < 250 * 1024  # KiB
 
     @staticmethod
-    def assert_kernels(monkeypatch, bits, branch, reference=True):
+    def assert_kernels(monkeypatch, bits, products, reference=True, checked=None):
         # every public kernel call on bits against the product, and against
-        # the shift-OR reference where it is affordable; each call must take
-        # the given branch of the cover: "done", "gave up" or "never" entered
-        seen, cover = [], _kernel._cover
-
-        def spy(*args):
-            got = cover(*args)
-            seen.append("done" if got else "gave up")
-            return got
-        monkeypatch.setattr(_kernel, "_cover", spy)
-        sums, mags = _kronecker(bits, reflect=False), _kronecker(bits, reflect=True)
+        # the shift-OR reference where it is affordable; products names the
+        # kinds that reach mstd._kernel's product, "sums" and "mags", and
+        # checked, if given, whether the cover's checkpoint runs
+        seen, verdicts = [], []
+        kronecker, verdict = _kernel._kronecker, core._verdict
+        monkeypatch.setattr(_kernel, "_kronecker",
+                            lambda *args: seen.append(args[1]) or kronecker(*args))
+        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(args) or verdict(*args))
+        sums, mags = kronecker(bits, reflect=False), kronecker(bits, reflect=True)
         if reference:
             assert (sums, mags) == (ref_sumset_bits(bits), ref_diff_bits(bits))
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
-        # sum_diff_cards keeps a set of few runs on core's shift-OR
-        small = "never" if _runs(bits) < _COVER_RUNS else branch
-        for call, want, took in ((sumset_bits, sums, branch), (diff_bits, mags, branch),
-                                 (sum_diff_cards, cards, small),
-                                 (lambda b: sum_diff_cards(b, elements_of(b)), cards, small)):
+        s_took, d_took = [False] * ("sums" in products), [True] * ("mags" in products)
+        for call, want, took in ((sumset_bits, sums, s_took), (diff_bits, mags, d_took),
+                                 (sum_diff_cards, cards, s_took + d_took),
+                                 (lambda b: sum_diff_cards(b, elements_of(b)), cards,
+                                  s_took + d_took)):
             seen.clear()
             assert call(bits) == want
-            assert seen == ([] if took == "never" else [took])
+            assert seen == took
+        if checked is not None:
+            assert bool(verdicts) == checked
 
     @pytest.mark.parametrize("k", [10, 11, 13, 15, 17])
     @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.75, 0.9])
     def test_cover_on_random_sets(self, k, p, monkeypatch):
         # from density 1/4 up the ends settle every call; at 1/20 the sums
-        # never fill from the ends, and at M = 2**10 its 58 runs stay below
-        # the cover's floor
+        # never fill from the ends, and only at M = 2**17 are the runs left
+        # enough for their product to pay
         rng = random.Random(1000 * k + int(100 * p))
         low = 0 if p in (0.25, 0.75) else 1000 + k  # min(A) > 0 otherwise
         bits = sum(1 << x for x in range(1 << k) if rng.random() < p) << low
-        branch = "done" if p > 0.05 else "never" if k == 10 else "gave up"
-        self.assert_kernels(monkeypatch, bits, branch, reference=k <= 15)
+        products = ("sums",) if (k, p) == (17, 0.05) else ()
+        self.assert_kernels(monkeypatch, bits, products, reference=k <= 15, checked=True)
 
     @pytest.mark.parametrize("bits", [
         1 << 5000,                  # one element
@@ -885,12 +904,8 @@ class TestLargeSetKernel:
         k_set(20_000).bits,         # five runs
     ], ids=["one", "two", "interval", "k_set"])
     def test_few_runs_never_enter_the_cover(self, bits, monkeypatch):
-        self.assert_kernels(monkeypatch, bits, "never")
-
-    @pytest.mark.parametrize("runs, branch", [(_COVER_RUNS - 1, "never"), (_COVER_RUNS, "done")])
-    def test_the_floor_counts_runs(self, runs, branch, monkeypatch):
-        # pairs one apart, 0b11011...011, which the cover settles once it runs
-        self.assert_kernels(monkeypatch, int("011" * runs, 2), branch)
+        # fewer than 8 runs are all taken before the first checkpoint
+        self.assert_kernels(monkeypatch, bits, (), checked=False)
 
     def test_few_runs_below_a_far_point_are_fast(self):
         # {0..999} and the top position: A+A is {0..1998}, {top..top+999} and
@@ -906,37 +921,63 @@ class TestLargeSetKernel:
             assert call(arg) == want
             assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("bits", [
-        int("01" * 8192, 2),  # the evens: no odd sum or magnitude
+    @pytest.mark.parametrize("bits, products", [
+        (int("01" * 8192, 2), ("sums",)),  # the evens: no odd sum or magnitude
         # the multiples of 3 and two points in the middle, which alone make
         # the sums and magnitudes of the other two classes
-        int("001" * 5461, 2) | 1 << 8194 | 1 << 8195,
-        # dense ends and an empty middle, so A+A and A-A have holes there
-        (random.Random(3).getrandbits(4096) << 12_288) | random.Random(4).getrandbits(4096),
+        (int("001" * 5461, 2) | 1 << 8194 | 1 << 8195, ("sums",)),
+        # dense ends and an empty middle, so A+A and A-A have holes there;
+        # too few runs are left for a product to pay
+        ((random.Random(3).getrandbits(4096) << 12_288) | random.Random(4).getrandbits(4096), ()),
     ], ids=["evens", "multiples_of_3", "empty_middle"])
-    def test_cover_gives_up_on_holes_the_ends_never_fill(self, bits, monkeypatch):
-        self.assert_kernels(monkeypatch, bits, "gave up")
+    def test_cover_gives_up_on_holes_the_ends_never_fill(self, bits, products, monkeypatch):
+        self.assert_kernels(monkeypatch, bits, products, checked=True)
 
-    def test_cover_is_exact_whenever_it_returns(self):
-        # called directly, so also on sets below the floor: whatever it
-        # returns is the reference, 0 where not asked for; fewer than 8
-        # elements are all taken before the first count, and a dilate by 2
-        # or 3 has holes that make it give up
+    @pytest.mark.parametrize("p, products", [(0.1, ()), (0.06, ("sums",))])
+    def test_each_kind_has_its_own_verdict(self, p, products, monkeypatch):
+        # random sets at M = 10**5: at density 1/10 the cover settles both
+        # kinds; at 0.06 it gives up on both, and only the sums have runs
+        # enough left for the product, so the magnitudes keep their passes
+        rng = random.Random(7)
+        bits = sum(1 << x for x in range(10 ** 5) if rng.random() < p) | 1 << 10 ** 5 - 1
+        self.assert_kernels(monkeypatch, bits, products, reference=False, checked=True)
+
+    def test_the_sum_zone_starts_at_twice_the_least_element_left(self, monkeypatch):
+        # dense ends read by the first pair of windows, the bottom one cut
+        # back to 64; nothing in (64, 128], so 128 is a sum only as 64 + 64,
+        # which no run taken holds, and the checkpoint must test it
+        verdicts, verdict = [], core._verdict
+        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(verdict(*args))
+                            or verdicts[-1])
+        for seed in range(40):
+            rng = random.Random(seed)
+            top = rng.randrange(600, 3000)
+            low = [x for x in range(63) if rng.random() < 0.5] + [64]
+            elems = {*low, *(x for x in range(129, top - 128) if rng.random() < 0.5),
+                     *(top - x for x in low)}
+            bits = ref_bits_of(elems)
+            assert _sums_and_mags(bits, True, True) == (ref_sumset_bits(bits), ref_diff_bits(bits))
+        assert "test" in verdicts
+
+    def test_run_kernel_is_exact_for_every_kind_pair(self, monkeypatch):
+        # random, dilated, offset and few-run sets of every size class
+        # against the reference, every pair of kinds asked for; the cover's
+        # checkpoint settles some kinds by tests and gives up on others
+        verdicts, verdict = [], core._verdict
+        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(verdict(*args))
+                            or verdicts[-1])
         rng = random.Random(97)
-        outcomes = set()
         for _ in range(400):
-            width, scale = rng.choice((3, 20, 100, 400)), rng.choice((1, 1, 2, 3))
+            width, scale = rng.choice((3, 20, 100, 400, 3000)), rng.choice((1, 1, 2, 3))
             elems = rng.sample(range(width), rng.randint(1, width))
-            bits = ref_bits_of(scale * e for e in elems) << rng.randrange(9)
+            bits = ref_bits_of(scale * e for e in elems) << rng.randrange(200)
+            if rng.random() < 0.2:  # a few long runs, far apart
+                bits = sum(((1 << rng.randint(1, 300)) - 1) << 400 * i
+                           for i in range(rng.randint(1, 20)))
             sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
             for ask_s, ask_d in ((True, False), (False, True), (True, True)):
-                got = _kernel._cover(bits, ask_s, ask_d)
-                outcomes.add(got is not None)
-                if got is not None:
-                    assert got == (sums * ask_s, mags * ask_d)
-            if bits.bit_count() < 8:
-                assert _kernel._cover(bits, True, True) == (sums, mags)
-        assert outcomes == {True, False}
+                assert _sums_and_mags(bits, ask_s, ask_d) == (sums * ask_s, mags * ask_d)
+        assert {"test", "run"} <= set(verdicts)
 
     @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS"),
                         reason="about 3 s of products; set MSTD_SLOW_TESTS=1 to run")
