@@ -31,18 +31,61 @@ popcounts give the cardinalities. This does big-integer operations on
 ~2M-bit words instead of |A|^2 Python-level pair loops, which is what
 makes the exhaustive searches in mstd.search feasible in pure Python.
 
-sumset_bits, diff_bits and sum_diff_cards share one run kernel, which
-takes one shift per maximal run of consecutive elements instead of one
-per element. A run [u, u+L-1] contributes smear << u to the sums and
-smear >> (u+L-1) to the magnitudes, where smear ORs bits(A) << j over
-j < L. The runs are read off bits ^ (bits << 1), whose set bits alternate
-between a run's start and the position past its end, a doubling window
+sumset_bits, diff_bits and sum_diff_cards share three paths: intervals,
+for a set of few runs of consecutive elements or of few runs per residue
+class; the run kernel, one shift per run; and the exact decimal product
+of mstd._kernel, to which the run kernel gives a kind it cannot finish
+cheaply.
+
+Runs and intervals. The runs [u_i, v_i] of A are read off bits ^ (bits
+<< 1), whose set bits alternate between a run's start and the position
+past its end. A sum of two intervals is an interval, so A+A is the union
+over i <= j of [u_i + u_j, v_i + v_j], and D the union over i >= j of
+[max(0, u_i - v_j), v_i - u_j] (for i < j every difference is negative).
+The spans are sorted and merged, a span joining the one before when it
+starts at most one past its end; the cards count them, and a mask takes
+one shift per span, or one digit buffer past _FEW_SPANS of them.
+
+Residue classes. Many runs can be few per class mod g: the evens are one
+run mod 2, Nathanson's family five mod 4. The class A_r = {x in A : x = r
+mod g} maps onto C_r = {(x - r)/g} one to one, a Freiman isomorphism
+(Tao and Vu, Additive Combinatorics, 2006, ch. 5). For x = g*p + r and
+y = g*q + s,
+
+    x + y = g*(p + q + (r + s)//g) + (r + s) mod g
+    x - y = g*(p - q + (r - s)//g) + (r - s) mod g
+
+with floor division, so the carry of r < s is -1. So class t of A+A is
+the union over r + s = t (mod g) of C_r + C_s shifted by its carry, and
+class t of D the union over r - s = t (mod g) of C_r - C_s shifted by
+its carry, from quotient 0 up (g*q + t >= 0 iff q >= 0). Each is again a
+union of intervals, of the runs of the classes; g = 1 is the case above.
+_strides takes every class from one digit string of the mask, and the
+spans of all classes are laid back into one digit buffer.
+
+Choosing a path. Let R be the runs of A and W = M/64 the words of its
+mask. Intervals are taken when R**2 < W. Otherwise, for R >= 8 and W >=
+2, the _END_WINDOW bits nearest each end are read for a period: the least
+g <= _END_WINDOW/4 that repeats the window past its first quarter, tried
+at the first three offsets of set bits from the least one there, so a
+random set fails three tests at each end. When both ends have one, g is
+their lcm, and the classes mod g are taken when (their runs summed)**2 <
+W; else the run kernel runs. Every g is exact, so the choice moves cost
+only. On a 2-core x86-64 host, Python 3.11, random sets of R runs at M
+from 2**12 to 2**24 cross over near R**2 = W to 2W, the interval path
+several times faster below and the run kernel above; sum_diff_cards of
+k_set(100050) takes ~30 us (the run kernel ~180 us), and at M = 2**24
+that of the evens or of nathanson_set ~0.1-0.15 s and 55 MB of peak
+memory (the product 39-41 s and 560 MB).
+
+The run kernel takes one shift per run. A run [u, u+L-1] contributes
+smear << u to the sums and smear >> (u+L-1) to the magnitudes, where
+smear ORs bits(A) << j over j < L. The runs are read a doubling window
 at a time up from min(A) and down from max(A), each window cut back to
 whole runs, until the windows meet. The smear of each power of two is
 built once by doubling, and that of L in [2**k, 2**(k+1)) is the one of
 2**k ORed with itself shifted by L - 2**k, so R runs cost R passes, plus
-one per change of run length at most, and the k_set family is five runs
-for every m.
+one per change of run length at most.
 
 Between windows the kernel is a cover, which rests on the fact that only
 the fringes of A+A and A-A are in doubt for a dense set (Martin and
@@ -77,14 +120,12 @@ after c runs with chance about (1-p)**(c/2), and half-full sets finish
 within a few dozen runs at every M: sum_diff_cards takes ~5 ms at M =
 10**6 (the product 1.3 s), and classify ~0.1 s and ~40 MB above its
 baseline at M = 2**24 - 1 (the product 28 s and 540 MB). A kind is given
-up where a zone keeps a hole that no end fills, such as the evens, a
-residue class or an empty middle, and in a random set below density p ~
-0.07; the product then takes over near R ~ 4500-12000 runs for sums and
-~15000-40000 for differences as M goes from 2**14 to 2**22, so wide
-sparse sets and sets of a few long runs stay on shift-OR. Shift-OR's
-memory is a few masks of 2M bits: sum_diff_cards on the k_set mask at M
-= 2**24 - 1 takes ~0.1 s and ~25 MB above its baseline; mstd._kernel
-gives the product's.
+up where a zone keeps a hole that no end fills, such as a residue class
+whose ends show no period, or an empty middle, and in a random set below
+density p ~ 0.07; the product then takes over near R ~ 4500-12000 runs
+for sums and ~15000-40000 for differences as M goes from 2**14 to 2**22,
+so wide sparse sets stay on shift-OR. Shift-OR's memory is a few masks
+of 2M bits; mstd._kernel gives the product's.
 
 Packing and unpacking are linear in M: elements_of reads the
 binary digit string of the mask, and bits_of fills a digit buffer and
@@ -92,12 +133,14 @@ parses it, once the set has enough elements for that to beat OR-ing
 single bits. A mask with fewer than one element per _SPARSE_RATIO bit
 positions is unpacked from its bytes instead: bytes.find skips the zero
 bytes at C speed, so the Python-level work is per element, not per bit.
+A range is packed from its ends, step and length by one _smear.
 Three helpers map a mask in one pass: _reflect (bit max(A) - x for each
 x, its bytes reversed through a table), _stride (the class r mod g as
-{(x - r)/g}, every g-th binary digit) and _dilate ({g*x}, the digits
-spread g apart by _spread, which also lays out _kernel's decimal
-operands). The mirror, residue and gap readers use them and whole-mask
-shifts, no element tuple.
+{(x - r)/g}, every g-th binary digit; _strides takes several classes
+from one digit string) and _dilate ({g*x}, the digits spread g apart by
+_spread, which also lays out _kernel's decimal operands). The mirror,
+residue and gap readers use them and whole-mask shifts, no element
+tuple.
 
 Elements must lie in [0, UNIVERSE_CAP); beyond that the dense masks stop
 being a sensible encoding and construction raises UniverseOverflowError.
@@ -154,6 +197,11 @@ _PACK_MIN_CARD = 512
 # bytes instead of reading every digit (parity near 16 at M = 2**24)
 _SPARSE_RATIO = 32
 
+# the bits read at each end for a period of the interval path
+_END_WINDOW = 256
+# up to this many spans a mask is built by shifts, not from digits
+_FEW_SPANS = 32
+
 _UNPACK = bytes.maketrans(b"01", b"\x00\x01")
 _REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 _ANY_BIT = bytes([0] + [1] * 255)
@@ -165,6 +213,8 @@ for _bit in range(8):
 
 def bits_of(elements: Iterable[int]) -> int:
     """Pack an iterable of ints in [0, UNIVERSE_CAP) into a dense bitmask."""
+    if type(elements) is range:  # one progression: its ends, step and length
+        return _range_bits(elements)
     try:
         small = len(elements) < _PACK_MIN_CARD
     except TypeError:  # a one-shot iterable
@@ -196,6 +246,21 @@ def bits_of(elements: Iterable[int]) -> int:
     return int(digits, 2)
 
 
+def _range_bits(elements: range) -> int:
+    # bits_of a range, with its errors, by one _smear
+    if not elements:
+        return 0
+    low, top = sorted((elements[0], elements[-1]))
+    step = abs(elements.step)
+    if low < 0:
+        raise InvalidParameterError(f"set element {_num(low)} is negative")
+    if top >= UNIVERSE_CAP:
+        least = low if low >= UNIVERSE_CAP else low - (low - UNIVERSE_CAP) // step * step
+        raise UniverseOverflowError(
+            f"element {_num(least)} is at or beyond the universe cap {UNIVERSE_CAP}")
+    return _smear(1 << low, step, len(elements))
+
+
 def _smear(bits: int, step: int, count: int) -> int:
     # OR of bits << i*step over i < count, count >= 1, in about log2(count)
     # shift-ORs that each copy the block built so far
@@ -216,8 +281,13 @@ def _reflect(bits: int) -> int:
 
 def _stride(bits: int, g: int, r: int = 0) -> int:
     # {(x - r)/g : x in A, x = r mod g}, r < g: every g-th binary digit
+    return _strides(bits, g, (r,))[0]
+
+
+def _strides(bits: int, g: int, classes: Iterable[int]) -> list[int]:
+    # _stride of each class r in classes, from one digit string
     digits = bin(bits)[2:]
-    return int(digits[(len(digits) - 1 - r) % g::g] or "0", 2)
+    return [int(digits[(len(digits) - 1 - r) % g::g] or "0", 2) for r in classes]
 
 
 def _spread(bits: int, w: int) -> bytearray:
@@ -316,14 +386,154 @@ def _product(bits: int, reflect: bool) -> int:
     return _kronecker(bits, reflect)
 
 
-def _sums_and_mags(bits: int, sums: bool, mags: bool) -> tuple[int, int]:
+def _period(window: int, n: int) -> int:
+    # the least g <= n/4 that repeats the n-bit window past its first quarter
+    # (bit x equals bit x + g there), tried at the first three offsets of
+    # set bits from the least one; 0 if none
+    window >>= n // 4
+    if not window:
+        return 0
+    low = (window & -window).bit_length() - 1
+    window >>= low
+    n -= n // 4 + low
+    later = window >> 1  # bit g - 1 set: an offset g to try
+    for _ in range(3):
+        g = (later & -later).bit_length()
+        if not g or 4 * g > n:
+            return 0
+        if not (window ^ window >> g) & (1 << n - g) - 1:
+            return g
+        later &= later - 1
+    return 0
+
+
+def _class_runs(bits: int, edges: int, count: int) -> list | None:
+    # the runs [u, v] of each class mod g, contracted ({(x - r)/g}), g their
+    # count, when the module docstring's interval path pays; else None.
+    # count is edges.bit_count(), twice the runs
+    words = bits.bit_length() >> 6
+    if count * count < 4 * words:
+        return [_runs(edges, count)]
+    if count < 16:
+        return None
+    n = min(_END_WINDOW, bits.bit_length())
+    part = bits & (1 << n) - 1 or bits  # holds min(A), and is short unless min(A) >= n
+    low = (part & -part).bit_length() - 1
+    g = _period((bits & (1 << low + n) - 1) >> low, n)
+    g = g and math.lcm(g, _period(_reflect(bits >> bits.bit_length() - n), n))
+    if not 1 < g <= n // 4:
+        return None
+    classes = [c ^ c << 1 for c in _strides(bits, g, range(g))]
+    counts = [c.bit_count() for c in classes]
+    if sum(counts) ** 2 >= 4 * words:
+        return None
+    return [_runs(c, k) for c, k in zip(classes, counts)]
+
+
+def _runs(edges: int, count: int) -> list[tuple[int, int]]:
+    # the runs [u, v] of a mask from its count edges bits ^ bits << 1, read
+    # from 64 bits at each end when those hold them all
+    n = edges.bit_length()
+    low, high = edges & (1 << 64) - 1, edges >> max(n - 64, 0)
+    if n > 128 and low.bit_count() + high.bit_count() == count:
+        ends = (*elements_of(low), *(n - 64 + x for x in elements_of(high)))
+    else:
+        ends = elements_of(edges)
+    return [(u, stop - 1) for u, stop in zip(ends[::2], ends[1::2])]
+
+
+def _merge(spans: list) -> list[tuple[int, int]]:
+    # the union of the spans [lo, hi] as sorted disjoint spans
+    if not spans:
+        return []
+    spans.sort()
+    out = []
+    lo, hi = spans[0]
+    for a, b in spans:
+        if a <= hi + 1:
+            if b > hi:
+                hi = b
+        else:
+            out.append((lo, hi))
+            lo, hi = a, b
+    out.append((lo, hi))
+    return out
+
+
+def _span_sums(classes: list) -> list:
+    # each class of A+A as merged spans: class r plus class s lands in class
+    # (r + s) mod g, shifted by the carry (r + s) // g
+    g = len(classes)
+    out = [[] for _ in classes]
+    for r, ours in enumerate(classes):
+        for s in range(r, g):
+            carry, t = divmod(r + s, g)
+            theirs = classes[s]
+            out[t] += [(u + x + carry, v + y + carry) for i, (u, v) in enumerate(ours)
+                       for x, y in (theirs[i:] if r == s else theirs)]
+    return [_merge(spans) for spans in out]
+
+
+def _span_mags(classes: list) -> list:
+    # each class of D as merged spans: class r less class s lands in class
+    # (r - s) mod g, shifted by the carry (r - s) // g, and only quotients
+    # from 0 up are magnitudes
+    g = len(classes)
+    out = [[] for _ in classes]
+    for r, ours in enumerate(classes):
+        for s, theirs in enumerate(classes):
+            carry, t = divmod(r - s, g)
+            if r == s:  # a run less itself, or less a run below it
+                out[t] += [(0, v - u) for u, v in ours]
+                out[t] += [(u - y, v - x) for i, (u, v) in enumerate(ours) for x, y in ours[:i]]
+            else:
+                out[t] += [(max(0, u - y + carry), v - x + carry) for u, v in ours
+                           for x, y in theirs if v - x + carry >= 0]
+    return [_merge(spans) for spans in out]
+
+
+def _span_mask(spans: list) -> int:
+    # the union over classes t of {g*q + t : q in a span of class t}, by one
+    # shift per span when they are few, else from one digit buffer
+    g = len(spans)
+    if g == 1 and len(spans[0]) <= _FEW_SPANS:
+        return sum((2 << hi) - (1 << lo) for lo, hi in spans[0])
+    n = 1 + max(g * ours[-1][1] + t for t, ours in enumerate(spans) if ours)
+    digits = bytearray(b"0") * n
+    ones = b"1" * max(hi - lo + 1 for ours in spans for lo, hi in ours)
+    for t, ours in enumerate(spans):
+        for lo, hi in ours:
+            digits[n - 1 - g * hi - t:n - g * lo - t:g] = ones[:hi - lo + 1]
+    return int(digits, 2)
+
+
+def _span_count(spans: list) -> int:
+    return sum(hi - lo + 1 for ours in spans for lo, hi in ours)
+
+
+def _sums_and_mags(bits: int, sums: bool, mags: bool, count: bool = False) -> tuple[int, int]:
+    # bits(A+A) and bits(D), 0 where not asked for, or with count their
+    # sizes: from the spans of the runs where the interval path pays, else
+    # by the run kernel
+    edges = bits ^ bits << 1
+    ends = edges.bit_count()
+    if bits.bit_length() > 127 and (classes := _class_runs(bits, edges, ends)):  # two words
+        out = _span_count if count else _span_mask
+        return (out(_span_sums(classes)) if sums else 0,
+                out(_span_mags(classes)) if mags else 0)
+    s, d = _run_kernel(bits, edges, ends, sums, mags)
+    return (s.bit_count(), d.bit_count()) if count else (s, d)
+
+
+def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tuple[int, int]:
     # bits(A+A) and bits(D), 0 where not asked for, by the module docstring's
     # run kernel: one shift per run, the runs read from both ends a window at
-    # a time, and the cover's checkpoint between windows
-    edges = bits ^ bits << 1  # less those taken, which leaves them in [a, b)
+    # a time, and the cover's checkpoint between windows; edges is
+    # bits ^ bits << 1, less those taken, which leaves them in [a, b), and
+    # ends its bit count
     a, b = 0, edges.bit_length()
     width = b  # the rest at once, unless past 8 runs a checkpoint can come:
-    if edges.bit_count() > 16:  # then windows, up from min(A)
+    if ends > 16:  # then windows, up from min(A)
         a, width = (bits & -bits).bit_length() - 1, 64
     s = d = 0
     smears = [bits]  # smears[k] ORs bits << j over j < 2**k
@@ -422,8 +632,8 @@ def sum_diff_cards(bits: int, elements: tuple[int, ...] | None = None) -> tuple[
     """
     if not _require_mask(bits):
         raise EmptySetError("empty set has no sum or difference set")
-    s, d = _sums_and_mags(bits, sums=True, mags=True)
-    return s.bit_count(), 2 * d.bit_count() - 1
+    s, d = _sums_and_mags(bits, sums=True, mags=True, count=True)
+    return s, 2 * d - 1
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +762,7 @@ class Classification(NamedTuple):
 
 def sumset(a: IntSet) -> IntSet:
     """The sumset A+A."""
-    if len(a) == 0:
+    if not a.bits:
         raise EmptySetError("sumset of the empty set")
     if 2 * a.max >= UNIVERSE_CAP:  # what from_bits would reject, before the kernel runs
         raise UniverseOverflowError("bitmask extends beyond the universe cap")
@@ -568,7 +778,7 @@ def diffset(a: IntSet) -> tuple[IntSet, int]:
         The set {|a - b| : a, b in A} of nonnegative magnitudes, and
         2*|magnitudes| - 1, the cardinality of the full signed set A-A.
     """
-    if len(a) == 0:
+    if not a.bits:
         raise EmptySetError("difference set of the empty set")
     mags = diff_bits(a.bits)
     return IntSet.from_bits(mags), 2 * mags.bit_count() - 1
@@ -576,7 +786,7 @@ def diffset(a: IntSet) -> tuple[IntSet, int]:
 
 def classify(a: IntSet) -> Classification:
     """Classify A as sum-dominant, balanced, or difference-dominant."""
-    if len(a) == 0:
+    if not a.bits:
         raise EmptySetError("cannot classify the empty set")
     sc, dc = sum_diff_cards(a.bits)
     if sc > dc:

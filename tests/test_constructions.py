@@ -411,10 +411,18 @@ class TestDefaultBlocks:
     # by its digit string for the top elements, ~50 s and 0.5 GB by the products
     ("mstd.classify(mstd.IntSet.from_bits(random.Random(9).getrandbits(2**24)"
      " | 1 << 2**24 - 1))[1:]", "(33554429, 33554429)", 1, 120),
+    # the interval path on the classes mod 2 and mod 4: 38.6 s / 566 MB and
+    # 41.3 s / 556 MB by the decimal product
+    ("mstd.classify(mstd.IntSet.from_bits(int('01' * 2**23, 2)))[1:]",
+     "(16777215, 16777215)", 1, 120),
+    ("mstd.classify(mstd.nathanson_set((2**24 - 3) // 4))[1:]", "(25165826, 25165825)", 1, 120),
+    # one _smear: 2.7 s when its 2**24 ints were packed one by one
+    ("len(mstd.IntSet(range(2**24)))", "16777216", 1, 60),
 ], ids=["partition3_feasible", "ms_condition1-half-full", "ms_condition1-evens",
         "is_arithmetic_progression-interval", "is_arithmetic_progression-evens",
         "normalize_affine-evens", "normalize_affine-interval", "infer_block_gap-half-full",
-        "infer_block_gap-evens", "ms_condition2-blocks", "classify-half-full"])
+        "infer_block_gap-evens", "ms_condition2-blocks", "classify-half-full",
+        "classify-evens", "classify-nathanson", "intset-range"])
 def test_call_at_the_cap(call, want, seconds, megabytes):
     # a public call legal under the universe cap, in a fresh process: its
     # answer, its wall time and the process's peak memory (VmHWM, as

@@ -46,8 +46,10 @@ from mstd import (
 )
 from mstd import _kernel, core
 from mstd._kernel import _kronecker
-from mstd.core import (_DIFF_WEIGHT, _PACK_MIN_CARD, _SPARSE_RATIO, _SUM_WEIGHT, _dilate,
-                       _product_pays, _reflect, _smear, _spread, _stride, _sums_and_mags)
+from mstd.core import (_DIFF_WEIGHT, _FEW_SPANS, _PACK_MIN_CARD, _SPARSE_RATIO, _SUM_WEIGHT,
+                       _class_runs, _dilate, _product_pays, _reflect, _run_kernel, _runs,
+                       _smear, _span_count, _span_mags, _span_mask, _span_sums, _spread, _stride,
+                       _strides, _sums_and_mags)
 from tests._oracles import (
     mask_cases,
     naive_cards,
@@ -70,6 +72,23 @@ from tests._oracles import (
 def runs_of(bits):
     # the maximal runs of consecutive elements, counted by their starts
     return (bits & ~(bits << 1)).bit_count()
+
+
+def thin_top(bits, seed):
+    # bits with about half of its elements among its top 256 positions
+    # dropped at random, the largest kept: an end with no period to read
+    rng, top = random.Random(seed), bits.bit_length() - 1
+    for x in range(top - 255, top):
+        if bits >> x & 1 and rng.random() < 0.5:
+            bits ^= 1 << x
+    return bits
+
+
+def path_of(bits):
+    # the interval path's class count g for bits, or None for the run kernel
+    edges = bits ^ bits << 1
+    classes = _class_runs(bits, edges, edges.bit_count())
+    return classes and len(classes)
 
 
 class TestIntSet:
@@ -197,6 +216,33 @@ class TestIntSet:
         assert hash(GapNotation(0, [1])) == hash(GapNotation(0, (1,)))
         assert g._replace(gaps=[3]).gaps == (3,)
         assert g.to_intset() == IntSet([0, 1, 3])
+
+    def test_ranges_pack_like_their_elements(self):
+        # a range is packed from its ends, step and length, with the masks
+        # and errors of its elements as a tuple: empty, negative, ascending
+        # and descending, and across the cap
+        def packed(elements):
+            try:
+                return bits_of(elements)
+            except mstd.Error as error:
+                return type(error), str(error)
+        rng = random.Random(29)
+        seen = set()
+        for i in range(1500):  # every 20th across the cap, kept short: a tuple packs slowly there
+            base, width = (UNIVERSE_CAP - 30, 60) if i % 20 == 0 else (rng.choice((0, 0, -40)), 400)
+            step = rng.choice((1, 1, 2, 3, 7, 64, 1000)) * rng.choice((1, -1))
+            r = range(base + rng.randrange(-20, width), base + rng.randrange(-20, width), step)
+            got = packed(r)
+            assert got == packed(tuple(r)), r
+            seen.add("error" if type(got) is tuple else min(got.bit_count(), 2))
+        assert seen == {0, 1, 2, "error"}
+        thirds = int("1" + "001" * (UNIVERSE_CAP // 3), 2)  # 0, 3, ..., 2**24 - 1
+        assert IntSet(range(UNIVERSE_CAP - 1, -1, -3)).bits == thirds
+        with pytest.raises(UniverseOverflowError,
+                           match=f"^element {UNIVERSE_CAP + 2} is at or beyond the universe cap"):
+            IntSet(range(UNIVERSE_CAP - 7, UNIVERSE_CAP + 10 ** 30, 3))
+        with pytest.raises(InvalidParameterError, match="^set element -3 is negative$"):
+            IntSet(range(10 ** 6, -4, -1))
 
     def test_universe_cap(self):
         IntSet([UNIVERSE_CAP - 1])
@@ -724,11 +770,14 @@ class TestLargeSetKernel:
             assert _kronecker(bits, reflect=False) == sums
             assert _kronecker(bits, reflect=True) == mags
 
-    def test_public_products_of_the_evens(self, monkeypatch):
-        # the evens below 2**16: the cover gives up on their odd holes, and
-        # the runs left pass both crossovers, so every public call reaches
-        # the product of each kind it asks for
-        bits = int("01" * (1 << 15), 2)
+    def test_public_products_of_thinned_evens(self, monkeypatch):
+        # the evens below 2**16, their top 256 positions thinned at random:
+        # no period shows at that end, so the run kernel takes them; the
+        # cover gives up on their odd holes, and the runs left pass both
+        # crossovers, so every public call reaches the product of each kind
+        # it asks for
+        bits = thin_top(int("01" * (1 << 15), 2), 16)
+        assert path_of(bits) is None
         left = runs_of(bits) - 1000  # more than the runs taken when it gives up
         assert _product_pays(bits, left, _SUM_WEIGHT) and _product_pays(bits, left, _DIFF_WEIGHT)
         products, kronecker = [], _kernel._kronecker
@@ -738,7 +787,7 @@ class TestLargeSetKernel:
             return kronecker(bits, reflect)
         monkeypatch.setattr(_kernel, "_kronecker", spy)
         sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
-        assert sums == int("01" * ((1 << 16) - 1), 2) and mags == bits  # evens to 2**17 - 4
+        assert sums & int("10" * (1 << 16), 2) == mags & int("10" * (1 << 15), 2) == 0  # all even
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
         for call, want, reflects in ((diff_bits, mags, [True]), (sumset_bits, sums, [False]),
                                      (sum_diff_cards, cards, [False, True])):
@@ -815,10 +864,10 @@ class TestLargeSetKernel:
         def recording(mask):
             unpacked.append(mask.bit_count())
             return elements_of(mask)
-        # the kernel unpacks the run edges, and nothing else unpacks
+        # the interval path unpacks the run edges, and nothing else unpacks
         monkeypatch.setattr(core, "elements_of", recording)
         assert sum_diff_cards(bits) == (2 * m + 14, 2 * m + 13)
-        assert unpacked == [10]  # five runs, two edges each, read at once
+        assert unpacked == [5, 5]  # five runs, two edges each, from 64 bits at each end
 
     @pytest.mark.parametrize("m", [9, 1000, 20_000, 400_000])
     def test_k_set_closed_forms(self, m):
@@ -922,15 +971,18 @@ class TestLargeSetKernel:
             assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("bits, products", [
-        (int("01" * 8192, 2), ("sums",)),  # the evens: no odd sum or magnitude
+        # each with its top thinned, so that the run kernel takes it (the
+        # interval path takes the plain ones, TestIntervalPath)
+        (thin_top(int("01" * 8192, 2), 1), ("sums",)),  # the evens: no odd sum or magnitude
         # the multiples of 3 and two points in the middle, which alone make
         # the sums and magnitudes of the other two classes
-        (int("001" * 5461, 2) | 1 << 8194 | 1 << 8195, ("sums",)),
+        (thin_top(int("001" * 5461, 2), 3) | 1 << 8194 | 1 << 8195, ("sums",)),
         # dense ends and an empty middle, so A+A and A-A have holes there;
         # too few runs are left for a product to pay
         ((random.Random(3).getrandbits(4096) << 12_288) | random.Random(4).getrandbits(4096), ()),
     ], ids=["evens", "multiples_of_3", "empty_middle"])
     def test_cover_gives_up_on_holes_the_ends_never_fill(self, bits, products, monkeypatch):
+        assert path_of(bits) is None
         self.assert_kernels(monkeypatch, bits, products, checked=True)
 
     @pytest.mark.parametrize("p, products", [(0.1, ()), (0.06, ("sums",))])
@@ -996,14 +1048,119 @@ class TestLargeSetKernel:
         assert got.sum_card <= 2 * a.max + 1 and got.diff_card <= 2 * a.max + 1
 
     def test_decimal_is_imported_only_by_a_product(self):
-        # k_set's five runs stay on shift-OR; 20000 single elements do not
-        code = ("import sys, mstd.cli; seen = lambda: 'decimal' in sys.modules; "
+        # k_set's five runs and the 20000 odd numbers take the interval path;
+        # the sums of a random set of density 1/20 at 2**17 reach the product
+        code = ("import random, sys, mstd.cli; seen = lambda: 'decimal' in sys.modules; "
                 "before = seen(); mstd.sumset_bits(mstd.k_set(100_000).bits); "
-                "runs = seen(); mstd.sumset_bits(int('10' * 20_000, 2)); "
-                "print(before, runs, seen())")
+                "runs = seen(); mstd.sumset_bits(int('10' * 20_000, 2)); odd = seen(); "
+                "mstd.sumset_bits(mstd.bits_of(random.Random(1).sample(range(1 << 17), 6553))); "
+                "print(before, runs, odd, seen())")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["False", "False", "True"]
+        assert out.stdout.split() == ["False", "False", "False", "True"]
+
+
+def spans_of(bits, g):
+    # the interval path forced at g: the spans of A+A and of D, by class
+    classes = [_runs(e, e.bit_count()) for e in (c ^ c << 1 for c in _strides(bits, g, range(g)))]
+    return _span_sums(classes), _span_mags(classes)
+
+
+class TestIntervalPath:
+    @staticmethod
+    def assert_exact(bits, gs=()):
+        # every public call and the run kernel against the oracles, and the
+        # spans at each g in gs, as masks and as counts
+        sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+        cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
+        assert (sumset_bits(bits), diff_bits(bits), sum_diff_cards(bits)) == (sums, mags, cards)
+        assert sum_diff_cards(bits, elements_of(bits)) == cards
+        for ask_s, ask_d in ((True, False), (False, True)):
+            assert _sums_and_mags(bits, ask_s, ask_d) == (sums * ask_s, mags * ask_d)
+        edges = bits ^ bits << 1
+        assert _run_kernel(bits, edges, edges.bit_count(), True, True) == (sums, mags)
+        for g in gs:
+            s, d = spans_of(bits, g)
+            assert (_span_mask(s), _span_mask(d)) == (sums, mags), g
+            assert (_span_count(s), _span_count(d)) == (sums.bit_count(), mags.bit_count()), g
+
+    def test_unions_of_progressions_at_every_g(self):
+        # up to 4 progressions of steps up to 12, at g = 1, 2, 3, 4, 6 and 12;
+        # at g = 1 the masks come from shifts and from digits
+        rng = random.Random(113)
+        many = []
+        for _ in range(400):
+            bits = 0
+            for _ in range(rng.randint(1, 4)):
+                bits |= _smear(1 << rng.randrange(300), rng.randint(1, 12), rng.randint(1, 40))
+            self.assert_exact(bits, (1, 2, 3, 4, 6, 12))
+            many.append(len(spans_of(bits, 1)[0][0]) > _FEW_SPANS)
+        assert any(many) and not all(many)
+
+    @pytest.mark.parametrize("bits, g", [
+        (k_set(20_000).bits, 1),
+        (mstd.nathanson_set(3000).bits, 4),
+        (int("01" * 8192, 2), 2),  # the evens below 2**14
+        (int("001" * 5461, 2) | 1 << 8194 | 1 << 8195, 3),  # multiples of 3 and two points
+        (1 << 5000, 1),  # one element
+        ((1 << 5000) - 1 << 3, 1),  # one run
+        # dense ends, each of 64 positions, and an empty middle
+        (random.Random(3).getrandbits(64) << 9000 | 1 << 9063
+         | random.Random(4).getrandbits(64) | 1, None),
+        (thin_top(int("01" * 8192, 2), 1), None),  # the evens with no period at the top
+        # the evens at both ends, random in the middle: too many class runs
+        (int("01" * 4096, 2) << 8192 | random.Random(5).getrandbits(8192) << 4096
+         | int("01" * 2048, 2), None),
+    ], ids=["k_set", "nathanson", "evens", "multiples_of_3", "one", "run", "empty_middle",
+            "thinned_evens", "random_middle"])
+    def test_shapes_take_their_path(self, bits, g, monkeypatch):
+        # the path each shape takes, its outputs against the oracles, and
+        # the run kernel called by the public calls only where it is taken
+        assert path_of(bits) == g
+        ran, run_kernel = [], core._run_kernel
+        monkeypatch.setattr(core, "_run_kernel", lambda *args: ran.append(1) or run_kernel(*args))
+        self.assert_exact(bits, (g,) if g and g > 1 else (1,) if g else ())
+        assert bool(ran) == (g is None)
+
+    def test_small_and_random_sets_keep_the_run_kernel(self):
+        # search-sized sets, random sets of density 1/4 at 2**10 to 2**17,
+        # and literals the size of the benchmark's CLI sets
+        rng = random.Random(127)
+        for top, size in ((22, 8), (25, 19), (71, 64)):
+            for _ in range(300):
+                assert path_of(ref_bits_of(rng.sample(range(top), size))) is None
+        for k in range(10, 18):
+            bits = sum(1 << x for x in range(1 << k) if rng.random() < 0.25)
+            assert path_of(bits) is None
+        for top, size in ((40, 12), (60, 9), (8000, 2000)):
+            assert path_of(ref_bits_of(rng.sample(range(top), size))) is None
+
+    def test_the_crossover(self):
+        # R**2 < M/64 (mask words) takes intervals: four runs from 17
+        # words, not at 16; at g = 2, three class runs from 10 words, not at 9
+        def four(top):  # {0, 1}, {3}, {top - 2}, {top}
+            return 0b1011 | 0b101 << top - 2
+        assert [path_of(four(top)) for top in (1086, 1087)] == [None, 1]
+
+        def three(top):  # the evens to top, and 301, 303, 305 and 341, 343: two runs mod 2
+            return int("01" * (top // 2 + 1), 2) | 0b10101 << 301 | 0b101 << 341
+        assert [path_of(three(top)) for top in (638, 640)] == [None, 2]
+        for bits in (four(1086), four(1087), three(638), three(640)):
+            self.assert_exact(bits, (1, 2))
+
+    def test_periods_at_the_ends(self):
+        # a period is read past the first quarter of each end's window, at
+        # one of the first three offsets; both ends must show one
+        evens = int("01" * 4096, 2)
+        assert path_of(evens) == 2
+        assert path_of(evens | 0b10111) == 2  # a few odd points at the bottom end
+        assert path_of(evens | 1 << 201) is None  # an odd point past that end's first quarter
+        # the split's period 30 = 1 + 29, and steps 4 and 6 at either end (lcm 12)
+        thirty = sum(0b11 << 30 * i for i in range(300))
+        assert path_of(thirty) == 30
+        mixed = _smear(1, 4, 2000) | _smear(1 << 8000, 6, 2000)
+        assert path_of(mixed) == 12
+        self.assert_exact(mixed, (12,))
 
 
 def test_smear_is_the_or_of_shifted_copies():
