@@ -33,9 +33,8 @@ makes the exhaustive searches in mstd.search feasible in pure Python.
 
 sumset_bits, diff_bits and sum_diff_cards share three paths: intervals,
 for a set of few runs of consecutive elements or of few runs per residue
-class; the run kernel, one shift per run; and the exact decimal product
-of mstd._kernel, to which the run kernel gives a kind it cannot finish
-cheaply.
+class; the run kernel, one shift per run; and the exact decimal product,
+to which the run kernel gives a kind it cannot finish cheaply.
 
 Runs and intervals. The runs [u_i, v_i] of A are read off bits ^ (bits
 << 1), whose set bits alternate between a run's start and the position
@@ -110,22 +109,32 @@ as at the last check, each kind asked for counts its unset positions in
 its zone. If they number no more than the runs taken and fewer than the
 runs left, it tests each one and is done: the tests cost no more than
 the passes did, nor than the passes they save. If a doubling of the runs
-has not halved them, the kind is given up: where the runs left reach
-weight * w * (bit length of M), w the digits of |A| (_SUM_WEIGHT,
-_DIFF_WEIGHT), it comes from the exact decimal product of mstd._kernel,
-imported then; otherwise it runs to the end unchecked. No pass is made
-twice. A sum below max(A) comes only from the bottom and one above it
-only from the top, so a random set of density p leaves a position unset
-after c runs with chance about (1-p)**(c/2), and half-full sets finish
-within a few dozen runs at every M: sum_diff_cards takes ~5 ms at M =
-10**6 (the product 1.3 s), and classify ~0.1 s and ~40 MB above its
-baseline at M = 2**24 - 1 (the product 28 s and 540 MB). A kind is given
-up where a zone keeps a hole that no end fills, such as a residue class
-whose ends show no period, or an empty middle, and in a random set below
-density p ~ 0.07; the product then takes over near R ~ 4500-12000 runs
-for sums and ~15000-40000 for differences as M goes from 2**14 to 2**22,
-so wide sparse sets stay on shift-OR. Shift-OR's memory is a few masks
-of 2M bits; mstd._kernel gives the product's.
+has not halved them and the runs left reach weight * w * (bit length of
+M), w the digits of |A| (_SUM_WEIGHT, _DIFF_WEIGHT), the kind is given
+up to the decimal product below; otherwise it is checked again at the
+next doubling. No pass is made twice. A sum below max(A) comes only
+from the bottom and one above it only from the top, so a random set of
+density p leaves a position unset after c runs with chance about
+(1-p)**(c/2), and half-full sets finish within a few dozen runs at every
+M: sum_diff_cards takes ~5 ms at M = 10**6 (the product 1.3 s), and
+classify ~0.1 s and ~40 MB above its baseline at M = 2**24 - 1 (the
+product 28 s and 540 MB). A kind stops halving where a zone keeps a
+hole that no end fills, such as a residue class whose ends show no
+period, or an empty middle, and in a random set below density p ~ 0.07;
+the product then takes over near R ~ 4500-12000 runs for sums and
+~15000-40000 for differences as M goes from 2**14 to 2**22, so wide
+sparse sets stay on shift-OR. Shift-OR's memory is a few masks
+of 2M bits.
+
+The decimal product is Kronecker substitution: at x = 10**w > |A|, the
+exact product A(x)*A(x) (or A(x)*x**M*A(1/x) for the magnitudes), A(x) =
+sum of x**a, carries in its w-digit block s the number of ways to write
+s, which no block overflows, so its nonzero blocks are the support.
+libmpdec multiplies by a number-theoretic transform, ~M*w*log(M) in all;
+the context traps Inexact and Rounded, so no product rounds silently. It
+takes ~3 bytes per decimal digit for sums and 5 for magnitudes (~400 and
+~650 MB near M = 2**24), the result read _CHUNK_BLOCKS blocks at a time.
+decimal is imported by the first product, so a process with none skips it.
 
 Packing and unpacking are linear in M: elements_of reads the
 binary digit string of the mask, and bits_of fills a digit buffer and
@@ -138,7 +147,7 @@ Three helpers map a mask in one pass: _reflect (bit max(A) - x for each
 x, its bytes reversed through a table), _stride (the class r mod g as
 {(x - r)/g}, every g-th binary digit; _strides takes several classes
 from one digit string) and _dilate ({g*x}, the digits spread g apart by
-_spread, which also lays out _kernel's decimal operands). The mirror,
+_spread, which also lays out the product's decimal operands). The mirror,
 residue and gap readers use them and whole-mask shifts, no element
 tuple.
 
@@ -179,15 +188,16 @@ UNIVERSE_CAP = 1 << 24
 # bitmask kernel
 
 
-# A kind the cover gives up on goes to the decimal product of mstd._kernel
+# A kind the cover gives up on goes to the decimal product (_kronecker)
 # when the runs left number >= weight * w * (bit length of M), w the digits
 # of |A|: there the product beats one pass per run. Fitted against one
 # pass per run of the whole set on a 2-core x86-64 host, Python 3.11, on
 # random sets of density 1/128 to 1/2 at M from 2**13 to 2**20: parity
 # sits near weights 45-75 (sums) and 75-120 (differences) at M <= 2**14,
-# and near 75-125 and 185-325 from 2**15 up, where these weights pick the
-# faster kernel at every point measured. Right shifts are cheaper than
-# left ones, hence the larger weight for differences.
+# and near 75-125 and 185-325 from 2**15 up. Right shifts are cheaper than
+# left ones, hence the larger weight for differences. Against the two-ended
+# run kernel, which checks on, the product lost at every hand-off measured
+# (density 1/20 to 1/128, M from 2**14 to 2**20; BENCH_kernel.json).
 _SUM_WEIGHT = 75
 _DIFF_WEIGHT = 250
 # below this many elements OR-ing single bits beats the digit buffer
@@ -196,6 +206,11 @@ _PACK_MIN_CARD = 512
 # below one element per this many bit positions, elements_of skips zero
 # bytes instead of reading every digit (parity near 16 at M = 2**24)
 _SPARSE_RATIO = 32
+
+# product blocks turned into bits per step, which bounds the digit string
+_CHUNK_BLOCKS = 1 << 20
+# a product digit as a binary one: 0 stays 0, any count of ways becomes 1
+_NONZERO = bytes.maketrans(b"23456789", b"11111111")
 
 # the bits read at each end for a period of the interval path
 _END_WINDOW = 256
@@ -371,19 +386,38 @@ def _product_pays(bits: int, runs: int, weight: int) -> bool:
 
 def _verdict(bits: int, left: int, before, taken: int, rest: int, weight: int):
     # a kind's fate at a checkpoint from its open count: "test" them, give it
-    # to the "product" or "run" it to the end unchecked, or the count to
-    # compare at the next checkpoint
+    # to the "product", or the count to compare at the next checkpoint
     if left <= taken and left < rest:
         return "test"
-    if before is not None and 2 * left > before:
-        return "product" if _product_pays(bits, rest, weight) else "run"
+    if before is not None and 2 * left > before and _product_pays(bits, rest, weight):
+        return "product"
     return left
 
 
-def _product(bits: int, reflect: bool) -> int:
-    # bits(A+A), or bits(D) with reflect, by mstd._kernel's decimal product
-    from ._kernel import _kronecker
-    return _kronecker(bits, reflect)
+def _kronecker(bits: int, reflect: bool) -> int:
+    # bits(A+A), or bits(D) with reflect, by the module docstring's decimal
+    # product in w-digit blocks
+    import decimal
+    n = bits.bit_length()
+    w = len(str(bits.bit_count()))  # 10**w > |A| >= every coefficient
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]
+    ctx = decimal.Context(prec=2 * n * w, Emax=decimal.MAX_EMAX, traps=traps)
+    # shifting by 0 in this context keeps the lowest _CHUNK_BLOCKS blocks
+    cut = decimal.Context(prec=_CHUNK_BLOCKS * w, Emax=decimal.MAX_EMAX, traps=traps)
+    p = decimal.Decimal(_spread(bits, w).decode())
+    q = decimal.Decimal(_spread(_reflect(bits), w).decode()) if reflect else p
+    prod = ctx.multiply(p, q)
+    del p, q
+    low = n - 1 if reflect else 0  # magnitudes 0..n-1 sit in blocks n-1 and up
+    out = 0
+    for at in range(low, 2 * n - 1, _CHUNK_BLOCKS):
+        # the digit string ends on a block boundary, so the i-th digit of
+        # every block, read with stride w, is a binary numeral over blocks;
+        # zfill gives every stride a digit when the chunk is one short block
+        digits = str(cut.shift(ctx.shift(prod, -at * w), 0)).zfill(w)
+        for i in range(w):
+            out |= int(digits[i::w].encode().translate(_NONZERO), 2) << (at - low)
+    return out
 
 
 def _period(window: int, n: int) -> int:
@@ -574,7 +608,7 @@ def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tup
         # the cover: every element below a and from b up is taken
         check, top = 2 * taken, bits.bit_length() - 1
         rest = (edges >> a).bit_count() // 2  # runs not taken
-        if sums and seen_s != "run":
+        if sums:
             opened = ~(s >> 2 * a) & (1 << 2 * (b - a) - 1) - 1
             seen_s = _verdict(bits, opened.bit_count(), seen_s, taken, rest, _SUM_WEIGHT)
             if seen_s == "test":
@@ -584,9 +618,9 @@ def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tup
                     if bits & (rev << shift if shift >= 0 else rev >> -shift):
                         s |= 1 << 2 * a + t
             elif seen_s == "product":
-                s = _product(bits, reflect=False)
+                s = _kronecker(bits, reflect=False)
             sums = seen_s not in ("test", "product")
-        if mags and seen_d != "run":
+        if mags:
             opened = ~d & (2 << top - a) - 1
             seen_d = _verdict(bits, opened.bit_count(), seen_d, taken, rest, _DIFF_WEIGHT)
             if seen_d == "test":
@@ -594,12 +628,10 @@ def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tup
                     if bits & bits >> t:
                         d |= 1 << t
             elif seen_d == "product":
-                d = _product(bits, reflect=True)
+                d = _kronecker(bits, reflect=True)
             mags = seen_d not in ("test", "product")
         if not (sums or mags):
             return s, d
-        if not (sums and seen_s != "run" or mags and seen_d != "run"):
-            width = b  # nothing left to check: the rest at once
 
 
 def sumset_bits(bits: int) -> int:

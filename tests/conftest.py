@@ -1,5 +1,10 @@
-"""Suite-wide fixtures: a time limit on every test."""
+"""Suite-wide fixtures: a time limit on every test, and the slow opt-in.
 
+A test marked @pytest.mark.slow("about 2 s of scanning") is skipped with
+that reason unless the environment sets MSTD_SLOW_TESTS=1.
+"""
+
+import os
 import signal
 import threading
 
@@ -8,6 +13,19 @@ import pytest
 # a test still running after this many seconds fails, so that a loop that
 # spins fails its own test instead of hanging the whole suite
 TIME_LIMIT_S = 300
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow(reason): run only with MSTD_SLOW_TESTS=1")
+
+
+def pytest_collection_modifyitems(items):
+    if os.environ.get("MSTD_SLOW_TESTS"):
+        return
+    for item in items:
+        if mark := item.get_closest_marker("slow"):
+            reason = f"{mark.args[0]}; set MSTD_SLOW_TESTS=1 to run"
+            item.add_marker(pytest.mark.skip(reason=reason))
 
 
 @pytest.fixture(autouse=True)

@@ -379,8 +379,8 @@ class TestDefaultBlocks:
             assert (got.a1, got.a2) == ref_partition3_parts(spec), m
 
 
-@pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS") or not os.path.exists("/proc/self"),
-                    reason="about 2 s of subprocesses, on Linux; set MSTD_SLOW_TESTS=1 to run")
+@pytest.mark.slow("about 2 s of subprocesses, on Linux")
+@pytest.mark.skipif(not os.path.exists("/proc/self"), reason="reads /proc/self/status, on Linux")
 @pytest.mark.parametrize("call,want,seconds,megabytes", [
     # the split of {1..2**24 - 1}: 16-21 s and 735 MB when the chains were swept
     ("str(mstd.partition3_feasible(2**24 - 1).witness[2])",

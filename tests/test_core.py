@@ -2,7 +2,6 @@
 
 import inspect
 import operator
-import os
 import random
 import re
 import subprocess
@@ -44,18 +43,18 @@ from mstd import (
     sumset_bits,
     symmetry_center,
 )
-from mstd import _kernel, core
-from mstd._kernel import _kronecker
+from mstd import core
 from mstd.core import (_DIFF_WEIGHT, _FEW_SPANS, _PACK_MIN_CARD, _SPARSE_RATIO, _SUM_WEIGHT,
-                       _class_runs, _dilate, _product_pays, _reflect, _run_kernel, _runs,
-                       _smear, _span_count, _span_mags, _span_mask, _span_sums, _spread, _stride,
-                       _strides, _sums_and_mags)
+                       _class_runs, _dilate, _kronecker, _product_pays, _reflect, _run_kernel,
+                       _runs, _smear, _span_count, _span_mags, _span_mask, _span_sums, _spread,
+                       _stride, _strides, _sums_and_mags)
 from tests._oracles import (
     mask_cases,
     naive_cards,
     naive_diffset,
     naive_sumset,
     ref_bits_of,
+    ref_cards,
     ref_diff_bits,
     ref_dilate,
     ref_elements_of,
@@ -741,7 +740,7 @@ class TestLargeSetKernel:
         # the product path forced on sets of every size class, 1 to 4 digit
         # blocks, also with its digit string read a few blocks at a time
         if chunk:
-            monkeypatch.setattr(_kernel, "_CHUNK_BLOCKS", chunk)
+            monkeypatch.setattr(core, "_CHUNK_BLOCKS", chunk)
         rng = random.Random(71)
         for _ in range(300):
             top = rng.choice((1, 12, 150, 3000))
@@ -780,12 +779,12 @@ class TestLargeSetKernel:
         assert path_of(bits) is None
         left = runs_of(bits) - 1000  # more than the runs taken when it gives up
         assert _product_pays(bits, left, _SUM_WEIGHT) and _product_pays(bits, left, _DIFF_WEIGHT)
-        products, kronecker = [], _kernel._kronecker
+        products, kronecker = [], core._kronecker
 
         def spy(bits, reflect):
             products.append(reflect)
             return kronecker(bits, reflect)
-        monkeypatch.setattr(_kernel, "_kronecker", spy)
+        monkeypatch.setattr(core, "_kronecker", spy)
         sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
         assert sums & int("10" * (1 << 16), 2) == mags & int("10" * (1 << 15), 2) == 0  # all even
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
@@ -912,12 +911,12 @@ class TestLargeSetKernel:
     def assert_kernels(monkeypatch, bits, products, reference=True, checked=None):
         # every public kernel call on bits against the product, and against
         # the shift-OR reference where it is affordable; products names the
-        # kinds that reach mstd._kernel's product, "sums" and "mags", and
+        # kinds that reach the decimal product, "sums" and "mags", and
         # checked, if given, whether the cover's checkpoint runs
         seen, verdicts = [], []
-        kronecker, verdict = _kernel._kronecker, core._verdict
-        monkeypatch.setattr(_kernel, "_kronecker",
-                            lambda *args: seen.append(args[1]) or kronecker(*args))
+        kronecker, verdict = core._kronecker, core._verdict
+        monkeypatch.setattr(core, "_kronecker",
+                            lambda bits, reflect: seen.append(reflect) or kronecker(bits, reflect))
         monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(args) or verdict(*args))
         sums, mags = kronecker(bits, reflect=False), kronecker(bits, reflect=True)
         if reference:
@@ -988,11 +987,43 @@ class TestLargeSetKernel:
     @pytest.mark.parametrize("p, products", [(0.1, ()), (0.06, ("sums",))])
     def test_each_kind_has_its_own_verdict(self, p, products, monkeypatch):
         # random sets at M = 10**5: at density 1/10 the cover settles both
-        # kinds; at 0.06 it gives up on both, and only the sums have runs
-        # enough left for the product, so the magnitudes keep their passes
+        # kinds; at 0.06 neither halves its open count at the second
+        # checkpoint, and only the sums have runs enough left for the
+        # product, so the magnitudes are checked again and settle by test
         rng = random.Random(7)
         bits = sum(1 << x for x in range(10 ** 5) if rng.random() < p) | 1 << 10 ** 5 - 1
         self.assert_kernels(monkeypatch, bits, products, reference=False, checked=True)
+        if p == 0.06:
+            settled, verdict = {}, core._verdict  # each kind's weight: (runs taken, verdict)
+
+            def record(*args):
+                got = verdict(*args)
+                if isinstance(got, str):
+                    settled[args[-1]] = args[3], got
+                return got
+            monkeypatch.setattr(core, "_verdict", record)
+            sum_diff_cards(bits)
+            assert settled[_SUM_WEIGHT][1] == "product"
+            assert settled[_DIFF_WEIGHT][1] == "test" and 200 < settled[_DIFF_WEIGHT][0] < 300
+
+    def test_a_kind_that_does_not_halve_is_checked_again(self, monkeypatch):
+        # 1000 random elements below 50000: at the second checkpoint neither
+        # kind has halved its open count (the sums 86916 -> 64718), and no
+        # product pays, so both are checked again and settle by the
+        # per-position test at ~623 runs
+        bits = ref_bits_of(random.Random(5).sample(range(50_000), 1000))
+        verdicts, verdict = [], core._verdict  # (left, before, taken, verdict) per call
+        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
+            (*args[1:4], verdict(*args))) or verdicts[-1][-1])
+        products = []
+        monkeypatch.setattr(core, "_kronecker", lambda *args, **kw: products.append(kw))
+        assert sum_diff_cards(bits) == ref_cards(bits)
+        assert products == []
+        again = [(before, got) for left, before, _, got in verdicts
+                 if before is not None and 2 * left > before]
+        assert again[0] == (86916, 64718) and len(again) == 2 and isinstance(again[1][1], int)
+        assert [got for *_, got in verdicts[-2:]] == ["test", "test"]
+        assert 500 < verdicts[-1][2] < 700
 
     def test_the_sum_zone_starts_at_twice_the_least_element_left(self, monkeypatch):
         # dense ends read by the first pair of windows, the bottom one cut
@@ -1014,10 +1045,11 @@ class TestLargeSetKernel:
     def test_run_kernel_is_exact_for_every_kind_pair(self, monkeypatch):
         # random, dilated, offset and few-run sets of every size class
         # against the reference, every pair of kinds asked for; the cover's
-        # checkpoint settles some kinds by tests and gives up on others
+        # checkpoint settles some kinds by tests, and checks others again
+        # after a checkpoint that did not halve their open count
         verdicts, verdict = [], core._verdict
-        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(verdict(*args))
-                            or verdicts[-1])
+        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
+            (args[1:3], verdict(*args))) or verdicts[-1][-1])
         rng = random.Random(97)
         for _ in range(400):
             width, scale = rng.choice((3, 20, 100, 400, 3000)), rng.choice((1, 1, 2, 3))
@@ -1029,10 +1061,11 @@ class TestLargeSetKernel:
             sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
             for ask_s, ask_d in ((True, False), (False, True), (True, True)):
                 assert _sums_and_mags(bits, ask_s, ask_d) == (sums * ask_s, mags * ask_d)
-        assert {"test", "run"} <= set(verdicts)
+        assert "test" in {got for _, got in verdicts}
+        assert any(before is not None and 2 * left > before and isinstance(got, int)
+                   for (left, before), got in verdicts)
 
-    @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS"),
-                        reason="about 3 s of products; set MSTD_SLOW_TESTS=1 to run")
+    @pytest.mark.slow("about 3 s of products")
     def test_cover_at_scale(self):
         # a half-full set at 2**20 against the product, and one reaching the
         # top position classified in seconds (the products took ~50 s there)

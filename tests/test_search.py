@@ -146,8 +146,7 @@ class TestLargestSubset:
 
 
 # largest(33..36) together scan for about 1 s
-SLOW_LARGEST = pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS"),
-                                  reason="about 1 s of scanning; set MSTD_SLOW_TESTS=1 to run")
+SLOW_LARGEST = pytest.mark.slow("about 1 s of scanning")
 
 
 class TestLargestMirrorWalk:
@@ -698,8 +697,7 @@ class TestAgainstReferenceLoops:
             assert (rep.examined, rep.classified) == counts and rep.witnesses == []
             assert rep.classified == sum(canonical_count(span, diffs) for diffs in groups)
 
-    @pytest.mark.skipif(not os.environ.get("MSTD_SLOW_TESTS"),
-                        reason="about 2 s of scanning; set MSTD_SLOW_TESTS=1 to run")
+    @pytest.mark.slow("about 2 s of scanning")
     def test_conjecture_span_100_diff_12(self):
         # every pair of progressions with differences up to 12 inside {0..100}
         rep = two_ap_general_scan(100, 12, workers=2)
