@@ -31,10 +31,10 @@ popcounts give the cardinalities. This does big-integer operations on
 ~2M-bit words instead of |A|^2 Python-level pair loops, which is what
 makes the exhaustive searches in mstd.search feasible in pure Python.
 
-sumset_bits, diff_bits and sum_diff_cards share three paths: intervals,
+sumset_bits, diff_bits and sum_diff_cards share two paths: intervals,
 for a set of few runs of consecutive elements or of few runs per residue
-class; the run kernel, one shift per run; and the exact decimal product,
-to which the run kernel gives a kind it cannot finish cheaply.
+class; and the run kernel, one shift per run, which hands a kind whose
+cover stalls to the residue classes when those are few runs.
 
 Runs and intervals. The runs [u_i, v_i] of A are read off bits ^ (bits
 << 1), whose set bits alternate between a run's start and the position
@@ -68,73 +68,72 @@ mask. Intervals are taken when R**2 < W. Otherwise, for R >= 8 and W >=
 g <= _END_WINDOW/4 that repeats the window past its first quarter, tried
 at the first three offsets of set bits from the least one there, so a
 random set fails three tests at each end. When both ends have one, g is
-their lcm, and the classes mod g are taken when (their runs summed)**2 <
-W; else the run kernel runs. Every g is exact, so the choice moves cost
-only. On a 2-core x86-64 host, Python 3.11, random sets of R runs at M
-from 2**12 to 2**24 cross over near R**2 = W to 2W, the interval path
-several times faster below and the run kernel above; sum_diff_cards of
-k_set(100050) takes ~30 us (the run kernel ~180 us), and at M = 2**24
-that of the evens or of nathanson_set ~0.1-0.15 s and 55 MB of peak
-memory (the product 39-41 s and 560 MB).
+their lcm, up to _END_WINDOW, and the classes mod g are taken when (their
+runs summed)**2 < W (_classes); else the run kernel runs. Every g is
+exact, so the choice moves cost only. On a 2-core x86-64 host, Python
+3.11, random sets of R runs at M from 2**12 to 2**24 cross over near R**2
+= W to 2W, the interval path several times faster below and the run
+kernel above; sum_diff_cards of k_set(100050) takes ~30 us (the run
+kernel ~180 us), and at M = 2**24 that of the evens or of nathanson_set
+~0.1-0.15 s and 55 MB of peak memory.
 
 The run kernel takes one shift per run. A run [u, u+L-1] contributes
 smear << u to the sums and smear >> (u+L-1) to the magnitudes, where
-smear ORs bits(A) << j over j < L. The runs are read a doubling window
-at a time up from min(A) and down from max(A), each window cut back to
-whole runs, until the windows meet. The smear of each power of two is
-built once by doubling, and that of L in [2**k, 2**(k+1)) is the one of
-2**k ORed with itself shifted by L - 2**k, so R runs cost R passes, plus
-one per change of run length at most.
+smear ORs bits(A) << j over j < L: x + y for x in the run and every y in
+A, and y - x for x in the run and every y >= x in A. A is cut into
+blocks at every gap of at least M/_BLOCK_GAP bits (_blocks, from the
+runs of zero bytes of the mask), and the runs of each block are read a
+doubling window at a time up from its least element and down from its
+greatest, each window cut back to whole runs, until the windows meet.
+The smear of each power of two is built once by doubling, and that of L
+in [2**k, 2**(k+1)) is the one of 2**k ORed with itself shifted by
+L - 2**k, so R runs cost R passes, plus one per change of run length at
+most.
 
 Between windows the kernel is a cover, which rests on the fact that only
 the fringes of A+A and A-A are in doubt for a dense set (Martin and
-O'Bryant, "Many sets have more sums than differences", 2007). Every
-element below a and from b up has been taken, in whole runs.
+O'Bryant, "Many sets have more sums than differences", 2007). Block i,
+of extent [lo_i, hi_i], has a front (a_i, b_i): its elements below a_i
+and from b_i up have been taken, in whole runs, so those not taken, the
+open ones, lie in [a_i, b_i - 1].
 
-    Exact zones. A sum x + y, x <= y, below 2a has x < a, so x was taken
-    and its run's smear holds x + y; one above 2(b-1) has y >= b, so y
-    was taken. A magnitude y - x above top - a, top = max(A), has
-    x <= top - (y - x) < a, so x was taken and its run's smear holds it.
-    So outside the sums in [2a, 2(b-1)] and the magnitudes in
-    [0, top - a] the masks are exact, and inside them every set position
-    is a true sum or magnitude.
+    Exact zones. A sum x + y is in the mask once x or y is taken, and a
+    magnitude y - x, x <= y, once x is. So a pair still missing has both
+    terms open for a sum, and x open for a magnitude: with x in front i
+    and y in front j >= i, or in block j >= i, the missing sums lie in
+    the union over i <= j of [a_i + a_j, b_i + b_j - 2], and the missing
+    magnitudes in the union over i <= j of [max(0, lo_j - b_i + 1),
+    hi_j - a_i]. Outside these zones the masks are exact, and inside them
+    every set position is a true sum or magnitude. One block gives the
+    sums in [2a, 2(b-1)] and the magnitudes in [0, max(A) - a].
 
     Per-position test. A position s left unset in the sum zone is a sum
     iff bits(A) & (rev shifted by s - top) is nonzero, rev = A reflected
-    about top (its bit x says s - x is in A), and a magnitude t iff
-    bits(A) & (bits(A) >> t) is.
+    about top = max(A) (its bit x says s - x is in A), and a magnitude t
+    iff bits(A) & (bits(A) >> t) is.
 
 Between windows, once at least 8 runs are taken, and then twice as many
 as at the last check, each kind asked for counts its unset positions in
 its zone. If they number no more than the runs taken and fewer than the
 runs left, it tests each one and is done: the tests cost no more than
 the passes did, nor than the passes they save. If a doubling of the runs
-has not halved them and the runs left reach weight * w * (bit length of
-M), w the digits of |A| (_SUM_WEIGHT, _DIFF_WEIGHT), the kind is given
-up to the decimal product below; otherwise it is checked again at the
-next doubling. No pass is made twice. A sum below max(A) comes only
-from the bottom and one above it only from the top, so a random set of
+has not halved them, the kind has stalled on a hole that no end fills: a
+period is read from the _END_WINDOW positions of its zone from the least
+open one, as at the ends above, and when the classes of A mod that g are
+few runs, both kinds still open are finished from them on the interval
+path; each g is read once. Otherwise the kind is checked again at the
+next doubling. No pass is made twice. A sum below max(A) comes only from
+the bottom and one above it only from the top, so a random set of
 density p leaves a position unset after c runs with chance about
 (1-p)**(c/2), and half-full sets finish within a few dozen runs at every
-M: sum_diff_cards takes ~5 ms at M = 10**6 (the product 1.3 s), and
-classify ~0.1 s and ~40 MB above its baseline at M = 2**24 - 1 (the
-product 28 s and 540 MB). A kind stops halving where a zone keeps a
-hole that no end fills, such as a residue class whose ends show no
-period, or an empty middle, and in a random set below density p ~ 0.07;
-the product then takes over near R ~ 4500-12000 runs for sums and
-~15000-40000 for differences as M goes from 2**14 to 2**22, so wide
-sparse sets stay on shift-OR. Shift-OR's memory is a few masks
+M: sum_diff_cards takes ~5 ms at M = 10**6, and classify ~0.1 s and
+~40 MB above its baseline at M = 2**24 - 1. The evens with their top
+thinned stall on their odd holes and hand off to the classes mod 2
+(~0.5 s at 2**24); two ends of density 1/20 around an empty middle are
+two blocks, whose inner fronts fill the sums near the gap (~2 s at
+2**24), and a random set of density 1/20 is checked again until its
+tests settle it (~1-2 s at 2**24). The kernel's memory is a few masks
 of 2M bits.
-
-The decimal product is Kronecker substitution: at x = 10**w > |A|, the
-exact product A(x)*A(x) (or A(x)*x**M*A(1/x) for the magnitudes), A(x) =
-sum of x**a, carries in its w-digit block s the number of ways to write
-s, which no block overflows, so its nonzero blocks are the support.
-libmpdec multiplies by a number-theoretic transform, ~M*w*log(M) in all;
-the context traps Inexact and Rounded, so no product rounds silently. It
-takes ~3 bytes per decimal digit for sums and 5 for magnitudes (~400 and
-~650 MB near M = 2**24), the result read _CHUNK_BLOCKS blocks at a time.
-decimal is imported by the first product, so a process with none skips it.
 
 Packing and unpacking are linear in M: elements_of reads the
 binary digit string of the mask, and bits_of fills a digit buffer and
@@ -146,10 +145,9 @@ A range is packed from its ends, step and length by one _smear.
 Three helpers map a mask in one pass: _reflect (bit max(A) - x for each
 x, its bytes reversed through a table), _stride (the class r mod g as
 {(x - r)/g}, every g-th binary digit; _strides takes several classes
-from one digit string) and _dilate ({g*x}, the digits spread g apart by
-_spread, which also lays out the product's decimal operands). The mirror,
-residue and gap readers use them and whole-mask shifts, no element
-tuple.
+from one digit string) and _dilate ({g*x}, the digits spread g apart).
+The mirror, residue and gap readers use them and whole-mask shifts, no
+element tuple.
 
 Elements must lie in [0, UNIVERSE_CAP); beyond that the dense masks stop
 being a sensible encoding and construction raises UniverseOverflowError.
@@ -158,7 +156,7 @@ Gap notation describes a set by its first element and the run of
 consecutive gaps: {2, 3, 9, 10, 15} is written "(2 | 1, 6, 1, 5)" and a
 singleton {7} is "(7 |)". Parsing and formatting are exact inverses on
 canonical text. Both notations are read as one list of tokens: after any
-whitespace, a token is an optionally signed decimal integer or any other
+whitespace, a token is an optionally signed base-10 integer or any other
 single character, and the end of the text is the empty token. Each
 parser is its grammar over that list, and a ParseError's offset is where
 the offending token starts, also for a number with more digits than
@@ -188,18 +186,6 @@ UNIVERSE_CAP = 1 << 24
 # bitmask kernel
 
 
-# A kind the cover gives up on goes to the decimal product (_kronecker)
-# when the runs left number >= weight * w * (bit length of M), w the digits
-# of |A|: there the product beats one pass per run. Fitted against one
-# pass per run of the whole set on a 2-core x86-64 host, Python 3.11, on
-# random sets of density 1/128 to 1/2 at M from 2**13 to 2**20: parity
-# sits near weights 45-75 (sums) and 75-120 (differences) at M <= 2**14,
-# and near 75-125 and 185-325 from 2**15 up. Right shifts are cheaper than
-# left ones, hence the larger weight for differences. Against the two-ended
-# run kernel, which checks on, the product lost at every hand-off measured
-# (density 1/20 to 1/128, M from 2**14 to 2**20; BENCH_kernel.json).
-_SUM_WEIGHT = 75
-_DIFF_WEIGHT = 250
 # below this many elements OR-ing single bits beats the digit buffer
 _PACK_MIN_CARD = 512
 
@@ -207,13 +193,10 @@ _PACK_MIN_CARD = 512
 # bytes instead of reading every digit (parity near 16 at M = 2**24)
 _SPARSE_RATIO = 32
 
-# product blocks turned into bits per step, which bounds the digit string
-_CHUNK_BLOCKS = 1 << 20
-# a product digit as a binary one: 0 stays 0, any count of ways becomes 1
-_NONZERO = bytes.maketrans(b"23456789", b"11111111")
-
 # the bits read at each end for a period of the interval path
 _END_WINDOW = 256
+# the run kernel splits A into blocks at gaps of at least M/_BLOCK_GAP bits
+_BLOCK_GAP = 16
 # up to this many spans a mask is built by shifts, not from digits
 _FEW_SPANS = 32
 
@@ -305,18 +288,12 @@ def _strides(bits: int, g: int, classes: Iterable[int]) -> list[int]:
     return [int(digits[(len(digits) - 1 - r) % g::g] or "0", 2) for r in classes]
 
 
-def _spread(bits: int, w: int) -> bytearray:
-    # the binary digits, most significant first, each led by w - 1 zeros: the
-    # digits of bits(w*A) read in base 2, of A(10**w) in base 10
-    digits = bin(bits)[2:].encode()
-    out = bytearray(b"0") * (len(digits) * w)
-    out[w - 1::w] = digits
-    return out
-
-
 def _dilate(bits: int, g: int) -> int:
-    # {g*x : x in A}
-    return int(_spread(bits, g), 2)
+    # {g*x : x in A}: the binary digits, each led by g - 1 zeros
+    digits = bin(bits)[2:].encode()
+    out = bytearray(b"0") * (len(digits) * g)
+    out[g - 1::g] = digits
+    return int(out, 2)
 
 
 def _num(value) -> str:
@@ -379,45 +356,15 @@ def elements_of(bits: int) -> tuple[int, ...]:
     return tuple([*compress(count(), bin(bits)[:1:-1].encode().translate(_UNPACK))])
 
 
-def _product_pays(bits: int, runs: int, weight: int) -> bool:
-    # shift-OR makes one pass over the mask per run, the product ~w*log(M) per bit
-    return runs >= weight * len(str(bits.bit_count())) * bits.bit_length().bit_length()
-
-
-def _verdict(bits: int, left: int, before, taken: int, rest: int, weight: int):
-    # a kind's fate at a checkpoint from its open count: "test" them, give it
-    # to the "product", or the count to compare at the next checkpoint
+def _verdict(left: int, before, taken: int, rest: int):
+    # a kind's fate at a checkpoint from its open count: "test" them, or
+    # "stalled" when a doubling of the runs did not halve it (before is the
+    # count at the last checkpoint), or None to check it again at the next
     if left <= taken and left < rest:
         return "test"
-    if before is not None and 2 * left > before and _product_pays(bits, rest, weight):
-        return "product"
-    return left
-
-
-def _kronecker(bits: int, reflect: bool) -> int:
-    # bits(A+A), or bits(D) with reflect, by the module docstring's decimal
-    # product in w-digit blocks
-    import decimal
-    n = bits.bit_length()
-    w = len(str(bits.bit_count()))  # 10**w > |A| >= every coefficient
-    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]
-    ctx = decimal.Context(prec=2 * n * w, Emax=decimal.MAX_EMAX, traps=traps)
-    # shifting by 0 in this context keeps the lowest _CHUNK_BLOCKS blocks
-    cut = decimal.Context(prec=_CHUNK_BLOCKS * w, Emax=decimal.MAX_EMAX, traps=traps)
-    p = decimal.Decimal(_spread(bits, w).decode())
-    q = decimal.Decimal(_spread(_reflect(bits), w).decode()) if reflect else p
-    prod = ctx.multiply(p, q)
-    del p, q
-    low = n - 1 if reflect else 0  # magnitudes 0..n-1 sit in blocks n-1 and up
-    out = 0
-    for at in range(low, 2 * n - 1, _CHUNK_BLOCKS):
-        # the digit string ends on a block boundary, so the i-th digit of
-        # every block, read with stride w, is a binary numeral over blocks;
-        # zfill gives every stride a digit when the chunk is one short block
-        digits = str(cut.shift(ctx.shift(prod, -at * w), 0)).zfill(w)
-        for i in range(w):
-            out |= int(digits[i::w].encode().translate(_NONZERO), 2) << (at - low)
-    return out
+    if before is not None and 2 * left > before:
+        return "stalled"
+    return None
 
 
 def _period(window: int, n: int) -> int:
@@ -445,8 +392,7 @@ def _class_runs(bits: int, edges: int, count: int) -> list | None:
     # the runs [u, v] of each class mod g, contracted ({(x - r)/g}), g their
     # count, when the module docstring's interval path pays; else None.
     # count is edges.bit_count(), twice the runs
-    words = bits.bit_length() >> 6
-    if count * count < 4 * words:
+    if count * count < 4 * (bits.bit_length() >> 6):
         return [_runs(edges, count)]
     if count < 16:
         return None
@@ -455,13 +401,31 @@ def _class_runs(bits: int, edges: int, count: int) -> list | None:
     low = (part & -part).bit_length() - 1
     g = _period((bits & (1 << low + n) - 1) >> low, n)
     g = g and math.lcm(g, _period(_reflect(bits >> bits.bit_length() - n), n))
-    if not 1 < g <= n // 4:
-        return None
+    return _classes(bits, g) if 1 < g <= _END_WINDOW else None
+
+
+def _classes(bits: int, g: int) -> list | None:
+    # the runs of each class mod g, contracted, when their count summed
+    # passes the interval path's test; else None
     classes = [c ^ c << 1 for c in _strides(bits, g, range(g))]
     counts = [c.bit_count() for c in classes]
-    if sum(counts) ** 2 >= 4 * words:
+    if sum(counts) ** 2 >= 4 * (bits.bit_length() >> 6):
         return None
     return [_runs(c, k) for c, k in zip(classes, counts)]
+
+
+def _blocks(bits: int) -> list[tuple[int, int]]:
+    # the extents [lo, hi] of the blocks of A, split at every run of at
+    # least M/(8*_BLOCK_GAP) zero bytes, so at gaps of M/_BLOCK_GAP bits;
+    # M must be at least 8*_BLOCK_GAP bits, for a run of one byte or more
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    gap = bytes(len(raw) // _BLOCK_GAP)
+    out, lo = [], (bits & -bits).bit_length() - 1
+    while (end := raw.find(gap, lo // 8)) >= 0:  # byte end - 1 holds the block's top
+        out.append((lo, 8 * end - 8 + _BYTE_BITS[raw[end - 1]][-1]))
+        rest = bits >> 8 * end
+        lo = 8 * end + (rest & -rest).bit_length() - 1
+    return out + [(lo, bits.bit_length() - 1)]
 
 
 def _runs(edges: int, count: int) -> list[tuple[int, int]]:
@@ -561,32 +525,26 @@ def _sums_and_mags(bits: int, sums: bool, mags: bool, count: bool = False) -> tu
 
 def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tuple[int, int]:
     # bits(A+A) and bits(D), 0 where not asked for, by the module docstring's
-    # run kernel: one shift per run, the runs read from both ends a window at
-    # a time, and the cover's checkpoint between windows; edges is
-    # bits ^ bits << 1, less those taken, which leaves them in [a, b), and
-    # ends its bit count
-    a, b = 0, edges.bit_length()
-    width = b  # the rest at once, unless past 8 runs a checkpoint can come:
-    if ends > 16:  # then windows, up from min(A)
-        a, width = (bits & -bits).bit_length() - 1, 64
+    # run kernel: one shift per run, the runs read a window at a time from
+    # both ends of every block, and the cover's checkpoint between windows;
+    # edges is bits ^ bits << 1, and ends its bit count
+    top = bits.bit_length() - 1
     s = d = 0
     smears = [bits]  # smears[k] ORs bits << j over j < 2**k
     grown, at = bits, 1  # the same over j < at, the last run's length
     taken, check = 0, 8  # runs taken, and how many call the next checkpoint
-    seen_s = seen_d = None  # each kind's verdict at the last checkpoint
+    seen_s = seen_d = None  # each kind's open count at the last checkpoint
+    tried = {0, 1}  # the periods whose classes were read
+    if ends <= 16:  # fewer than 8 runs: all at once, before any checkpoint
+        fronts, windows = (), ((0, elements_of(edges)),)
+    else:  # windows, after a look for gaps as wide as the first ones
+        width, windows = 64, ()
+        blocks = (_blocks(bits) if top >= width * _BLOCK_GAP
+                  else [((bits & -bits).bit_length() - 1, top)])
+        # the fronts (a, b, j): the runs of block j not taken lie in [a, b),
+        # and b - 1 is past the last element of such a run
+        fronts = [(lo, hi + 2, j) for j, (lo, hi) in enumerate(blocks)]
     while True:
-        if b - a <= 2 * width:  # the windows would meet: the rest at once
-            windows, a = ((a, elements_of(edges >> a)),), b
-        else:  # a window from each end, each cut back to whole runs
-            low = elements_of(edges >> a & (1 << width) - 1)
-            high = elements_of(edges >> b - width)
-            cut_low, cut_high = len(low) % 2, len(high) % 2  # a start, a stop
-            windows = (a, low[:len(low) - cut_low]), (b - width, high[cut_high:])
-            taken += len(low) // 2 + len(high) // 2
-            a += low[-1] if cut_low else width
-            b -= width - high[0] - 1 if cut_high else width
-            edges &= (1 << b) - 1
-        width *= 2
         for base, got in windows:  # the edges less base
             part = 0  # the sums less base
             for u, stop in zip(got := iter(got), got):
@@ -601,37 +559,67 @@ def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tup
                 if mags:
                     d |= grown >> base + stop - 1
             s |= part << base
-        if a >= b:
+        if not fronts:
             return s, d
-        if taken < check:
-            continue
-        # the cover: every element below a and from b up is taken
-        check, top = 2 * taken, bits.bit_length() - 1
-        rest = (edges >> a).bit_count() // 2  # runs not taken
-        if sums:
-            opened = ~(s >> 2 * a) & (1 << 2 * (b - a) - 1) - 1
-            seen_s = _verdict(bits, opened.bit_count(), seen_s, taken, rest, _SUM_WEIGHT)
-            if seen_s == "test":
-                rev = _reflect(bits)
-                for t in elements_of(opened):
-                    shift = 2 * a + t - top  # rev shifted by it has bit 2a+t-y for y in A
-                    if bits & (rev << shift if shift >= 0 else rev >> -shift):
-                        s |= 1 << 2 * a + t
-            elif seen_s == "product":
-                s = _kronecker(bits, reflect=False)
-            sums = seen_s not in ("test", "product")
-        if mags:
-            opened = ~d & (2 << top - a) - 1
-            seen_d = _verdict(bits, opened.bit_count(), seen_d, taken, rest, _DIFF_WEIGHT)
-            if seen_d == "test":
-                for t in elements_of(opened):
-                    if bits & bits >> t:
-                        d |= 1 << t
-            elif seen_d == "product":
-                d = _kronecker(bits, reflect=True)
-            mags = seen_d not in ("test", "product")
-        if not (sums or mags):
-            return s, d
+        if taken >= check:  # the cover: every open pair lies in these zones
+            check, rest, stalled = 2 * taken, ends // 2 - taken, 0
+            if sums:
+                zone = 0  # x + y for x, y open
+                for i, (a, b, _) in enumerate(fronts):
+                    for c, e, _ in fronts[i:]:
+                        zone |= (1 << b + e - 1) - (1 << a + c)
+                opened = zone & ~s
+                left = opened.bit_count()
+                verdict, seen_s = _verdict(left, seen_s, taken, rest), left
+                if verdict == "test":
+                    rev = _reflect(bits)
+                    for t in elements_of(opened):  # rev shifted by t - top: bit t - y for y in A
+                        if bits & (rev << t - top if t >= top else rev >> top - t):
+                            s |= 1 << t
+                    sums = False
+                elif verdict:
+                    stalled = opened
+            if mags:
+                zone = 0  # y - x for x open, y >= x
+                for a, b, j in fronts:
+                    for lo, hi in blocks[j:]:
+                        zone |= (2 << hi - a) - (1 << max(0, lo - b + 1))
+                opened = zone & ~d
+                left = opened.bit_count()
+                verdict, seen_d = _verdict(left, seen_d, taken, rest), left
+                if verdict == "test":
+                    for t in elements_of(opened):
+                        if bits & bits >> t:
+                            d |= 1 << t
+                    mags = False
+                elif verdict:
+                    stalled = stalled or opened
+            if stalled:  # a period in the open zone may make A few runs per class
+                low = (stalled & -stalled).bit_length() - 1
+                g = _period(stalled >> low & (1 << _END_WINDOW) - 1, _END_WINDOW)
+                if g not in tried:
+                    tried.add(g)
+                    if classes := _classes(bits, g):
+                        return (_span_mask(_span_sums(classes)) if sums else s,
+                                _span_mask(_span_mags(classes)) if mags else d)
+            if not (sums or mags):
+                return s, d
+        windows, still = [], []
+        for a, b, j in fronts:
+            if b - a <= 2 * width:  # the windows would meet: the rest at once
+                got = elements_of(edges >> a & (1 << b - a) - 1)
+                windows.append((a, got))
+                taken += len(got) // 2
+                continue
+            # a window from each end, each cut back to whole runs
+            low = elements_of(edges >> a & (1 << width) - 1)
+            high = elements_of(edges >> b - width & (1 << width) - 1)
+            cut_low, cut_high = len(low) % 2, len(high) % 2  # a start, a stop
+            windows += (a, low[:len(low) - cut_low]), (b - width, high[cut_high:])
+            taken += len(low) // 2 + len(high) // 2
+            still.append((a + low[-1] if cut_low else a + width,
+                          b - width + high[0] + 1 if cut_high else b - width, j))
+        fronts, width = still, 2 * width
 
 
 def sumset_bits(bits: int) -> int:
@@ -912,7 +900,7 @@ def format_set_literal(a: IntSet) -> str:
     return f"{{{', '.join(map(str, a.elements))}}}"
 
 
-# after any whitespace, an optionally signed decimal integer or any other
+# after any whitespace, an optionally signed base-10 integer or any other
 # character; _TOKEN.findall(text) lists a text's tokens, then '' (or two
 # after trailing whitespace) for its end
 _TOKEN = re.compile(r"\s*(-?\d+|\S?)")
@@ -928,8 +916,8 @@ def _int(text: str, tokens: list[str], i: int) -> int:
     tok = tokens[i]
     try:
         return int(tok)
-    except ValueError:  # not a number, or more digits than int() converts
-        what = (f"integer of {len(tok.lstrip('-'))} digits is too long" if tok[-1:].isdecimal()
+    except ValueError:  # one character that is no number, or more digits than int() converts
+        what = (f"integer of {len(tok.lstrip('-'))} digits is too long" if len(tok) > 1
                 else f"expected integer, found {tok!r}")
         raise ParseError(what, _offset(text, i)) from None
 
@@ -937,7 +925,7 @@ def _int(text: str, tokens: list[str], i: int) -> int:
 def parse_set_literal(text: str) -> IntSet:
     """Parse "{1, 2, 3}", "1,2,3", or "1 2 3" into an IntSet.
 
-    Elements must be nonnegative decimal integers; separators are commas
+    Elements must be nonnegative base-10 integers; separators are commas
     and/or whitespace; braces are optional but must be balanced. "{}" is
     the empty set. Raises ParseError with the byte offset of the first
     offending token.

@@ -2,8 +2,9 @@
 
 The naive functions work on plain Python sets with explicit double
 loops. The ref_ functions are the original shift-OR kernel, one shifted
-copy of the mask per element. Neither shares code with the package's
-bitmask arithmetic. The ref_*_worker and ref_*_scan functions are the
+copy of the mask per element, and ref_product_bits an exact decimal
+product for masks too wide for that. None of them shares code with the
+package's bitmask arithmetic. The ref_*_worker and ref_*_scan functions are the
 search engines' candidate loops as plain combinations loops over the
 shift-OR reference. The ref_parse_ functions are the character-by-
 character scanners that read the two set notations before the token
@@ -12,6 +13,7 @@ classes off element tuples, as the library did before core's reflect,
 stride and dilate. mask_cases makes the seeded sets they are compared on.
 """
 
+import decimal
 import math
 import random
 import re
@@ -47,7 +49,9 @@ def naive_is_sum_dominant(elements):
 
 # ---------------------------------------------------------------------------
 # shift-OR reference: the bitmask kernel as it stood before the linear
-# pack/unpack and the decimal product path, kept to cross-check them
+# pack/unpack, the run kernel and the interval path, kept to cross-check
+# them; and an exact decimal product for masks too wide for one shift per
+# element
 
 
 def ref_bits_of(elements):
@@ -83,6 +87,30 @@ def ref_diff_bits(bits):
 def ref_cards(bits):
     """(|A+A|, |A-A|) of a nonempty mask, as the package's sum_diff_cards gives them."""
     return ref_sumset_bits(bits).bit_count(), 2 * ref_diff_bits(bits).bit_count() - 1
+
+
+def ref_product_bits(bits, reflect=False):
+    """bits(A+A), or bits(D) with reflect, from the exact decimal product
+    A(x)*A(x) (A(x)*A'(x) for D, A' = {max(A) - a}) at x = 10**w > |A|,
+    A(x) = sum of x**a: its w-digit block s counts the ways to make s, which
+    no block overflows, so the nonzero blocks are the support."""
+    elems = [i for i, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
+    top, w = elems[-1], len(str(len(elems)))
+    ctx = decimal.Context(prec=w * (2 * top + 1), Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact, decimal.Rounded])
+
+    def at_x(xs):  # the digits of A(10**w), most significant first
+        digits = bytearray(b"0") * (w * (top + 1))
+        for e in xs:
+            digits[w * (top - e) + w - 1] = 49  # ord("1")
+        return decimal.Decimal(digits.decode())
+    mirror = [top - e for e in elems] if reflect else elems
+    blocks = str(ctx.multiply(at_x(elems), at_x(mirror))).zfill(w * (2 * top + 1))
+    nonzero = bytes.maketrans(b"23456789", b"11111111")
+    out = 0
+    for i in range(w):  # digit i of every block, as a binary numeral over blocks
+        out |= int(blocks[i::w].encode().translate(nonzero), 2)
+    return out >> top if reflect else out  # the magnitude k - top sits in block k
 
 
 def ref_is_sum_dominant(elements):

@@ -379,7 +379,7 @@ class TestDefaultBlocks:
             assert (got.a1, got.a2) == ref_partition3_parts(spec), m
 
 
-@pytest.mark.slow("about 2 s of subprocesses, on Linux")
+@pytest.mark.slow("about 8 s of subprocesses, on Linux")
 @pytest.mark.skipif(not os.path.exists("/proc/self"), reason="reads /proc/self/status, on Linux")
 @pytest.mark.parametrize("call,want,seconds,megabytes", [
     # the split of {1..2**24 - 1}: 16-21 s and 735 MB when the chains were swept
@@ -408,21 +408,42 @@ class TestDefaultBlocks:
     ("mstd.ms_condition2(mstd.IntSet.from_bits(int('1' * 16 + ('00' + '1' * 98) * 167772, 2)),"
      " 3).applies", "True", 0.5, 120),
     # the run kernel's cover: 0.3 s and 52 MB when it reflected the whole set
-    # by its digit string for the top elements, ~50 s and 0.5 GB by the products
+    # by its digit string for the top elements
     ("mstd.classify(mstd.IntSet.from_bits(random.Random(9).getrandbits(2**24)"
      " | 1 << 2**24 - 1))[1:]", "(33554429, 33554429)", 1, 120),
-    # the interval path on the classes mod 2 and mod 4: 38.6 s / 566 MB and
-    # 41.3 s / 556 MB by the decimal product
+    # the interval path on the classes mod 2 and mod 4
     ("mstd.classify(mstd.IntSet.from_bits(int('01' * 2**23, 2)))[1:]",
      "(16777215, 16777215)", 1, 120),
     ("mstd.classify(mstd.nathanson_set((2**24 - 3) // 4))[1:]", "(25165826, 25165825)", 1, 120),
+    # the evens with their top 256 positions thinned, and with one odd
+    # element more: the cover stalls on the odd holes and hands both kinds
+    # to the classes mod 2
+    ("mstd.classify(mstd.IntSet.from_bits(int('01' * 2**23, 2)"
+     " & ~(random.Random(16).getrandbits(254) << 2**24 - 256)))[1:]",
+     "(16777213, 16777215)", 5, 300),
+    ("mstd.classify(mstd.IntSet.from_bits(int('01' * 2**23, 2)"
+     " & ~(random.Random(16).getrandbits(254) << 2**24 - 256) | 1 << 2**23 + 1))[1:]",
+     "(25165751, 25165825)", 5, 300),
+    # density 1/20, and two ends of 2**22 positions at 1/20 around an empty
+    # middle, whose blocks the cover runs from all four ends
+    ("mstd.classify(mstd.IntSet.from_bits(mstd.bits_of(random.Random(9).sample("
+     "range(2**24), 2**24 // 20)) | 1 << 2**24 - 1))[1:]", "(33553122, 33553817)", 5, 300),
+    ("mstd.classify(mstd.IntSet.from_bits(mstd.bits_of(random.Random(3).sample("
+     "range(2**22), 2**22 // 20)) | (mstd.bits_of(random.Random(4).sample("
+     "range(2**22), 2**22 // 20)) | 1 << 2**22 - 1) << 3 * 2**22))[1:]",
+     "(25161731, 25163675)", 5, 300),
+    # steps 7 and 12 overlapping in the middle: the classes mod 84
+    ("mstd.classify(mstd.IntSet(range(0, 10**7, 7)) | mstd.IntSet(range(2**23 + 1, 2**24, 12)))"
+     "[1:]", "(20151685, 33554353)", 5, 300),
     # one _smear: 2.7 s when its 2**24 ints were packed one by one
     ("len(mstd.IntSet(range(2**24)))", "16777216", 1, 60),
 ], ids=["partition3_feasible", "ms_condition1-half-full", "ms_condition1-evens",
         "is_arithmetic_progression-interval", "is_arithmetic_progression-evens",
         "normalize_affine-evens", "normalize_affine-interval", "infer_block_gap-half-full",
         "infer_block_gap-evens", "ms_condition2-blocks", "classify-half-full",
-        "classify-evens", "classify-nathanson", "intset-range"])
+        "classify-evens", "classify-nathanson", "classify-thinned-evens",
+        "classify-thinned-evens-and-odd", "classify-density-1/20", "classify-empty-middle",
+        "classify-steps-7-and-12", "intset-range"])
 def test_call_at_the_cap(call, want, seconds, megabytes):
     # a public call legal under the universe cap, in a fresh process: its
     # answer, its wall time and the process's peak memory (VmHWM, as

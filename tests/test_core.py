@@ -1,6 +1,7 @@
 """Set carrier, bitmask kernel, classification, notation round trips."""
 
 import inspect
+import math
 import operator
 import random
 import re
@@ -8,8 +9,8 @@ import subprocess
 import sys
 import time
 import timeit
-from bisect import bisect_left
 from importlib import import_module
+from itertools import count
 from types import ModuleType
 
 import pytest
@@ -44,10 +45,9 @@ from mstd import (
     symmetry_center,
 )
 from mstd import core
-from mstd.core import (_DIFF_WEIGHT, _FEW_SPANS, _PACK_MIN_CARD, _SPARSE_RATIO, _SUM_WEIGHT,
-                       _class_runs, _dilate, _kronecker, _product_pays, _reflect, _run_kernel,
-                       _runs, _smear, _span_count, _span_mags, _span_mask, _span_sums, _spread,
-                       _stride, _strides, _sums_and_mags)
+from mstd.core import (_BLOCK_GAP, _FEW_SPANS, _PACK_MIN_CARD, _SPARSE_RATIO, _blocks,
+                       _class_runs, _dilate, _reflect, _run_kernel, _runs, _smear, _span_count,
+                       _span_mags, _span_mask, _span_sums, _stride, _strides, _sums_and_mags)
 from tests._oracles import (
     mask_cases,
     naive_cards,
@@ -61,6 +61,7 @@ from tests._oracles import (
     ref_normalize_affine,
     ref_parse_gap_notation,
     ref_parse_set_literal,
+    ref_product_bits,
     ref_reflect,
     ref_stride,
     ref_sumset_bits,
@@ -73,11 +74,11 @@ def runs_of(bits):
     return (bits & ~(bits << 1)).bit_count()
 
 
-def thin_top(bits, seed):
-    # bits with about half of its elements among its top 256 positions
+def thin_top(bits, seed, span=256):
+    # bits with about half of its elements among its top span positions
     # dropped at random, the largest kept: an end with no period to read
     rng, top = random.Random(seed), bits.bit_length() - 1
-    for x in range(top - 255, top):
+    for x in range(top - span + 1, top):
         if bits >> x & 1 and rng.random() < 0.5:
             bits ^= 1 << x
     return bits
@@ -104,6 +105,14 @@ class TestIntSet:
         assert -3 not in a
         assert "2" not in a
         assert 10 not in a and 10 ** 30 not in a
+
+    def test_from_bits_stops_at_the_cap(self):
+        # a mask is a set while its top bit lies below the cap
+        assert IntSet.from_bits(1 << UNIVERSE_CAP - 1).max == UNIVERSE_CAP - 1
+        for bits in (1 << UNIVERSE_CAP, (1 << UNIVERSE_CAP + 5) - 1):
+            with pytest.raises(UniverseOverflowError,
+                               match="^bitmask extends beyond the universe cap$"):
+                IntSet.from_bits(bits)
 
     def test_bits_round_trip(self):
         a = IntSet([0, 4, 7])
@@ -279,7 +288,7 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("build", [
         lambda: random.Random(23).getrandbits(2**23) | 1 << 2**23,  # the cover: ~0.3 s
-        lambda: int("1" + "01" * 2**22, 2),  # the evens to 2**23, the product: ~8 s
+        lambda: int("1" + "01" * 2**22, 2),  # the evens to 2**23, the classes mod 2: ~0.1 s
     ], ids=["half-full", "evens"])
     def test_sumset_checks_the_cap_first(self, build):
         # the same error as a sumset that reached the cap, before any kernel runs
@@ -307,7 +316,7 @@ class TestArithmetic:
             sum_diff_cards(0)
         with pytest.raises(EmptySetError):
             sum_diff_cards(0, ())
-        for bits in (-1, -5, 1 - (1 << 40000)):  # the last one past both crossovers
+        for bits in (-1, -5, 1 - (1 << 40000)):  # the last one wide enough for blocks
             for kernel in (elements_of, sumset_bits, diff_bits, sum_diff_cards,
                            IntSet.from_bits):
                 with pytest.raises(InvalidParameterError, match="negative"):
@@ -465,13 +474,6 @@ class TestMaskPrimitives:
         assert _stride(0b1, 5, 3) == _stride(0, 4, 0) == _stride(0, 4, 1) == 0
         assert _reflect(1 << 40) == 1 and _reflect(0b1011000) == 0b1101
         assert _stride(_dilate(0b1101, 7), 7) == 0b1101
-
-    def test_spread_is_the_decimal_operand(self):
-        # read in base 10, the spread digits are A(10**w)
-        for elems in mask_cases(53, 300):
-            for w in (1, 2, 7):
-                got = int(_spread(ref_bits_of(elems), w).decode())
-                assert got == sum(10 ** (w * x) for x in elems), (elems, w)
 
 
 class TestGapNotation:
@@ -657,7 +659,7 @@ class TestNotationTokens:
 
 
 class TestLargeSetKernel:
-    """Linear pack/unpack and the decimal product against the shift-OR reference."""
+    """Linear pack/unpack and the run kernel against the references."""
 
     def test_round_trips_at_the_edges(self):
         for elems in ((), (0,), (UNIVERSE_CAP - 1,), (0, UNIVERSE_CAP - 1)):
@@ -735,76 +737,57 @@ class TestLargeSetKernel:
             lambda: IntSet([0, 5]) | IntSet([UNIVERSE_CAP - 1]), number=1, repeat=3))
         assert best < 0.1
 
-    @pytest.mark.parametrize("chunk", [None, 3])
-    def test_product_matches_reference_on_small_sets(self, chunk, monkeypatch):
-        # the product path forced on sets of every size class, 1 to 4 digit
-        # blocks, also with its digit string read a few blocks at a time
-        if chunk:
-            monkeypatch.setattr(core, "_CHUNK_BLOCKS", chunk)
-        rng = random.Random(71)
-        for _ in range(300):
-            top = rng.choice((1, 12, 150, 3000))
-            bits = ref_bits_of(rng.sample(range(top), rng.randint(1, top)))
-            assert _kronecker(bits, reflect=False) == ref_sumset_bits(bits)
-            assert _kronecker(bits, reflect=True) == ref_diff_bits(bits)
-
-    @pytest.mark.parametrize("top,size,on_product", [
-        (8191, 4000, (False, False)),     # ~2000 runs, below both crossovers
-        (8191, 8000, (False, False)),     # nearly full: ~190 runs
-        (32767, 32000, (False, False)),   # nearly full: ~750 runs
-        (1_000_000, 1000, (False, False)),  # wide and sparse
-        (32767, 16384, (True, False)),    # half full, ~8200 runs: sums above
-        (98303, 49152, (True, True)),     # half full, ~24600 runs: both above
+    @pytest.mark.parametrize("top,size", [
+        (8191, 4000),       # ~2000 runs
+        (8191, 8000),       # nearly full: ~190 runs
+        (32767, 32000),     # nearly full: ~750 runs
+        (1_000_000, 1000),  # wide and sparse
+        (32767, 16384),     # half full, ~8200 runs
+        (98303, 49152),     # half full, ~24600 runs
     ])
-    def test_public_kernel_on_both_sides_of_the_crossover(self, top, size, on_product):
+    def test_public_kernel_on_random_sets(self, top, size):
         rng = random.Random(top + size)
         bits = ref_bits_of(rng.sample(range(top), size - 1) + [top])
-        assert (_product_pays(bits, runs_of(bits), _SUM_WEIGHT),
-                _product_pays(bits, runs_of(bits), _DIFF_WEIGHT)) == on_product
+        assert path_of(bits) is None
         sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+        if top > 100_000:  # the product agrees with the shift-OR reference
+            assert (ref_product_bits(bits), ref_product_bits(bits, reflect=True)) == (sums, mags)
         assert sumset_bits(bits) == sums
         assert diff_bits(bits) == mags
         assert sum_diff_cards(bits) == (sums.bit_count(), 2 * mags.bit_count() - 1)
-        if top > 100_000:  # the product stays exact where it is not chosen
-            assert _kronecker(bits, reflect=False) == sums
-            assert _kronecker(bits, reflect=True) == mags
 
-    def test_public_products_of_thinned_evens(self, monkeypatch):
-        # the evens below 2**16, their top 256 positions thinned at random:
-        # no period shows at that end, so the run kernel takes them; the
-        # cover gives up on their odd holes, and the runs left pass both
-        # crossovers, so every public call reaches the product of each kind
-        # it asks for
-        bits = thin_top(int("01" * (1 << 15), 2), 16)
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_thinned_residue_classes_hand_off(self, g, monkeypatch):
+        # the multiples of g below 2**16, their top positions thinned: no
+        # period shows at that end, so the run kernel takes them; the cover
+        # stalls on the other classes' holes, reads g from them, and hands
+        # every call to the classes mod g, or keeps on where those are too
+        # many runs (g = 2 here), reading them once
+        bits = thin_top(_smear(1, g, (1 << 16) // g), g)
         assert path_of(bits) is None
-        left = runs_of(bits) - 1000  # more than the runs taken when it gives up
-        assert _product_pays(bits, left, _SUM_WEIGHT) and _product_pays(bits, left, _DIFF_WEIGHT)
-        products, kronecker = [], core._kronecker
-
-        def spy(bits, reflect):
-            products.append(reflect)
-            return kronecker(bits, reflect)
-        monkeypatch.setattr(core, "_kronecker", spy)
+        read, classes = [], core._classes
+        monkeypatch.setattr(core, "_classes", lambda *args: read.append(args[1]) or classes(*args))
+        monkeypatch.setattr(core, "_run_kernel", lambda *args: read.append("kernel") or _run_kernel(*args))
         sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
-        assert sums & int("10" * (1 << 16), 2) == mags & int("10" * (1 << 15), 2) == 0  # all even
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
-        for call, want, reflects in ((diff_bits, mags, [True]), (sumset_bits, sums, [False]),
-                                     (sum_diff_cards, cards, [False, True])):
-            products.clear()
+        handed = classes(bits, g) is not None
+        assert handed == (g > 2)
+        for call, want in ((diff_bits, mags), (sumset_bits, sums), (sum_diff_cards, cards)):
+            read.clear()
             assert call(bits) == want
-            assert products == reflects
+            assert read == ["kernel", g]
 
     def test_dispatch_keeps_wide_sparse_sets_on_shift_or(self):
+        # sparse and dense random sets take the run kernel's shifts, in one
+        # block; a set of five runs takes the interval path however wide
         rng = random.Random(73)
         sparse = ref_bits_of(rng.sample(range(2_000_000), 1000))
-        assert not _product_pays(sparse, runs_of(sparse), _SUM_WEIGHT)
-        assert not _product_pays(sparse, runs_of(sparse), _DIFF_WEIGHT)
-        # the cost is counted in runs: five of them, however wide the set
-        few = k_set(100_000).bits
-        assert not _product_pays(few, 5, _SUM_WEIGHT) and not _product_pays(few, 5, _DIFF_WEIGHT)
         dense = ref_bits_of(rng.sample(range(100_000), 50_000))
-        assert _product_pays(dense, runs_of(dense), _SUM_WEIGHT)
-        assert _product_pays(dense, runs_of(dense), _DIFF_WEIGHT)
+        for bits in (sparse, dense):
+            assert path_of(bits) is None
+            assert _blocks(bits) == [(elements_of(bits)[0], bits.bit_length() - 1)]
+        assert sum_diff_cards(sparse) == ref_cards(sparse)
+        assert path_of(k_set(100_000).bits) == 1
 
     def test_run_kernel_matches_reference(self):
         rng = random.Random(89)
@@ -841,18 +824,57 @@ class TestLargeSetKernel:
             assert _sums_and_mags(bits, True, False) == (sums, 0)
             assert _sums_and_mags(bits, False, True) == (0, mags)
 
-    @pytest.mark.parametrize("weight", [_SUM_WEIGHT, _DIFF_WEIGHT])
-    def test_run_kernel_on_both_sides_of_the_crossover(self, weight):
-        def pairs(runs):  # runs of two elements, one apart: 0b11011...011
-            return int("011" * runs, 2)
-        # the fewest runs at which the product pays for this weight
-        at = bisect_left(range(1, 40_000), True, key=lambda r: _product_pays(pairs(r), r, weight)) + 1
-        assert not _product_pays(pairs(at - 1), at - 1, weight)
-        assert _product_pays(pairs(at), at, weight)
-        for bits in (pairs(at - 1), pairs(at)):
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_run_kernel_on_both_sides_of_the_block_gap(self, shift):
+        # two blocks of 1000 bytes, each random at density 1/20 with both
+        # ends set, z zero bytes apart: a mask of 2000 + z bytes splits where
+        # z reaches a 16th of its bytes, a gap of M/16 bits, and the kernel
+        # is exact with one front and with two
+        assert _BLOCK_GAP == 16
+        rng = random.Random(101 + shift)
+        block = ref_bits_of(rng.sample(range(8000), 400) + [0, 7999])
+        z = next(z for z in count() if z - (2000 + z) // 16 == shift)
+        bits = block | block << 8 * (1000 + z)
+        top = bits.bit_length() - 1
+        assert _blocks(bits) == ([(0, 7999), (top - 7999, top)] if shift >= 0 else [(0, top)])
+        assert path_of(bits) is None
+        sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+        assert (sumset_bits(bits), diff_bits(bits)) == (sums, mags)
+        assert sum_diff_cards(bits) == (sums.bit_count(), 2 * mags.bit_count() - 1)
+
+    def test_kernel_matches_reference_on_block_shapes(self):
+        # 1 to 6 random blocks of 400 to 3000 positions at densities 1/20 to
+        # 1/2, apart by gaps a byte or two below, at or above M/_BLOCK_GAP;
+        # one block with an empty middle narrower than that, beside a short
+        # far block, so that only its own magnitude zone holds the
+        # magnitudes across its middle; and the multiples of 2, 3 and 4
+        # below 2**13 to 2**15, their top 128 positions thinned, with and
+        # without one other element
+        rng = random.Random(131)
+        cases = []
+        for blocks in [*range(1, 7)] * 6:
+            sizes = [rng.randint(400, 3000) for _ in range(blocks)]
+            # M = sum(sizes) + (blocks - 1) * M/_BLOCK_GAP, solved for M
+            width = sum(sizes) * _BLOCK_GAP // (_BLOCK_GAP - blocks + 1)
+            bits, at = 0, 0
+            for size in sizes:
+                p = rng.choice((0.05, 0.1, 0.5))
+                bits |= (ref_bits_of(x for x in range(size) if rng.random() < p) | 1) << at
+                at += size + width // _BLOCK_GAP + rng.choice((-16, -8, 0, 8, 16))
+            cases.append(bits)
+        for _ in range(40):
+            part, p = rng.choice((2000, 4000)), rng.choice((0.05, 0.1, 0.3))
+            ends = [ref_bits_of(x for x in range(part) if rng.random() < p) | 1 | 1 << part - 1
+                    for _ in range(2)]
+            width = part * 5 // 2  # the middle is a 20th, the far block a 64-bit run
+            cases.append(ends[0] | ends[1] << part + width // 20 | (1 << 64) - 1 << width - 64)
+        for g in (2, 3, 4):
+            for k in (13, 14, 15):
+                bits = thin_top(_smear(1, g, (1 << k) // g), k, span=128)
+                cases += [bits, bits | 1 << rng.randrange(1 << k)]
+        for bits in cases:
             sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
-            assert sumset_bits(bits) == sums
-            assert diff_bits(bits) == mags
+            assert (sumset_bits(bits), diff_bits(bits)) == (sums, mags)
             assert sum_diff_cards(bits) == (sums.bit_count(), 2 * mags.bit_count() - 1)
 
     def test_large_masks_are_counted_not_unpacked(self, monkeypatch):
@@ -908,28 +930,26 @@ class TestLargeSetKernel:
         assert int(out.stdout) < 250 * 1024  # KiB
 
     @staticmethod
-    def assert_kernels(monkeypatch, bits, products, reference=True, checked=None):
-        # every public kernel call on bits against the product, and against
-        # the shift-OR reference where it is affordable; products names the
-        # kinds that reach the decimal product, "sums" and "mags", and
-        # checked, if given, whether the cover's checkpoint runs
+    def assert_kernels(monkeypatch, bits, checked=None, read=None):
+        # every public kernel call on bits against the shift-OR reference, or
+        # the product where that is too slow; checked, if given, is whether
+        # the cover's checkpoint runs, and read the periods whose classes a
+        # stalled cover reads in each call
         seen, verdicts = [], []
-        kronecker, verdict = core._kronecker, core._verdict
-        monkeypatch.setattr(core, "_kronecker",
-                            lambda bits, reflect: seen.append(reflect) or kronecker(bits, reflect))
+        classes, verdict = core._classes, core._verdict
+        monkeypatch.setattr(core, "_classes", lambda *args: seen.append(args[1]) or classes(*args))
         monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(args) or verdict(*args))
-        sums, mags = kronecker(bits, reflect=False), kronecker(bits, reflect=True)
-        if reference:
-            assert (sums, mags) == (ref_sumset_bits(bits), ref_diff_bits(bits))
+        if bits.bit_length() > 1 << 16:
+            sums, mags = ref_product_bits(bits), ref_product_bits(bits, reflect=True)
+        else:
+            sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
-        s_took, d_took = [False] * ("sums" in products), [True] * ("mags" in products)
-        for call, want, took in ((sumset_bits, sums, s_took), (diff_bits, mags, d_took),
-                                 (sum_diff_cards, cards, s_took + d_took),
-                                 (lambda b: sum_diff_cards(b, elements_of(b)), cards,
-                                  s_took + d_took)):
+        for call, want in ((sumset_bits, sums), (diff_bits, mags), (sum_diff_cards, cards),
+                           (lambda b: sum_diff_cards(b, elements_of(b)), cards)):
             seen.clear()
             assert call(bits) == want
-            assert seen == took
+            if read is not None:
+                assert seen == read
         if checked is not None:
             assert bool(verdicts) == checked
 
@@ -937,13 +957,11 @@ class TestLargeSetKernel:
     @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.75, 0.9])
     def test_cover_on_random_sets(self, k, p, monkeypatch):
         # from density 1/4 up the ends settle every call; at 1/20 the sums
-        # never fill from the ends, and only at M = 2**17 are the runs left
-        # enough for their product to pay
+        # fill from the ends more slowly, and are checked again until they do
         rng = random.Random(1000 * k + int(100 * p))
         low = 0 if p in (0.25, 0.75) else 1000 + k  # min(A) > 0 otherwise
         bits = sum(1 << x for x in range(1 << k) if rng.random() < p) << low
-        products = ("sums",) if (k, p) == (17, 0.05) else ()
-        self.assert_kernels(monkeypatch, bits, products, reference=k <= 15, checked=True)
+        self.assert_kernels(monkeypatch, bits, checked=True)
 
     @pytest.mark.parametrize("bits", [
         1 << 5000,                  # one element
@@ -953,7 +971,7 @@ class TestLargeSetKernel:
     ], ids=["one", "two", "interval", "k_set"])
     def test_few_runs_never_enter_the_cover(self, bits, monkeypatch):
         # fewer than 8 runs are all taken before the first checkpoint
-        self.assert_kernels(monkeypatch, bits, (), checked=False)
+        self.assert_kernels(monkeypatch, bits, checked=False, read=[])
 
     def test_few_runs_below_a_far_point_are_fast(self):
         # {0..999} and the top position: A+A is {0..1998}, {top..top+999} and
@@ -969,59 +987,63 @@ class TestLargeSetKernel:
             assert call(arg) == want
             assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("bits, products", [
+    @pytest.mark.parametrize("bits, read", [
         # each with its top thinned, so that the run kernel takes it (the
-        # interval path takes the plain ones, TestIntervalPath)
-        (thin_top(int("01" * 8192, 2), 1), ("sums",)),  # the evens: no odd sum or magnitude
+        # interval path takes the plain ones, TestIntervalPath); the cover
+        # stalls on the holes of the other classes and reads their period,
+        # but at 2**14 the classes are too many runs for the interval path
+        (thin_top(int("01" * 8192, 2), 1), [2]),  # the evens: no odd sum or magnitude
         # the multiples of 3 and two points in the middle, which alone make
         # the sums and magnitudes of the other two classes
-        (thin_top(int("001" * 5461, 2), 3) | 1 << 8194 | 1 << 8195, ("sums",)),
-        # dense ends and an empty middle, so A+A and A-A have holes there;
-        # too few runs are left for a product to pay
-        ((random.Random(3).getrandbits(4096) << 12_288) | random.Random(4).getrandbits(4096), ()),
+        (thin_top(int("001" * 5461, 2), 3) | 1 << 8194 | 1 << 8195, [3]),
+        # dense ends and an empty middle, so A+A and A-A have holes there
+        # that two blocks' fronts close: the cover settles with no stall
+        ((random.Random(3).getrandbits(4096) << 12_288) | random.Random(4).getrandbits(4096), []),
     ], ids=["evens", "multiples_of_3", "empty_middle"])
-    def test_cover_gives_up_on_holes_the_ends_never_fill(self, bits, products, monkeypatch):
+    def test_cover_gives_up_on_holes_the_ends_never_fill(self, bits, read, monkeypatch):
         assert path_of(bits) is None
-        self.assert_kernels(monkeypatch, bits, products, checked=True)
+        self.assert_kernels(monkeypatch, bits, checked=True, read=read)
 
-    @pytest.mark.parametrize("p, products", [(0.1, ()), (0.06, ("sums",))])
-    def test_each_kind_has_its_own_verdict(self, p, products, monkeypatch):
-        # random sets at M = 10**5: at density 1/10 the cover settles both
-        # kinds; at 0.06 neither halves its open count at the second
-        # checkpoint, and only the sums have runs enough left for the
-        # product, so the magnitudes are checked again and settle by test
+    @pytest.mark.parametrize("p", [0.1, 0.06])
+    def test_each_kind_has_its_own_verdict(self, p, monkeypatch):
+        # random sets at M = 10**5, each kind asked alone and both together:
+        # each kind's verdicts are its own, the pair's the two interleaved;
+        # at density 1/10 the cover settles both kinds, and at 0.06 neither
+        # halves its open count at the second checkpoint, finds no period
+        # there, and both are checked again and settle by test
         rng = random.Random(7)
         bits = sum(1 << x for x in range(10 ** 5) if rng.random() < p) | 1 << 10 ** 5 - 1
-        self.assert_kernels(monkeypatch, bits, products, reference=False, checked=True)
-        if p == 0.06:
-            settled, verdict = {}, core._verdict  # each kind's weight: (runs taken, verdict)
-
-            def record(*args):
-                got = verdict(*args)
-                if isinstance(got, str):
-                    settled[args[-1]] = args[3], got
-                return got
-            monkeypatch.setattr(core, "_verdict", record)
-            sum_diff_cards(bits)
-            assert settled[_SUM_WEIGHT][1] == "product"
-            assert settled[_DIFF_WEIGHT][1] == "test" and 200 < settled[_DIFF_WEIGHT][0] < 300
+        self.assert_kernels(monkeypatch, bits, checked=True, read=[])
+        verdicts, verdict = [], core._verdict  # (runs taken, verdict) per call
+        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
+            (args[2], verdict(*args))) or verdicts[-1][-1])
+        alone = []
+        for ask in ((True, False), (False, True), (True, True)):
+            verdicts.clear()
+            _sums_and_mags(bits, *ask)
+            alone.append(verdicts[:])
+        assert alone[2][::2] == alone[0] and alone[2][1::2] == alone[1]
+        assert alone[0] == alone[1]
+        assert [got for _, got in alone[0]] == (
+            [None, None, None, "test"] if p == 0.1 else [None, "stalled", None, None, "test"])
+        assert 200 < alone[0][-1][0] < 300 or p == 0.1
 
     def test_a_kind_that_does_not_halve_is_checked_again(self, monkeypatch):
         # 1000 random elements below 50000: at the second checkpoint neither
-        # kind has halved its open count (the sums 86916 -> 64718), and no
-        # product pays, so both are checked again and settle by the
-        # per-position test at ~623 runs
+        # kind has halved its open count (the sums 86916 -> 64718), and the
+        # open zones show no period, so both are checked again and settle by
+        # the per-position test at ~623 runs
         bits = ref_bits_of(random.Random(5).sample(range(50_000), 1000))
         verdicts, verdict = [], core._verdict  # (left, before, taken, verdict) per call
         monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
-            (*args[1:4], verdict(*args))) or verdicts[-1][-1])
-        products = []
-        monkeypatch.setattr(core, "_kronecker", lambda *args, **kw: products.append(kw))
+            (*args[:3], verdict(*args))) or verdicts[-1][-1])
+        read = []
+        monkeypatch.setattr(core, "_classes", lambda *args: read.append(args))
         assert sum_diff_cards(bits) == ref_cards(bits)
-        assert products == []
-        again = [(before, got) for left, before, _, got in verdicts
+        assert read == []
+        again = [(before, left, got) for left, before, _, got in verdicts
                  if before is not None and 2 * left > before]
-        assert again[0] == (86916, 64718) and len(again) == 2 and isinstance(again[1][1], int)
+        assert again == [(86916, 64718, "stalled"), (42290, 32613, "stalled")]
         assert [got for *_, got in verdicts[-2:]] == ["test", "test"]
         assert 500 < verdicts[-1][2] < 700
 
@@ -1049,7 +1071,7 @@ class TestLargeSetKernel:
         # after a checkpoint that did not halve their open count
         verdicts, verdict = [], core._verdict
         monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
-            (args[1:3], verdict(*args))) or verdicts[-1][-1])
+            (args[:2], verdict(*args))) or verdicts[-1][-1])
         rng = random.Random(97)
         for _ in range(400):
             width, scale = rng.choice((3, 20, 100, 400, 3000)), rng.choice((1, 1, 2, 3))
@@ -1062,17 +1084,17 @@ class TestLargeSetKernel:
             for ask_s, ask_d in ((True, False), (False, True), (True, True)):
                 assert _sums_and_mags(bits, ask_s, ask_d) == (sums * ask_s, mags * ask_d)
         assert "test" in {got for _, got in verdicts}
-        assert any(before is not None and 2 * left > before and isinstance(got, int)
+        assert any(before is not None and 2 * left > before and got == "stalled"
                    for (left, before), got in verdicts)
 
     @pytest.mark.slow("about 3 s of products")
     def test_cover_at_scale(self):
-        # a half-full set at 2**20 against the product, and one reaching the
-        # top position classified in seconds (the products took ~50 s there)
+        # a half-full set at 2**20 against the exact product, and one
+        # reaching the top position classified in seconds
         rng = random.Random(20)
         bits = rng.getrandbits(1 << 20)
         sums, mags = sumset_bits(bits), diff_bits(bits)
-        assert (sums, mags) == (_kronecker(bits, reflect=False), _kronecker(bits, reflect=True))
+        assert (sums, mags) == (ref_product_bits(bits), ref_product_bits(bits, reflect=True))
         assert sum_diff_cards(bits) == (sums.bit_count(), 2 * mags.bit_count() - 1)
         a = IntSet.from_bits(rng.getrandbits(UNIVERSE_CAP) | 1 << UNIVERSE_CAP - 1)
         start = time.perf_counter()
@@ -1080,17 +1102,17 @@ class TestLargeSetKernel:
         assert time.perf_counter() - start < 5
         assert got.sum_card <= 2 * a.max + 1 and got.diff_card <= 2 * a.max + 1
 
-    def test_decimal_is_imported_only_by_a_product(self):
-        # k_set's five runs and the 20000 odd numbers take the interval path;
-        # the sums of a random set of density 1/20 at 2**17 reach the product
-        code = ("import random, sys, mstd.cli; seen = lambda: 'decimal' in sys.modules; "
-                "before = seen(); mstd.sumset_bits(mstd.k_set(100_000).bits); "
-                "runs = seen(); mstd.sumset_bits(int('10' * 20_000, 2)); odd = seen(); "
-                "mstd.sumset_bits(mstd.bits_of(random.Random(1).sample(range(1 << 17), 6553))); "
-                "print(before, runs, odd, seen())")
+    def test_decimal_is_never_imported(self):
+        # k_set's five runs and the 20000 odd numbers take the interval path,
+        # and a random set of density 1/20 at 2**17 the run kernel, which
+        # stalls on its sums and checks them again
+        code = ("import random, sys, mstd.cli; "
+                "mstd.sumset_bits(mstd.k_set(100_000).bits); mstd.sumset_bits(int('10' * 20_000, 2)); "
+                "mstd.sum_diff_cards(mstd.bits_of(random.Random(1).sample(range(1 << 17), 6553))); "
+                "print('decimal' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["False", "False", "False", "True"]
+        assert out.stdout.split() == ["False"]
 
 
 def spans_of(bits, g):
@@ -1194,6 +1216,17 @@ class TestIntervalPath:
         mixed = _smear(1, 4, 2000) | _smear(1 << 8000, 6, 2000)
         assert path_of(mixed) == 12
         self.assert_exact(mixed, (12,))
+
+
+    @pytest.mark.parametrize("d1, d2", [(7, 12), (9, 10), (11, 12), (13, 14), (15, 17), (16, 17)])
+    def test_two_progressions_past_lcm_64(self, d1, d2):
+        # steps d1 from 0 to 3/5 of 80000 and d2 from 2/5 of it up: each end
+        # shows one step, and the classes mod their lcm, 84 to 255, are a
+        # run or two each; past _END_WINDOW (272) the run kernel takes them
+        g = math.lcm(d1, d2)
+        bits = _smear(1, d1, 48_000 // d1) | _smear(1 << 32_001, d2, 48_000 // d2)
+        assert 64 < g and path_of(bits) == (g if g <= 256 else None)
+        self.assert_exact(bits, (g,) if g <= 256 else ())
 
 
 def test_smear_is_the_or_of_shifted_copies():
