@@ -203,7 +203,8 @@ _FLAGS = {
                      default=argparse.SUPPRESS,
                      help="output format (default: plain)"),
     "--threads": dict(type=int, metavar="T",
-                      help="worker processes for searches"),
+                      help=("worker processes for searches, at most; fewer "
+                            "where a scan is too small to pay for a fork")),
     "--max-discard": dict(type=int, default=8, metavar="D", help=(
         "discard-level budget for `search largest` (default 8)")),
     "--m1": dict(metavar="SET"),

@@ -121,14 +121,15 @@ has not halved them, the kind has stalled on a hole that no end fills: a
 period is read from the _END_WINDOW positions of its zone from the least
 open one, as at the ends above, and when the classes of A mod that g are
 few runs, both kinds still open are finished from them on the interval
-path; each g is read once. Otherwise the kind is checked again at the
-next doubling. No pass is made twice. A sum below max(A) comes only from
-the bottom and one above it only from the top, so a random set of
-density p leaves a position unset after c runs with chance about
-(1-p)**(c/2), and half-full sets finish within a few dozen runs at every
-M: sum_diff_cards takes ~5 ms at M = 10**6, and classify ~0.1 s and
-~40 MB above its baseline at M = 2**24 - 1. The evens with their top
-thinned stall on their odd holes and hand off to the classes mod 2
+path; each g is read once, and so is the window at each least open
+position. Otherwise the kind is checked again at the next doubling. No
+pass is made twice. A sum below max(A) comes only from the bottom and
+one above it only from the top, so a random set of density p leaves a
+position unset after c runs with chance about (1-p)**(c/2), and
+half-full sets finish within a few dozen runs at every M: sum_diff_cards
+takes ~5 ms at M = 10**6, and classify ~0.1 s and ~40 MB above its
+baseline at M = 2**24 - 1. The evens with their top thinned stall on
+their odd holes and hand off to the classes mod 2
 (~0.5 s at 2**24); two ends of density 1/20 around an empty middle are
 two blocks, whose inner fronts fill the sums near the gap (~2 s at
 2**24), and a random set of density 1/20 is checked again until its
@@ -535,6 +536,7 @@ def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tup
     taken, check = 0, 8  # runs taken, and how many call the next checkpoint
     seen_s = seen_d = None  # each kind's open count at the last checkpoint
     tried = {0, 1}  # the periods whose classes were read
+    looked = set()  # the least open positions a period was read from
     if ends <= 16:  # fewer than 8 runs: all at once, before any checkpoint
         fronts, windows = (), ((0, elements_of(edges)),)
     else:  # windows, after a look for gaps as wide as the first ones
@@ -594,8 +596,10 @@ def _run_kernel(bits: int, edges: int, ends: int, sums: bool, mags: bool) -> tup
                     mags = False
                 elif verdict:
                     stalled = stalled or opened
-            if stalled:  # a period in the open zone may make A few runs per class
-                low = (stalled & -stalled).bit_length() - 1
+            # a period in the open zone may make A few runs per class; a zone
+            # whose least open position is unmoved is read once
+            if stalled and (low := (stalled & -stalled).bit_length() - 1) not in looked:
+                looked.add(low)
                 g = _period(stalled >> low & (1 << _END_WINDOW) - 1, _END_WINDOW)
                 if g not in tried:
                     tried.add(g)

@@ -141,15 +141,19 @@ natural unit of work whatever the worker count (a normalized level
 it meets), and lists them heaviest first: the levels by falling diameter,
 then falling size, and the pair blocks in run-table order, where a run
 meets fewer partners than the runs before it. One _scan runs each task
-list fork-join and reports it: the caller forks min(workers, blocks) - 1
-children, which inherit the tasks, and every process, the caller too,
-takes blocks one at a time, in task order, off one pipe. A child pickles
-back only its (index, result) pairs. Largest (one level at a time), the
-three-part search's completions (under a millisecond for all 20-24
-placements) and any scan where os.fork is missing run in process. A
-block returns (count, witness masks), and one merge sums the counts and
-sorts the distinct masks by their elements, both order-free, so reports
-are byte-identical for any worker count.
+list and reports it. The worker count is an upper bound: a fork-join
+costs about as much as a walk's 15000 counted candidates or a pair
+scan's 150000, so a list runs on at most one process per such share of
+its closed-form count, and the caller forks one child fewer than the
+least of that, the workers and the blocks. Below two shares it runs in
+the caller. The children inherit the tasks, and every process, the
+caller too, takes blocks one at a time, in task order, off one pipe. A
+child pickles back only its (index, result) pairs. Largest (one level at
+a time), the three-part search's completions (under a millisecond for
+all 20-24 placements) and any scan where os.fork is missing run in
+process. A block returns (count, witness masks), and one merge sums the
+counts and sorts the distinct masks by their elements, both order-free,
+so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -286,12 +290,26 @@ def _run_blocks(fn, tasks, workers):
             os.close(fd)
 
 
+# A fork-join costs 1.5-3 ms warm on 2 cores (5-7 ms as a process's first): the
+# time a walk takes for ~15000 of its counted candidates (120-200 ns each), or
+# a pair scan for ~150000 of its own (10-20 ns each). BENCH_scan.json holds the
+# break-even table these are read from.
+_FORK_WALK = 15_000
+_FORK_PAIRS = 150_000
+
+
 def _scan(name, params, examined, fn, tasks, workers):
     # the report of one task list, its blocks run and timed: of the block
     # results (count, witness masks) the counts summed, and the distinct
-    # masks as IntSets sorted by their elements
+    # masks as IntSets sorted by their elements. The list runs on at most one
+    # process per break-even of its closed-form work, so below two it runs in
+    # the caller: a walk counts C(D-1, j) per level, a pair scan `examined`
     t0 = time.perf_counter()
-    results = _run_blocks(fn, tasks, workers)
+    if fn is _pair_block_worker:
+        work, even = examined, _FORK_PAIRS
+    else:
+        work, even = sum(map(_block_count, tasks)), _FORK_WALK
+    results = _run_blocks(fn, tasks, workers if work >= workers * even else work // even)
     masks = sorted({w for _, ws in results for w in ws}, key=elements_of)
     return SearchReport(name, params, examined, [IntSet.from_bits(w) for w in masks],
                         time.perf_counter() - t0, classified=sum(c for c, _ in results))

@@ -390,7 +390,20 @@ class TestPartition3Feasible:
             partition3_feasible(0)
 
 
+def break_even_zero(patch):
+    # every task list of two or more blocks forks at two or more workers
+    patch.setattr(search, "_FORK_WALK", 0)
+    patch.setattr(search, "_FORK_PAIRS", 0)
+
+
+@pytest.fixture
+def always_fork(monkeypatch):
+    # so that a comparison across worker counts takes the fork path
+    break_even_zero(monkeypatch)
+
+
 class TestParallelDeterminism:
+    @pytest.mark.usefixtures("always_fork")
     def test_reports_identical_across_workers(self):
         probes = [
             lambda w: largest_subset_scan(16, workers=w)[1],
@@ -402,6 +415,7 @@ class TestParallelDeterminism:
             docs = [probe(w).as_dict(elapsed_s=0.0) for w in (1, 2, 8)]
             assert docs[0] == docs[1] == docs[2]
 
+    @pytest.mark.usefixtures("always_fork")
     def test_partition_search_identical_across_workers(self):
         # r = 26 pairs the placements with the wide ones on the fork path too
         for r, workers in ((24, (1, 4)), (26, (1, 2))):
@@ -410,14 +424,18 @@ class TestParallelDeterminism:
             assert outs[0] == outs[1]
 
     def test_only_the_fork_path_imports_pickle(self):
+        # minsize(12) at 2 workers is below a fork's break-even and runs in the
+        # caller; minsize(18) forks
         code = ("import sys, mstd.cli\n"
-                "seen = lambda: sorted({'pickle', 'multiprocessing'} & set(sys.modules))\n"
+                "seen = lambda: ','.join(sorted({'pickle', 'signal', 'multiprocessing'}\n"
+                "                               & set(sys.modules))) or '-'\n"
                 "before = seen(); mstd.min_size_scan(9, workers=1); serial = seen()\n"
-                "mstd.min_size_scan(9, workers=2)\n"
-                "print(before, serial, 'multiprocessing' in sys.modules)")
+                "mstd.min_size_scan(12, workers=2); small = seen()\n"
+                "mstd.min_size_scan(18, workers=2)\n"
+                "print(before, serial, small, seen())")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["[]", "[]", "False"]
+        assert out.stdout.split() == ["-", "-", "-", "pickle,signal"]
 
 
 class TestReportSerialization:
@@ -655,6 +673,7 @@ class TestAgainstReferenceLoops:
             assert rep.classified == LARGEST_CLASSIFIED[n] <= examined
 
     @pytest.mark.parametrize("bound", range(1, 23))
+    @pytest.mark.usefixtures("always_fork")
     def test_minsize(self, bound):
         examined, hits = ref_minsize_scan(bound)
         for workers in (1, 2, 8):
@@ -669,6 +688,7 @@ class TestAgainstReferenceLoops:
         (two_ap_general_scan, [(1, 2)], 7, 2),
         (two_ap_general_scan, [(1, 2, 3)], 10, 3),
     ])
+    @pytest.mark.usefixtures("always_fork")
     def test_pairs(self, scan, groups, span, max_diff):
         examined, hits = ref_pair_scan(span, groups)
         rows = [ap_count(span, d) for d in range(1, max_diff + 1)]
@@ -705,6 +725,7 @@ class TestAgainstReferenceLoops:
         assert rep.witnesses == []
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.usefixtures("always_fork")
     def test_unordered_pairs_reach_every_union(self, workers, monkeypatch):
         # progression unions are never sum-dominant, so a stand-in verdict
         # that accepts about a third of them checks the witness path: one
@@ -713,6 +734,7 @@ class TestAgainstReferenceLoops:
         # pairs that the residue bound settles, as the scan does not
         assert_pair_witnesses(monkeypatch, stand_in_verdict, workers)
 
+    @pytest.mark.usefixtures("always_fork")
     def test_small_unions_reach_every_image(self, monkeypatch):
         # {0} and the other unions of at most three elements: {0} is its own
         # mirror and every dilate of it
@@ -769,6 +791,7 @@ class TestAgainstReferenceLoops:
             assert got == ref_images(*args), args
 
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.usefixtures("always_fork")
     def test_partition3(self, workers):
         # the old walk over every first part {1, ...} is the oracle
         out = partition3_feasible(24, exhaustive_small=True, workers=workers)
@@ -781,6 +804,7 @@ class TestAgainstReferenceLoops:
         assert out.classified == 80660 < 188868  # 188868: the catalogue without mirror
 
     @pytest.mark.parametrize("r", [24, 25])
+    @pytest.mark.usefixtures("always_fork")
     def test_partition3_witness_path(self, r, monkeypatch):
         # no split of {1..26} exists; accepting every complement makes each
         # pair of disjoint sum-dominant 8-sets a split, so the search must
@@ -1070,21 +1094,59 @@ class TestParameterChecks:
 class TestScanPlumbing:
     def test_no_fork_at_one_worker_or_one_block(self, monkeypatch):
         forks = counting_fork(monkeypatch)
+        # the children at 2 workers, and at 2 workers with a break-even of 0
         scans = [  # several levels, difference groups or first-part sizes each
-            (lambda w: largest_subset_scan(16, workers=w), 0),  # one block per level
-            (lambda w: min_size_scan(10, workers=w), 1),
-            (lambda w: ap_pair_scan(10, 3, workers=w), 1),  # all differences in one list
+            (lambda w: largest_subset_scan(16, workers=w), 0, 0),  # one block per level
+            (lambda w: min_size_scan(10, workers=w), 0, 1),  # below the break-even
+            (lambda w: ap_pair_scan(10, 3, workers=w), 0, 1),  # all differences in one list
             # the catalogue walk forks; the completions run in process
-            (lambda w: partition3_feasible(25, exhaustive_small=True, workers=w), 1),
+            (lambda w: partition3_feasible(25, exhaustive_small=True, workers=w), 1, 1),
         ]
-        for scan, lists in scans:
-            forks.clear()
-            scan(1)
-            assert forks == []
-            scan(2)  # one child per task list of more than one block
-            assert len(forks) == lists
+        for forced in (False, True):
+            if forced:
+                break_even_zero(monkeypatch)
+            for scan, *children in scans:
+                forks.clear()
+                scan(1)
+                assert forks == []
+                scan(2)  # one child per task list of more than one block, when forced
+                assert len(forks) == children[forced]
         assert_no_children()
 
+    def test_a_list_forks_only_the_children_its_work_covers(self, monkeypatch):
+        # a list's work is a walk's sum of C(D-1, j) over its levels or a pair
+        # scan's examined, and it runs on one process per break-even of that,
+        # at most: the acceptance suite's small searches fork nothing at 2 or
+        # 8 workers, the benchmark's forking scans one child at 2, and at
+        # 10**5 workers no list forks past its work
+        forks = counting_fork(monkeypatch, cap=8)
+        walk, pairs = search._FORK_WALK, search._FORK_PAIRS
+        table = [  # scan, work, break-even, blocks, children at 2, 8 and 10**5 workers
+            (lambda w: min_size_scan(12, workers=w), 3301, walk, 63, 0, 0, 0),
+            (lambda w: ap_pair_scan(15, 2, workers=w), 23680, pairs, 48, 0, 0, 0),
+            (lambda w: two_ap_general_scan(12, 2, workers=w), 19600, pairs, 40, 0, 0, 0),
+            (lambda w: min_size_scan(16, workers=w), 26332, walk, 91, 0, 0, 0),
+            (lambda w: min_size_scan(18, workers=w), 63003, walk, 105, 1, 3, 3),
+            (lambda w: ap_pair_scan(34, 4, workers=w), 580401, pairs, 148, 1, 2, 2),
+            (lambda w: two_ap_general_scan(26, 5, workers=w), 811801, pairs, 126, 1, 4, 4),
+            (lambda w: min_size_scan(22, workers=w), 280599, walk, 133, 1, 7, None),
+            (lambda w: partition3_feasible(25, True, w), 346104, walk, 18, 1, 7, None),
+        ]
+        lists, real_blocks = [], search._run_blocks
+        monkeypatch.setattr(search, "_run_blocks",
+                            lambda fn, tasks, *a: lists.append(tasks) or real_blocks(fn, tasks, *a))
+        for scan, work, even, blocks, *children in table:
+            for workers, want in zip((2, 8, 10 ** 5), children):
+                if want is None:  # a dozen children or more: left to the formula
+                    continue
+                forks.clear()
+                lists.clear()
+                scan(workers)
+                assert len(lists[0]) == blocks
+                assert len(forks) == want == max(0, min(workers, blocks, work // even) - 1)
+        assert_no_children()
+
+    @pytest.mark.usefixtures("always_fork")
     def test_without_fork_scans_run_in_process(self, monkeypatch):
         want = min_size_scan(12).as_dict(elapsed_s=0.0)
         monkeypatch.delattr(os, "fork")  # as on a platform without it
@@ -1147,13 +1209,16 @@ class TestScanPlumbing:
                             lambda fn, tasks, *a: lists.append(tasks) or real_blocks(fn, tasks, *a))
         forks = counting_fork(monkeypatch, cap=5)
         want = ap_pair_scan(1, 2).as_dict(elapsed_s=0.0)
-        for workers in (10 ** 5, 10 ** 9):
-            tables.clear()
-            forks.clear()
-            assert ap_pair_scan(1, 2, workers=workers).as_dict(elapsed_s=0.0) == want
-            assert tables == [(1, (1,)), (1, (2,))]
-            assert len(lists[-1]) == 6 == len(lists[0]) and lists[-1] == lists[0]
-            assert len(forks) == 5
+        for children in (0, 5):  # 13 pairs pay for no fork; a break-even of 0, one per block
+            if children:
+                break_even_zero(monkeypatch)
+            for workers in (10 ** 5, 10 ** 9):
+                tables.clear()
+                forks.clear()
+                assert ap_pair_scan(1, 2, workers=workers).as_dict(elapsed_s=0.0) == want
+                assert tables == [(1, (1,)), (1, (2,))]
+                assert len(lists[-1]) == 6 == len(lists[0]) and lists[-1] == lists[0]
+                assert len(forks) == children
         assert_no_children()
 
     def test_pair_blocks_are_the_run_shapes_at_any_worker_count(self, monkeypatch):

@@ -15,7 +15,9 @@ def test_a_spinning_test_fails_at_the_limit(tmp_path):
         "import tests.conftest as limits\nfrom tests.conftest import time_limit\n"
         "limits.TIME_LIMIT_S = 1\n")
     (tmp_path / "test_spin.py").write_text("def test_spin():\n    while True:\n        pass\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT), str(ROOT / "src")])}
+    # the caller's path stays after the repository's: pytest may come from it
+    path = [str(ROOT), str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           str(tmp_path)], capture_output=True, text=True, env=env,
