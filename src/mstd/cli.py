@@ -35,8 +35,6 @@ built by the same code either way and the top usage names COMMAND, not
 the choices, so usage, help and error text do not depend on the filter.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -72,6 +70,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+    # one invalid-choice message on every Python: argparse in later 3.12 and
+    # 3.13 releases prints the choices without their quotes
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
 
     # argparse drops a failed write of help; on stdout it fails as output does
     def _print_message(self, message, file=None):

@@ -41,8 +41,6 @@ speed (see _chain_exists). At m=21 this yields M1 = {71,72},
 M2 = {67,74,75,76,79}.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .core import IntSet, _num, _require_int, _smear, _within_cap, elements_of

@@ -22,11 +22,9 @@ many sums (x + a for a in A u {x}) are new when x joins A. Extending
 an AP {0..n-1} by the next term always adds exactly 2.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
-from .core import IntSet, UNIVERSE_CAP, _num, _require_int, _smear, sumset_bits
+from .core import IntSet, UNIVERSE_CAP, _num, _require_int, _require_set, _smear, sumset_bits
 from .errors import EmptySetError, InvalidParameterError, UniverseOverflowError
 
 NOT_SUM_DOMINANT = "not-sum-dominant"
@@ -94,7 +92,7 @@ def is_arithmetic_progression(a: IntSet) -> ArithProg | None:
     the value of every gap other than 1, as infer_block_gap reads it, or 1
     if there is none; a gap of 1 beside a larger one refutes it.
     """
-    if len(a) == 0:
+    if not _require_set(a).bits:
         raise EmptySetError("empty set is not a progression")
     d = _one_gap(a.bits)
     if d is None or d and a.bits & a.bits >> 1:
@@ -108,7 +106,7 @@ def ms_condition1(a: IntSet) -> LemmaVerdict:
     Applying sets satisfy |A+A| <= |A-A|, i.e. are not sum-dominant.
     Singletons apply vacuously.
     """
-    if len(a) == 0:
+    if not _require_set(a).bits:
         raise EmptySetError("cannot check the empty set")
     # a gap of 3 or more leaves some x in [min, max] with neither x nor
     # x + 1 in A, and gaps of at most 2 leave none
@@ -126,7 +124,7 @@ def ms_condition2(a: IntSet, m: int) -> LemmaVerdict:
     sequence (no unit runs) applies vacuously: the set is an AP.
     Applying sets are not sum-dominant.
     """
-    if len(a) == 0:
+    if not _require_set(a).bits:
         raise EmptySetError("cannot check the empty set")
     if _require_int(m, "block gap m") < 2:
         raise InvalidParameterError(f"block gap m={_num(m)} must be at least 2")
@@ -143,7 +141,7 @@ def ms_condition2(a: IntSet, m: int) -> LemmaVerdict:
 
 def infer_block_gap(a: IntSet) -> int | None:
     """The unique gap value other than 1, if exactly one exists."""
-    if len(a) == 0:
+    if not _require_set(a).bits:
         raise EmptySetError("empty set has no gaps")
     return _one_gap(a.bits) or None
 
@@ -156,7 +154,7 @@ def new_sums_on_extend(base: IntSet, x: int) -> int:
     sumset_bits counts them. x must be a fresh nonnegative element
     below the universe cap.
     """
-    if len(base) == 0:
+    if not _require_set(base).bits:
         raise EmptySetError("cannot extend the empty set")
     if _require_int(x, "extension point") < 0:
         raise InvalidParameterError(f"extension point {_num(x)} is negative")

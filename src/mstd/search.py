@@ -146,7 +146,9 @@ costs about as much as a walk's 15000 counted candidates or a pair
 scan's 150000, so a list runs on at most one process per such share of
 its closed-form count, and the caller forks one child fewer than the
 least of that, the workers and the blocks. Below two shares it runs in
-the caller. The children inherit the tasks, and every process, the
+the caller. A process's first fork costs two to three warm ones (the
+pickle import and a cold fork), so until it has forked a share is three
+times as large. The children inherit the tasks, and every process, the
 caller too, takes blocks one at a time, in task order, off one pipe. A
 child pickles back only its (index, result) pairs. Largest (one level at
 a time), the three-part search's completions (under a millisecond for
@@ -155,8 +157,6 @@ process. A block returns (count, witness masks), and one merge sums the
 counts and sorts the distinct masks by their elements, both order-free,
 so reports are byte-identical for any worker count.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -234,11 +234,13 @@ def _require(value, least, what):
 def _run_blocks(fn, tasks, workers):
     # [fn(task) for task in tasks], run fork-join as the module docstring
     # says; the processes take the blocks in task order
+    global _forked
     procs = min(workers, len(tasks))
     if procs <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
     import pickle
     import signal  # only the fork path pays these imports
+    _forked = True
     feed = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
     feed_r, feed_w = os.pipe()
     fds, kids = [feed_r, feed_w], []
@@ -290,12 +292,16 @@ def _run_blocks(fn, tasks, workers):
             os.close(fd)
 
 
-# A fork-join costs 1.5-3 ms warm on 2 cores (5-7 ms as a process's first): the
-# time a walk takes for ~15000 of its counted candidates (120-200 ns each), or
-# a pair scan for ~150000 of its own (10-20 ns each). BENCH_scan.json holds the
-# break-even table these are read from.
+# A fork-join costs 1.5-3 ms warm on 2 cores: the time a walk takes for ~15000
+# of its counted candidates (120-200 ns each), or a pair scan for ~150000 of
+# its own (10-20 ns each). A process's first costs 2-3 times as much
+# (the pickle import and a cold fork), so until it has forked (_forked) its
+# break-evens are scaled by _COLD. BENCH_scan.json holds the break-even tables
+# these are read from.
 _FORK_WALK = 15_000
 _FORK_PAIRS = 150_000
+_COLD = 3
+_forked = False
 
 
 def _scan(name, params, examined, fn, tasks, workers):
@@ -303,12 +309,15 @@ def _scan(name, params, examined, fn, tasks, workers):
     # results (count, witness masks) the counts summed, and the distinct
     # masks as IntSets sorted by their elements. The list runs on at most one
     # process per break-even of its closed-form work, so below two it runs in
-    # the caller: a walk counts C(D-1, j) per level, a pair scan `examined`
+    # the caller: a walk counts C(D-1, j) per level, a pair scan `examined`,
+    # and a process that has not forked yet has _COLD times the break-even
     t0 = time.perf_counter()
     if fn is _pair_block_worker:
         work, even = examined, _FORK_PAIRS
     else:
         work, even = sum(map(_block_count, tasks)), _FORK_WALK
+    if not _forked:
+        even *= _COLD
     results = _run_blocks(fn, tasks, workers if work >= workers * even else work // even)
     masks = sorted({w for _, ws in results for w in ws}, key=elements_of)
     return SearchReport(name, params, examined, [IntSet.from_bits(w) for w in masks],

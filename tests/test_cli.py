@@ -1,6 +1,7 @@
 """Command-line surface: goldens, exit codes, formats, thread plumbing."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -44,6 +45,47 @@ def test_golden(case, capsys, monkeypatch):
     assert captured.out == case["stdout"]
     lines = captured.err.splitlines()
     assert (lines[-1] if lines else "") == case["stderr_tail"]
+
+
+def other_interpreters():
+    # every CPython >= 3.10 on the machine other than this one, one per
+    # version: pyenv's versions directory, and python3.1x on PATH
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    candidates = [str(d / "bin" / "python3") for d in sorted(root.glob("*"))]
+    candidates += [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    found = {tuple(sys.version_info[:3]): sys.executable}
+    for exe in filter(None, candidates):
+        try:
+            out = subprocess.run([exe, "-c", "import sys; print(sys.implementation.name, "
+                                  "*sys.version_info[:3])"], capture_output=True, text=True,
+                                 timeout=30)
+        except OSError:
+            continue
+        name, *version = out.stdout.split() or ["none"]
+        version = tuple(map(int, version))
+        if out.returncode == 0 and name == "cpython" and version >= (3, 10):
+            found.setdefault(version, exe)
+    del found[tuple(sys.version_info[:3])]
+    return sorted(found.items())
+
+
+@pytest.mark.slow("about 10 s per interpreter")
+def test_golden_under_other_interpreters():
+    # every golden case as a `python -m mstd.cli` process under each other
+    # CPython found, which must print what this one prints
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 found")
+    base = {k: v for k, v in os.environ.items() if k != cli.ENV_THREADS}
+    base["PYTHONPATH"] = str(Path(mstd.__file__).parents[1])
+    for version, exe in interpreters:
+        for case in GOLDEN:
+            proc = subprocess.run([exe, "-m", "mstd.cli", *case["argv"]], capture_output=True,
+                                  text=True, env={**base, **case["env"]}, timeout=120)
+            lines = proc.stderr.splitlines()
+            got = (proc.returncode, proc.stdout, lines[-1] if lines else "")
+            assert got == (case["exit"], case["stdout"], case["stderr_tail"]), (version,
+                                                                                golden_id(case))
 
 
 class TestClassify:
@@ -597,10 +639,10 @@ def test_full_disk_is_one_error_line(argv):
 
 
 # what a command may pull in: the engines, lemmas and constructions it does
-# not run, and the stdlib modules plain output, the records and the kernel
-# do not need
-WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "decimal",
-           "dataclasses", "json"}
+# not run, the large-set kernel where no mask is wider than 127 bits, and the
+# stdlib modules plain output, the records and the kernel do not need
+WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "mstd._kernel", "decimal",
+           "dataclasses", "json", "__future__"}
 
 
 @pytest.mark.parametrize("statement, loads", [
@@ -617,10 +659,10 @@ WATCHED = {"mstd.search", "mstd.constructions", "mstd.lemmas", "decimal",
     # a random set of density 1/20 below 2**17: the run kernel, whose cover
     # stalls on the sums and checks them again
     ("from mstd import cli; cli.run(['sumset', '{%s}' % ','.join(map(str, "
-     "__import__('random').Random(1).sample(range(1 << 17), 6553)))])", set()),
+     "__import__('random').Random(1).sample(range(1 << 17), 6553)))])", {"mstd._kernel"}),
     # the evens below 2**14: the interval path takes them
     ("from mstd import cli; cli.run(['diffset', '{%s}' % ','.join(map(str, "
-     "range(0, 1 << 14, 2)))])", set()),
+     "range(0, 1 << 14, 2)))])", {"mstd._kernel"}),
 ])
 def test_a_command_loads_only_what_it_runs(statement, loads):
     code = ("import sys\nbefore = set(sys.modules)\n" + statement + "\n"

@@ -44,10 +44,11 @@ from mstd import (
     sumset_bits,
     symmetry_center,
 )
-from mstd import core
-from mstd.core import (_BLOCK_GAP, _FEW_SPANS, _PACK_MIN_CARD, _SPARSE_RATIO, _blocks,
-                       _class_runs, _dilate, _reflect, _run_kernel, _runs, _smear, _span_count,
-                       _span_mags, _span_mask, _span_sums, _stride, _strides, _sums_and_mags)
+from mstd import _kernel, core
+from mstd._kernel import (_BLOCK_GAP, _FEW_SPANS, _blocks, _class_runs, _run_kernel, _runs,
+                          _span_count, _span_mags, _span_mask, _span_sums)
+from mstd.core import (_PACK_MIN_CARD, _SPARSE_RATIO, _dilate, _reflect, _smear, _stride, _strides,
+                       _sums_and_mags)
 from tests._oracles import (
     mask_cases,
     naive_cards,
@@ -765,9 +766,11 @@ class TestLargeSetKernel:
         # many runs (g = 2 here), reading them once
         bits = thin_top(_smear(1, g, (1 << 16) // g), g)
         assert path_of(bits) is None
-        read, classes = [], core._classes
-        monkeypatch.setattr(core, "_classes", lambda *args: read.append(args[1]) or classes(*args))
-        monkeypatch.setattr(core, "_run_kernel", lambda *args: read.append("kernel") or _run_kernel(*args))
+        read, classes = [], _kernel._classes
+        monkeypatch.setattr(_kernel, "_classes",
+                            lambda *args: read.append(args[1]) or classes(*args))
+        monkeypatch.setattr(_kernel, "_run_kernel",
+                            lambda *args: read.append("kernel") or _run_kernel(*args))
         sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
         cards = (sums.bit_count(), 2 * mags.bit_count() - 1)
         handed = classes(bits, g) is not None
@@ -886,7 +889,7 @@ class TestLargeSetKernel:
             unpacked.append(mask.bit_count())
             return elements_of(mask)
         # the interval path unpacks the run edges, and nothing else unpacks
-        monkeypatch.setattr(core, "elements_of", recording)
+        monkeypatch.setattr(_kernel, "elements_of", recording)
         assert sum_diff_cards(bits) == (2 * m + 14, 2 * m + 13)
         assert unpacked == [5, 5]  # five runs, two edges each, from 64 bits at each end
 
@@ -936,9 +939,11 @@ class TestLargeSetKernel:
         # the cover's checkpoint runs, and read the periods whose classes a
         # stalled cover reads in each call
         seen, verdicts = [], []
-        classes, verdict = core._classes, core._verdict
-        monkeypatch.setattr(core, "_classes", lambda *args: seen.append(args[1]) or classes(*args))
-        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(args) or verdict(*args))
+        classes, verdict = _kernel._classes, _kernel._verdict
+        monkeypatch.setattr(_kernel, "_classes",
+                            lambda *args: seen.append(args[1]) or classes(*args))
+        monkeypatch.setattr(_kernel, "_verdict",
+                            lambda *args: verdicts.append(args) or verdict(*args))
         if bits.bit_length() > 1 << 16:
             sums, mags = ref_product_bits(bits), ref_product_bits(bits, reflect=True)
         else:
@@ -1014,8 +1019,8 @@ class TestLargeSetKernel:
         rng = random.Random(7)
         bits = sum(1 << x for x in range(10 ** 5) if rng.random() < p) | 1 << 10 ** 5 - 1
         self.assert_kernels(monkeypatch, bits, checked=True, read=[])
-        verdicts, verdict = [], core._verdict  # (runs taken, verdict) per call
-        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
+        verdicts, verdict = [], _kernel._verdict  # (runs taken, verdict) per call
+        monkeypatch.setattr(_kernel, "_verdict", lambda *args: verdicts.append(
             (args[2], verdict(*args))) or verdicts[-1][-1])
         alone = []
         for ask in ((True, False), (False, True), (True, True)):
@@ -1034,11 +1039,11 @@ class TestLargeSetKernel:
         # open zones show no period, so both are checked again and settle by
         # the per-position test at ~623 runs
         bits = ref_bits_of(random.Random(5).sample(range(50_000), 1000))
-        verdicts, verdict = [], core._verdict  # (left, before, taken, verdict) per call
-        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
+        verdicts, verdict = [], _kernel._verdict  # (left, before, taken, verdict) per call
+        monkeypatch.setattr(_kernel, "_verdict", lambda *args: verdicts.append(
             (*args[:3], verdict(*args))) or verdicts[-1][-1])
         read = []
-        monkeypatch.setattr(core, "_classes", lambda *args: read.append(args))
+        monkeypatch.setattr(_kernel, "_classes", lambda *args: read.append(args))
         assert sum_diff_cards(bits) == ref_cards(bits)
         assert read == []
         again = [(before, left, got) for left, before, _, got in verdicts
@@ -1051,8 +1056,8 @@ class TestLargeSetKernel:
         # dense ends read by the first pair of windows, the bottom one cut
         # back to 64; nothing in (64, 128], so 128 is a sum only as 64 + 64,
         # which no run taken holds, and the checkpoint must test it
-        verdicts, verdict = [], core._verdict
-        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(verdict(*args))
+        verdicts, verdict = [], _kernel._verdict
+        monkeypatch.setattr(_kernel, "_verdict", lambda *args: verdicts.append(verdict(*args))
                             or verdicts[-1])
         for seed in range(40):
             rng = random.Random(seed)
@@ -1069,8 +1074,8 @@ class TestLargeSetKernel:
         # against the reference, every pair of kinds asked for; the cover's
         # checkpoint settles some kinds by tests, and checks others again
         # after a checkpoint that did not halve their open count
-        verdicts, verdict = [], core._verdict
-        monkeypatch.setattr(core, "_verdict", lambda *args: verdicts.append(
+        verdicts, verdict = [], _kernel._verdict
+        monkeypatch.setattr(_kernel, "_verdict", lambda *args: verdicts.append(
             (args[:2], verdict(*args))) or verdicts[-1][-1])
         rng = random.Random(97)
         for _ in range(400):
@@ -1113,6 +1118,81 @@ class TestLargeSetKernel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == ["False"]
+
+
+class TestTheSeam:
+    # a mask of up to 127 bits takes all its runs at once in core, and a
+    # wider one goes to mstd._kernel: masks of 120-136 bits on both sides
+
+    @staticmethod
+    def seam_cases(width):
+        rng, top = random.Random(width), 1 << width - 1
+        cases = [
+            top | 1,  # two points
+            (1 << width) - 1,  # one run
+            (1 << rng.randint(1, 9)) - 1 | 2 * top - (top >> rng.randint(0, 8)),  # two runs
+            top | (1 << 6) - 1 << 40 | 1 << 90 | (1 << 3) - 1,  # four runs
+        ]
+        for p in (0.1, 0.5, 0.9):  # random, from about 10 runs to 60
+            cases.append(top | sum(1 << x for x in range(width - 1) if rng.random() < p))
+        return cases
+
+    @pytest.mark.parametrize("width", range(120, 137))
+    def test_calls_across_the_seam(self, width):
+        runs = set()
+        for bits in self.seam_cases(width):
+            assert bits.bit_length() == width
+            runs.add((bits ^ bits << 1).bit_count() // 2 > 8)
+            sums, mags = ref_sumset_bits(bits), ref_diff_bits(bits)
+            cards = ref_cards(bits)
+            assert (sumset_bits(bits), diff_bits(bits), sum_diff_cards(bits)) == (sums, mags, cards)
+            kind = (Kind.SUM_DOMINANT if cards[0] > cards[1] else Kind.BALANCED
+                    if cards[0] == cards[1] else Kind.DIFFERENCE_DOMINANT)
+            assert classify(IntSet.from_bits(bits)) == Classification(kind, *cards)
+            for ask_s, ask_d in ((True, False), (False, True)):
+                assert _sums_and_mags(bits, ask_s, ask_d) == (sums * ask_s, mags * ask_d)
+        assert runs == {False, True}  # fewer and more than 8 runs
+
+    def test_the_kernel_loads_on_the_first_wide_mask(self):
+        # a 127-bit mask leaves mstd._kernel unloaded; a 128-bit one loads it
+        # and binds its entry in core once
+        code = ("import sys, mstd\n"
+                "loaded = lambda: 'mstd._kernel' in sys.modules\n"
+                "mstd.sum_diff_cards((1 << 127) - 1 ^ 1 << 60); narrow = loaded()\n"
+                "mstd.sum_diff_cards((1 << 128) - 1 ^ 1 << 60); wide = loaded()\n"
+                "bound = mstd.core._wide is sys.modules['mstd._kernel'].sums_and_mags\n"
+                "print(narrow, wide, bound)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "True", "True"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: classify(5), "set argument must be an IntSet, not int"),
+    (lambda: sumset(5), "set argument must be an IntSet, not int"),
+    (lambda: diffset(5), "set argument must be an IntSet, not int"),
+    (lambda: format_set_literal(5), "set argument must be an IntSet, not int"),
+    (lambda: mstd.new_sums_on_extend([1, 2], 3), "set argument must be an IntSet, not list"),
+    (lambda: symmetry_center(5), "set argument must be an IntSet, not int"),
+    (lambda: normalize_affine(5), "set argument must be an IntSet, not int"),
+    (lambda: gaps_of(5), "set argument must be an IntSet, not int"),
+    (lambda: format_gap_notation(5), "set argument must be an IntSet, not int"),
+    (lambda: mstd.ms_condition1(5), "set argument must be an IntSet, not int"),
+    (lambda: mstd.ms_condition2(5, 2), "set argument must be an IntSet, not int"),
+    (lambda: mstd.is_arithmetic_progression(5), "set argument must be an IntSet, not int"),
+    (lambda: mstd.infer_block_gap(5), "set argument must be an IntSet, not int"),
+    (lambda: parse_set_literal(None), "text must be a str, not NoneType"),
+    (lambda: parse_gap_notation(5), "text must be a str, not int"),
+    (lambda: parse_set_literal(b"{1}"), "text must be a str, not bytes"),
+    (lambda: parse_gap_notation(b"{1}"), "text must be a str, not bytes"),
+], ids=["classify", "sumset", "diffset", "format_set_literal", "new_sums_on_extend",
+        "symmetry_center", "normalize_affine", "gaps_of", "format_gap_notation",
+        "ms_condition1", "ms_condition2", "is_arithmetic_progression", "infer_block_gap",
+        "parse_set_literal_none", "parse_gap_notation_int", "parse_set_literal_bytes",
+        "parse_gap_notation_bytes"])
+def test_a_bad_operand_is_an_invalid_parameter(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        call()
 
 
 def spans_of(bits, g):
@@ -1172,8 +1252,9 @@ class TestIntervalPath:
         # the path each shape takes, its outputs against the oracles, and
         # the run kernel called by the public calls only where it is taken
         assert path_of(bits) == g
-        ran, run_kernel = [], core._run_kernel
-        monkeypatch.setattr(core, "_run_kernel", lambda *args: ran.append(1) or run_kernel(*args))
+        ran, run_kernel = [], _kernel._run_kernel
+        monkeypatch.setattr(_kernel, "_run_kernel",
+                            lambda *args: ran.append(1) or run_kernel(*args))
         self.assert_exact(bits, (g,) if g and g > 1 else (1,) if g else ())
         assert bool(ran) == (g is None)
 

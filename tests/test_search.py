@@ -425,17 +425,20 @@ class TestParallelDeterminism:
 
     def test_only_the_fork_path_imports_pickle(self):
         # minsize(12) at 2 workers is below a fork's break-even and runs in the
-        # caller; minsize(18) forks
+        # caller; so does minsize(18) in a process that has not forked yet,
+        # where the first fork's cold cost scales the break-even; minsize(22)
+        # forks
         code = ("import sys, mstd.cli\n"
                 "seen = lambda: ','.join(sorted({'pickle', 'signal', 'multiprocessing'}\n"
                 "                               & set(sys.modules))) or '-'\n"
                 "before = seen(); mstd.min_size_scan(9, workers=1); serial = seen()\n"
                 "mstd.min_size_scan(12, workers=2); small = seen()\n"
-                "mstd.min_size_scan(18, workers=2)\n"
-                "print(before, serial, small, seen())")
+                "mstd.min_size_scan(18, workers=2); cold = seen()\n"
+                "mstd.min_size_scan(22, workers=2)\n"
+                "print(before, serial, small, cold, seen())")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["-", "-", "-", "pickle,signal"]
+        assert out.stdout.split() == ["-", "-", "-", "-", "pickle,signal"]
 
 
 class TestReportSerialization:
@@ -1118,32 +1121,40 @@ class TestScanPlumbing:
         # scan's examined, and it runs on one process per break-even of that,
         # at most: the acceptance suite's small searches fork nothing at 2 or
         # 8 workers, the benchmark's forking scans one child at 2, and at
-        # 10**5 workers no list forks past its work
+        # 10**5 workers no list forks past its work. In a process that has not
+        # forked yet the break-even is _COLD times as large, so of these only
+        # minsize(22) and the three-part catalogue fork there
         forks = counting_fork(monkeypatch, cap=8)
         walk, pairs = search._FORK_WALK, search._FORK_PAIRS
-        table = [  # scan, work, break-even, blocks, children at 2, 8 and 10**5 workers
-            (lambda w: min_size_scan(12, workers=w), 3301, walk, 63, 0, 0, 0),
-            (lambda w: ap_pair_scan(15, 2, workers=w), 23680, pairs, 48, 0, 0, 0),
-            (lambda w: two_ap_general_scan(12, 2, workers=w), 19600, pairs, 40, 0, 0, 0),
-            (lambda w: min_size_scan(16, workers=w), 26332, walk, 91, 0, 0, 0),
-            (lambda w: min_size_scan(18, workers=w), 63003, walk, 105, 1, 3, 3),
-            (lambda w: ap_pair_scan(34, 4, workers=w), 580401, pairs, 148, 1, 2, 2),
-            (lambda w: two_ap_general_scan(26, 5, workers=w), 811801, pairs, 126, 1, 4, 4),
-            (lambda w: min_size_scan(22, workers=w), 280599, walk, 133, 1, 7, None),
-            (lambda w: partition3_feasible(25, True, w), 346104, walk, 18, 1, 7, None),
+        table = [  # scan, work, break-even, blocks, children at 2, 8 and 10**5
+            # workers, warm, then in a process that has not forked
+            (lambda w: min_size_scan(12, workers=w), 3301, walk, 63, 0, 0, 0, 0, 0, 0),
+            (lambda w: ap_pair_scan(15, 2, workers=w), 23680, pairs, 48, 0, 0, 0, 0, 0, 0),
+            (lambda w: two_ap_general_scan(12, 2, workers=w), 19600, pairs, 40, 0, 0, 0, 0, 0, 0),
+            (lambda w: min_size_scan(16, workers=w), 26332, walk, 91, 0, 0, 0, 0, 0, 0),
+            (lambda w: min_size_scan(18, workers=w), 63003, walk, 105, 1, 3, 3, 0, 0, 0),
+            (lambda w: ap_pair_scan(34, 4, workers=w), 580401, pairs, 148, 1, 2, 2, 0, 0, 0),
+            (lambda w: two_ap_general_scan(26, 5, workers=w), 811801, pairs, 126, 1, 4, 4,
+             0, 0, 0),
+            (lambda w: min_size_scan(22, workers=w), 280599, walk, 133, 1, 7, None, 1, 5, 5),
+            (lambda w: partition3_feasible(25, True, w), 346104, walk, 18, 1, 7, None, 1, 6, 6),
         ]
         lists, real_blocks = [], search._run_blocks
         monkeypatch.setattr(search, "_run_blocks",
                             lambda fn, tasks, *a: lists.append(tasks) or real_blocks(fn, tasks, *a))
         for scan, work, even, blocks, *children in table:
-            for workers, want in zip((2, 8, 10 ** 5), children):
-                if want is None:  # a dozen children or more: left to the formula
-                    continue
-                forks.clear()
-                lists.clear()
-                scan(workers)
-                assert len(lists[0]) == blocks
-                assert len(forks) == want == max(0, min(workers, blocks, work // even) - 1)
+            for cold, row in ((False, children[:3]), (True, children[3:])):
+                for workers, want in zip((2, 8, 10 ** 5), row):
+                    if want is None:  # a dozen children or more: left to the formula
+                        continue
+                    monkeypatch.setattr(search, "_forked", not cold)
+                    forks.clear()
+                    lists.clear()
+                    scan(workers)
+                    assert len(lists[0]) == blocks
+                    share = even * search._COLD if cold else even
+                    assert len(forks) == want == max(0, min(workers, blocks, work // share) - 1)
+                    assert search._forked == (not cold or want > 0)
         assert_no_children()
 
     @pytest.mark.usefixtures("always_fork")
