@@ -33,6 +33,14 @@ it runs for everything else: help at the top or group level, an unknown
 or misspelt command, an abbreviated flag before the command. A leaf is
 built by the same code either way and the top usage names COMMAND, not
 the choices, so usage, help and error text do not depend on the filter.
+
+A process ends in main(), which flushes stdout and stderr and leaves by
+os._exit with the exit code, skipping the interpreter's teardown of its
+modules and the atexit handlers; an uncaught exception, or a profiler,
+tracer or sys.monitoring tool (cProfile, trace, coverage) that writes its
+results at exit, gets the normal exit instead. run() is the library
+entry: it returns the code, or raises SystemExit on a usage error or
+help, and never ends the process itself.
 """
 
 import argparse
@@ -362,12 +370,41 @@ def _write(text: str) -> int | None:
     except OSError as exc:
         print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
         code = EX_IOERR
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
     return code
 
 
+def _observed() -> bool:
+    # a profiler, tracer or sys.monitoring tool (cProfile from Python 3.12,
+    # coverage) that writes its results when the interpreter finalizes
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
+    return bool(sys.gettrace() or sys.getprofile() or monitoring
+                and any(map(monitoring.get_tool, range(6))))  # tool ids 0-5
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command sys.argv names and end the process with its exit code.
+
+    An int exit code, returned by run() or raised in SystemExit (usage
+    errors, --help), ends the process by os._exit once stdout and stderr
+    are flushed: no atexit handler runs and the interpreter does not tear
+    down its modules. Anything else raised, a SystemExit without an int
+    code among it, takes the normal path (a traceback and exit 1), and so
+    does every exit while a profiler, tracer or sys.monitoring tool is set.
+    """
+    try:
+        code = run(sys.argv[1:])
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    if _observed():
+        sys.exit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

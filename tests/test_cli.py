@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -608,6 +609,12 @@ def test_a_command_builds_only_its_parsers(capsys, monkeypatch):
     capsys.readouterr()
 
 
+# a child's stdout on a pipe or a file as it is by default, block-buffered
+# also where PYTHONUNBUFFERED is set, so that output main() leaves
+# unflushed would be lost
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 # command output, short and long, and help from the full parser and from one
 # built for the command alone
 WRITES = pytest.mark.parametrize("argv", [
@@ -619,7 +626,7 @@ WRITES = pytest.mark.parametrize("argv", [
 def test_closed_pipe_ends_quietly(argv):
     # the reader is gone before the output is written, as after `| head`:
     # no traceback, exit 128 + SIGPIPE, also for output still buffered
-    proc = subprocess.Popen([sys.executable, "-m", "mstd.cli", *argv],
+    proc = subprocess.Popen([sys.executable, "-m", "mstd.cli", *argv], env=BUFFERED,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -632,10 +639,96 @@ def test_closed_pipe_ends_quietly(argv):
 def test_full_disk_is_one_error_line(argv):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "mstd.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, timeout=120)
+                              stderr=subprocess.PIPE, text=True, env=BUFFERED, timeout=120)
     assert proc.returncode == cli.EX_IOERR == 74
     assert proc.stderr.startswith("error: cannot write the output: ")
     assert proc.stderr.count("\n") == 1
+
+
+def run_main(code, *argv, **kwargs):
+    # a `python -c` child that runs `code` and then cli.main() on argv
+    code += "\nimport sys\nfrom mstd import cli\nsys.argv[0] = 'mstd'\ncli.main()"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          env=BUFFERED, timeout=120, **kwargs)
+
+
+ATEXIT = "import atexit, sys\natexit.register(print, 'atexit ran', file=sys.stderr)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{0,2,3,4,7,11,12,14}"], ["--format", "json", "construct", "kset", "9"],
+    ["search", "largest", "30", "--max-discard", "2"], ["classify", "{}"], ["--help"],
+    ["classify", "{0,1,3}", "--bogus"], ["classify", "{1,2}", "--format", "xml"]],
+    ids=["ok", "json", "budget", "data", "help", "bad_flag", "bad_choice"])
+def test_main_ends_the_process_as_run_returns(argv, capsys, monkeypatch):
+    # exit 0, 2, 65 and 64 (also --help and usage errors, raised in
+    # SystemExit) end by os._exit: no atexit handler, output as run() gives
+    monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    proc = run_main(ATEXIT, *argv, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code in (0, 2, 64, 65)
+
+
+@pytest.mark.parametrize("hook", [
+    "sys.settrace(lambda *a: None)", "sys.setprofile(lambda *a: None)",
+    pytest.param("sys.monitoring.use_tool_id(sys.monitoring.COVERAGE_ID, 'coverage')",
+                 marks=pytest.mark.skipif(not hasattr(sys, "monitoring"),
+                                          reason="sys.monitoring is new in Python 3.12"))],
+    ids=["trace", "profile", "monitoring"])
+def test_a_tracer_or_profiler_keeps_the_normal_exit(hook):
+    # cProfile on Python 3.12 and later, and coverage's sysmon core, are
+    # sys.monitoring tools and set no profile or trace function
+    proc = run_main(f"{ATEXIT}\n{hook}", "classify", "{}", text=True)
+    assert proc.returncode == 65
+    assert proc.stderr == "error: cannot classify the empty set\natexit ran\n"
+
+
+def test_cprofile_prints_its_table():
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "mstd.cli", "classify",
+                           "{0,2,3,4,7,11,12,14}"], capture_output=True, text=True,
+                          env=BUFFERED, timeout=120)
+    assert proc.returncode == 0
+    line, table = proc.stdout.split("\n", 1)
+    assert line == "sum-dominant excess=1"
+    assert "function calls" in table and "Ordered by" in table
+
+
+def test_long_output_through_a_pipe_is_whole(capsys):
+    # 1.5 MB: what stdout still buffers when main ends reaches the pipe
+    argv = ["construct", "kset", "200000"]
+    assert run_cli(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    proc = run_main("", *argv)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == expected and len(expected) > 1 << 20
+
+
+@pytest.mark.parametrize("error, stderr_tail", [
+    ("RuntimeError('boom')", "RuntimeError: boom"), ("SystemExit('bye')", "bye")])
+def test_main_lets_other_exits_take_the_normal_path(error, stderr_tail):
+    # an exception, or a SystemExit whose code is no int: a traceback or
+    # the message, exit 1, and the atexit handlers run
+    proc = run_main(f"{ATEXIT}\nimport mstd.cli\n"
+                    f"def fail(argv):\n    raise {error}\nmstd.cli.run = fail",
+                    "classify", "{0,1,3}", text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-2:] == [stderr_tail, "atexit ran"]
+    assert ("Traceback" in proc.stderr) == error.startswith("RuntimeError")
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="no /proc/self/fd")
+def test_failed_write_leaks_no_descriptor(monkeypatch):
+    # in a library process that calls run(), stdout a pipe whose reader is gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli.run(["classify", "{0,1,3}"]) == cli.EX_PIPE == 141
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 # what a command may pull in: the engines, lemmas and constructions it does
@@ -682,6 +775,21 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "sum-dominant excess=1\n"
+
+
+@pytest.mark.parametrize("argv, stdout, exit_code", [
+    (["classify", "{0,2,3,4,7,11,12,14}"], "sum-dominant excess=1\n", 0),
+    (["classify", "{}"], "", 65)], ids=["ok", "data"])
+def test_console_script_entry(argv, stdout, exit_code):
+    # the [project.scripts] entry, called as the installed wrapper calls it
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, function = re.search(r'^mstd\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    wrapper = (f"import sys\nfrom {module} import {function}\n"
+               f"sys.argv[0] = 'mstd'\nsys.exit({function}())")
+    proc = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True,
+                          text=True, env=BUFFERED, timeout=120)
+    assert (proc.returncode, proc.stdout) == (exit_code, stdout)
 
 
 def test_module_entry_point():
